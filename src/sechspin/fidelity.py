@@ -115,8 +115,7 @@ def gate_report(gamma_target: float, B: float, g: float = 0.57,
     pulses, phis = _sequence_for(gamma_target, omega, spacing)
     sched = schedule_for_pulses(pulses)
     decay_on = decay and np.isfinite(tau_t)
-    s = SystemParams(omega_B=omega_B, trion_lifetime=tau_t if decay_on else float("inf"),
-                     decay_enabled=decay_on)
+    s = SystemParams(omega_B=omega_B, trion_lifetime=tau_t, decay_enabled=decay_on)
     u3 = evolve_operator(sched, s, opts)
     u = truncate_qubit(u3)
     loss = float(1.0 - np.sum(np.abs(u3[:, 1]) ** 2))

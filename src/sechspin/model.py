@@ -24,6 +24,13 @@ G_FACTOR_DEFAULT = 0.57
 ENVELOPE_TAIL_ARG = float(np.arccosh(1e8))
 
 
+def _require_finite(**values) -> None:
+    """Reject NaN and +-inf where the types are built, naming the parameter."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     bohr_magneton: float = BOHR_MAGNETON
@@ -46,6 +53,8 @@ class PulseParams:
     center: float = 0.0     # ps
 
     def __post_init__(self):
+        _require_finite(rabi_peak=self.rabi_peak, detuning=self.detuning,
+                        bandwidth=self.bandwidth, center=self.center)
         if not self.rabi_peak > 0:
             raise ValueError("rabi_peak must be positive")
         if not self.bandwidth > 0:
@@ -78,6 +87,9 @@ class SystemParams:
     decay_enabled: bool = False
 
     def __post_init__(self):
+        _require_finite(omega_B=self.omega_B)
+        if np.isnan(self.trion_lifetime):
+            raise ValueError("trion_lifetime must not be NaN")
         if self.omega_B < 0:
             raise ValueError("omega_B must be nonnegative")
         if self.decay_enabled and not self.trion_lifetime > 0:
@@ -194,6 +206,7 @@ def larmor_from_field(B: float, g: float = G_FACTOR_DEFAULT) -> float:
     pi/omega_B = 2*pi*hbar/(g*mu_B*B). At B = 0.29 T and g = 0.57 this is
     about 432 ps.
     """
+    _require_finite(B=B, g=g)
     if B < 0:
         raise ValueError("B must be nonnegative")
     return g * BOHR_MAGNETON * B / (2.0 * HBAR) * 1e-12

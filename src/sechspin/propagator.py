@@ -1,15 +1,27 @@
 """Numerical Schrödinger evolution for pulse schedules.
 
-The integrator is classical fixed-step RK4, but applied to the matrix form
-of the equation: each step contributes a 3x3 step matrix, the batch of
-step matrices is built vectorized over the whole grid, and the evolution
-is assembled either as a prefix scan (full trajectory) or a pairwise fold
-(final operator only). This keeps sweeps fast without an adaptive solver,
-and the fixed grid makes runs bit-reproducible.
+The integrator is the fourth-order Magnus method with two-point Gauss
+nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), taken in
+the detuning frame of the nearest pulse. In pulse k's frame the trion
+amplitude carries an extra exp(-i*Delta_k*(t - c_k)), so that pulse's
+carrier becomes the constant diagonal Delta_k - i*Gamma, which the matrix
+exponential handles exactly, and the step count follows the bandwidths,
+Rabi peaks, omega_B and Gamma, not |Delta|. Pulse k's frame holds from the
+midpoint between c_{k-1} and c_k to the midpoint between c_k and c_{k+1};
+every pulse's coupling stays in the Hamiltonian, so the change of frame
+is exact. Each step matrix is returned in the lab frame,
+D(t+dt)^dagger exp(Omega_4) D(t), so frames never leak out of a step.
+
+Step matrices are built vectorized over chunks of the fixed grid, in a
+component-major (3, 3, n) layout so each entry is one contiguous vector,
+and exponentiated by batched scaling and squaring of a Taylor polynomial.
+They are consumed by a blocked O(n) scan (full trajectory) or a pairwise
+fold (final operator only). The fixed grid makes runs bit-reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -35,6 +47,15 @@ MAX_STEPS = 2_000_000
 # because the Hamiltonian sums all pulse couplings exactly
 OVERLAP_FRACTION = 1e-2
 
+# two-point Gauss nodes on [0, 1]
+GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+# degree-8 Taylor: the dropped tail is below 2^-53 relative for norm <= 1/16
+TAYLOR_THETA = 1.0 / 16.0
+TAYLOR_COEFS = tuple(1.0 / math.factorial(k) for k in range(9))
+# steps built at once, and block length of the trajectory scan
+CHUNK_STEPS = 8192
+SCAN_BLOCK = 16
+
 
 class StepTooLarge(ValueError):
     """Requested step violates the resolution guard."""
@@ -56,6 +77,8 @@ class PulseSchedule:
 
     def _validate(self):
         t0, t1 = self.window
+        if not (np.isfinite(t0) and np.isfinite(t1)):
+            raise ValueError("window must be finite, got (%r, %r)" % (t0, t1))
         if not t1 > t0:
             raise ValueError("window must have t_end > t_start")
         centers = [p.center for p in self.pulses]
@@ -127,9 +150,11 @@ class Trajectory:
 
 
 def _frequency_scale(sched: PulseSchedule, s: SystemParams) -> float:
+    """Fastest rate the frame Hamiltonian varies at; the detunings are
+    constant diagonals there and do not count."""
     f = max(s.omega_B, s.decay_rate)
     for p in sched.pulses:
-        f = max(f, p.rabi_peak, abs(p.detuning), p.bandwidth)
+        f = max(f, p.rabi_peak, p.bandwidth)
     return f
 
 
@@ -154,66 +179,165 @@ def _grid(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts):
     return np.linspace(t0, t1, n + 1), span / n
 
 
-def _a_matrices(t: np.ndarray, sched: PulseSchedule, s: SystemParams) -> np.ndarray:
-    """-i*H(t) stacked over the grid, shape (len(t), 3, 3)."""
-    v = coupling(t, sched.pulses)
-    a = np.zeros((t.shape[0], 3, 3), dtype=complex)
-    a[:, 0, 1] = -1j * s.omega_B
-    a[:, 1, 0] = -1j * s.omega_B
-    a[:, 1, 2] = -1j * v
-    a[:, 2, 1] = -1j * np.conj(v)
-    a[:, 2, 2] = -s.decay_rate
-    return a
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched 3x3 products a @ b in the (3, 3, ...) layout.
+
+    One einsum call wins on short batches; row by row, with each entry a
+    contiguous vector, is about twice as fast on long ones.
+    """
+    if a[0, 0].size < 512:
+        return np.einsum("ik...,kj...->ij...", a, b)
+    out = np.empty(a.shape, dtype=complex)
+    for i in range(3):
+        np.multiply(a[i, 0], b[0], out=out[i])
+        out[i] += a[i, 1] * b[1]
+        out[i] += a[i, 2] * b[2]
+    return out
+
+
+def _frames(sched: PulseSchedule, t: np.ndarray):
+    """Detuning and center of the frame each time falls in: the nearest
+    pulse, switching at midpoints between centers. No pulses: the lab."""
+    if not sched.pulses:
+        return np.zeros_like(t), np.zeros_like(t)
+    deltas = np.array([p.detuning for p in sched.pulses])
+    centers = np.array([p.center for p in sched.pulses])
+    k = np.searchsorted(0.5 * (centers[1:] + centers[:-1]), t)
+    return deltas[k], centers[k]
+
+
+def _magnus4(t: np.ndarray, dt: float, sched: PulseSchedule, s: SystemParams,
+             delta: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Omega_4 = -i*dt*(H1 + H2)/2 - (sqrt(3)/12)*dt^2*[H2, H1] per step.
+
+    H1, H2 are the frame Hamiltonians [[0, w, 0], [w, 0, u], [0, u*, d]]
+    at the Gauss nodes, u = V*exp(i*Delta_k*(t - c_k)) and
+    d = Delta_k - i*Gamma; the commutator is written out entrywise.
+    """
+    u1, u2 = (coupling(tn, sched.pulses) * np.exp(1j * delta * (tn - center))
+              for tn in (t + GAUSS_NODES[0] * dt, t + GAUSS_NODES[1] * dt))
+    d = delta - 1j * s.decay_rate
+    w = s.omega_B
+    kappa = np.sqrt(3.0) / 12.0 * dt * dt
+    du = u1 - u2
+    q = u2 * np.conj(u1) - u1 * np.conj(u2)
+    x = np.zeros((3, 3, t.shape[0]), dtype=complex)
+    x[0, 1] = x[1, 0] = -1j * dt * w
+    x[0, 2] = -kappa * w * du
+    x[2, 0] = kappa * w * np.conj(du)
+    x[1, 1] = -kappa * q
+    x[1, 2] = -0.5j * dt * (u1 + u2) + kappa * d * du
+    x[2, 1] = -0.5j * dt * np.conj(u1 + u2) - kappa * d * np.conj(du)
+    x[2, 2] = -1j * dt * d + kappa * q
+    return x
+
+
+def _taylor(x: np.ndarray) -> np.ndarray:
+    """Degree-8 Taylor polynomial of exp, Paterson-Stockmeyer: 4 products."""
+    x2 = _mul(x, x)
+    x3 = _mul(x2, x)
+    c = TAYLOR_COEFS
+    b0, b1, b2 = (c[k + 1] * x + c[k + 2] * x2 for k in (0, 3, 6))
+    for i in range(3):
+        b0[i, i] += c[0]
+        b1[i, i] += c[3]
+        b2[i, i] += c[6]
+    return b0 + _mul(x3, b1 + _mul(x3, b2))
+
+
+def _expm(x: np.ndarray) -> np.ndarray:
+    """exp of each (3, 3) slice by scaling and squaring: every matrix is
+    scaled by 2^-k to 1-norm <= TAYLOR_THETA with its own k."""
+    norm = np.abs(x).sum(axis=0).max(axis=0)
+    scale = np.maximum(np.frexp(norm / TAYLOR_THETA)[1], 0)
+    groups = np.unique(scale)
+    out = np.empty_like(x)
+    for k in groups:
+        sel = scale == k if groups.size > 1 else slice(None)
+        # a masked copy comes out step-major; products want entries contiguous
+        e = _taylor(np.ascontiguousarray(x[..., sel]) * 0.5 ** k)
+        for _ in range(k):
+            e = _mul(e, e)
+        out[..., sel] = e
+    return out
 
 
 def _step_matrices(times: np.ndarray, dt: float, sched: PulseSchedule,
                    s: SystemParams) -> np.ndarray:
-    """RK4 step matrices M_k mapping psi(t_k) to psi(t_k + dt)."""
+    """Lab-frame Magnus-4 step matrices, (3, 3, len(times) - 1); slice k maps
+    psi(times[k]) to psi(times[k + 1]). dt < 0 steps backward."""
     t = times[:-1]
-    a1 = _a_matrices(t, sched, s)
-    a2 = _a_matrices(t + 0.5 * dt, sched, s)
-    a3 = _a_matrices(t + dt, sched, s)
-    eye = np.eye(3, dtype=complex)
-    k1 = a1
-    k2 = np.matmul(a2, eye + (0.5 * dt) * k1)
-    k3 = np.matmul(a2, eye + (0.5 * dt) * k2)
-    k4 = np.matmul(a3, eye + dt * k3)
-    return eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    delta, center = _frames(sched, t + 0.5 * dt)
+    m = _expm(_magnus4(t, dt, sched, s, delta, center))
+    # to the lab frame, D(t + dt)^dagger exp(Omega_4) D(t), where D(t)
+    # multiplies the trion amplitude by exp(-i*Delta_k*(t - c_k))
+    m[:, 2] *= np.exp(-1j * delta * (t - center))
+    m[2] *= np.exp(1j * delta * (times[1:] - center))
+    return m
 
 
-def _prefix_products(mats: np.ndarray) -> np.ndarray:
-    """out[k] = mats[k] @ mats[k-1] @ ... @ mats[0], log-depth doubling scan."""
-    cur = mats.copy()
-    n = cur.shape[0]
-    offset = 1
-    while offset < n:
-        nxt = cur.copy()
-        nxt[offset:] = np.matmul(cur[offset:], cur[:n - offset])
-        cur = nxt
-        offset *= 2
-    return cur
+def _chunks(times: np.ndarray):
+    """Grid pieces of at most CHUNK_STEPS steps, sharing their end points."""
+    n = times.shape[0] - 1
+    for a in range(0, n, CHUNK_STEPS):
+        yield a, times[a:min(a + CHUNK_STEPS, n) + 1]
+
+
+def _scan(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """States after each step, m[..., k] @ ... @ m[..., 0] @ psi, as (n, 3).
+
+    Blocked: prefix products inside blocks of SCAN_BLOCK steps, vectorized
+    across blocks; the block totals then carry psi from block to block (the
+    same scan one level up). O(n) work; m is overwritten.
+    """
+    n = m.shape[-1]
+    if n <= SCAN_BLOCK:
+        out = np.empty((n, 3), dtype=complex)
+        for k in range(n):
+            psi = m[..., k] @ psi
+            out[k] = psi
+        return out
+    nb = -(-n // SCAN_BLOCK)
+    if nb * SCAN_BLOCK > n:
+        eye = np.eye(3, dtype=complex)[..., None]
+        m = np.concatenate([m, np.broadcast_to(eye, (3, 3, nb * SCAN_BLOCK - n))], axis=-1)
+    blocks = m.reshape(3, 3, nb, SCAN_BLOCK)
+    for j in range(1, SCAN_BLOCK):
+        blocks[..., j] = _mul(blocks[..., j], blocks[..., j - 1])
+    carried = _scan(np.ascontiguousarray(blocks[..., -1]), psi)
+    starts = np.concatenate([psi[None], carried[:-1]])
+    states = np.einsum("ijbk,bj->bki", blocks, starts)
+    return states.reshape(-1, 3)[:n]
 
 
 def _fold(mats: np.ndarray) -> np.ndarray:
-    """Ordered product mats[-1] @ ... @ mats[0] by pairwise reduction."""
+    """Ordered product mats[..., -1] @ ... @ mats[..., 0] by pairwise reduction."""
     cur = mats
-    while cur.shape[0] > 1:
-        if cur.shape[0] % 2:
-            tail = cur[-1:]
-            body = np.matmul(cur[1:-1:2], cur[0:-1:2])
-            cur = np.concatenate([body, tail], axis=0)
-        else:
-            cur = np.matmul(cur[1::2], cur[0::2])
-    return cur[0]
+    while cur.shape[-1] > 1:
+        n = cur.shape[-1]
+        paired = _mul(cur[..., 1:n - n % 2:2], cur[..., 0:n - n % 2:2])
+        cur = np.concatenate([paired, cur[..., n - 1:]], axis=-1) if n % 2 else paired
+    return cur[..., 0]
+
+
+def _operator(times: np.ndarray, dt: float, sched: PulseSchedule,
+              s: SystemParams) -> np.ndarray:
+    u = np.eye(3, dtype=complex)
+    for _, piece in _chunks(times):
+        u = _fold(_step_matrices(piece, dt, sched, s)) @ u
+    return u
 
 
 def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
               opts: Optional[IntegratorOpts] = None) -> Trajectory:
     """Solve i d(psi)/dt = H(t) psi over the schedule window.
 
-    H sums every pulse coupling (each in its own detuning frame) plus the
-    precession and optional decay terms. Raises StepTooLarge if the grid
-    cannot resolve the fastest frequency, NormBlowup if the norm grows.
+    H sums every pulse coupling (each with its detuning phase anchored at
+    its own center) plus the precession and optional decay terms. Magnus-4
+    steps in per-pulse detuning frames on a fixed grid whose step count
+    does not depend on the detunings; states are returned in the lab frame.
+    Raises StepTooLarge if the grid cannot resolve the fastest envelope,
+    Rabi, precession or decay rate, NormBlowup if the norm grows.
     """
     opts = opts or IntegratorOpts()
     if abs(psi0.norm_sq - 1.0) > 1e-9:
@@ -221,11 +345,11 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     if sched.pulses:
         warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses))
     times, dt = _grid(sched, s, opts)
-    mats = _step_matrices(times, dt, sched, s)
-    prefixes = _prefix_products(mats)
     states = np.empty((times.shape[0], 3), dtype=complex)
     states[0] = psi0.amplitudes
-    states[1:] = prefixes @ psi0.amplitudes
+    for a, piece in _chunks(times):
+        mats = _step_matrices(piece, dt, sched, s)
+        states[a + 1:a + piece.shape[0]] = _scan(mats, states[a])
     norms = np.einsum("ij,ij->i", states, states.conj()).real
     if norms.max() > 1.0 + 1e-6:
         raise NormBlowup("norm reached %.9f" % norms.max())
@@ -244,25 +368,23 @@ def propagate_backward(psi_end: StateVector, sched: PulseSchedule, s: SystemPara
     """
     opts = opts or IntegratorOpts()
     times, dt = _grid(sched, s, opts)
-    mats = _step_matrices(times[::-1].copy(), -dt, sched, s)
-    psi = psi_end.amplitudes
-    final = _fold(mats) @ psi
-    return StateVector(final)
+    u = _operator(times[::-1].copy(), -dt, sched, s)
+    return StateVector(u @ psi_end.amplitudes)
 
 
 def evolve_operator(sched: PulseSchedule, s: SystemParams,
                     opts: Optional[IntegratorOpts] = None) -> np.ndarray:
     """Time-ordered evolution operator over the window, basis (zbar, z, trion).
 
-    Columns are the propagated basis states. Unitary to integrator accuracy
-    without decay, a contraction with decay on.
+    Columns are the propagated basis states, in the lab frame, built from
+    the same Magnus-4 steps as propagate. Unitary to rounding without
+    decay, a contraction with decay on.
     """
     opts = opts or IntegratorOpts()
     if sched.pulses:
         warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses))
     times, dt = _grid(sched, s, opts)
-    mats = _step_matrices(times, dt, sched, s)
-    return _fold(mats)
+    return _operator(times, dt, sched, s)
 
 
 def truncate_qubit(u3: np.ndarray) -> np.ndarray:

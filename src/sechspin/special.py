@@ -10,6 +10,7 @@ from a = Omega/eta and c = (1 + i*Delta/eta)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.special import expit, gamma as cgamma, rgamma
@@ -18,6 +19,10 @@ from .model import PulseParams, StateVector
 
 SERIES_RTOL = 1e-12
 SERIES_MAX_TERMS = 10 ** 6
+# rz_state returns the t -> inf limit once 1 - z < RZ_TAIL_LIMIT
+# (eta*(t - t_c) > 24.2): the trion tail left, about 2*sqrt(1 - z) for a
+# 2*pi pulse, is then below 1e-10
+RZ_TAIL_LIMIT = 1e-21
 
 
 class NonConvergence(ArithmeticError):
@@ -34,16 +39,24 @@ def _is_nonpositive_int(x: complex) -> bool:
 
 @dataclass(frozen=True)
 class HypParams:
+    """Arguments of 2F1(a, b; c; z). z1 is 1 - z; pass it when it is known
+    more accurately than the rounded difference (z near 1)."""
+
     a: complex
     b: complex
     c: complex
     z: float
+    z1: Optional[float] = None
 
     def __post_init__(self):
         if _is_nonpositive_int(self.c):
             raise InvalidC("c = %r is a non-positive integer" % (self.c,))
         if not 0.0 <= self.z <= 1.0:
             raise ValueError("z must lie in [0, 1], got %r" % (self.z,))
+        if self.z1 is None:
+            object.__setattr__(self, "z1", 1.0 - self.z)
+        elif not 0.0 <= self.z1 <= 1.0:
+            raise ValueError("z1 must lie in [0, 1], got %r" % (self.z1,))
 
 
 def _series(a, b, c, z, max_terms=SERIES_MAX_TERMS):
@@ -83,22 +96,22 @@ def hyp2f1(h: HypParams) -> complex:
     z -> 1 - z connection formula, valid because c - a - b is never an
     integer for the parameter families used here (Re(c-a-b) = 1/2); if it
     is nearly an integer the direct series is used instead (it still
-    converges for z < 1, just more slowly). z = 1 is the Gauss sum.
+    converges for z < 1, just more slowly). z1 = 0 is the Gauss sum; the
+    connection formula takes 1 - z from h.z1.
     """
-    a, b, c, z = h.a, h.b, h.c, h.z
+    a, b, c, z, z1 = h.a, h.b, h.c, h.z, h.z1
     if z == 0.0:
         return 1.0 + 0.0j
     # terminating cases are exact at any z and dodge the connection formula
     if _is_nonpositive_int(a) or _is_nonpositive_int(b):
         return _series(a, b, c, z)
-    if z == 1.0:
+    if z1 == 0.0:
         return _gauss_value(a, b, c)
     if z <= 0.5:
         return _series(a, b, c, z)
     s = c - a - b
     if abs(s - np.round(s.real)) < 1e-8:
         return _series(a, b, c, z)
-    z1 = 1.0 - z
     f1 = cgamma(c) * cgamma(s) * rgamma(c - a) * rgamma(c - b) \
         * _series(a, b, 1.0 - s + 0j, z1)
     f2 = cgamma(c) * cgamma(-s) * rgamma(a) * rgamma(b) \
@@ -112,18 +125,22 @@ def rz_state(t: float, p: PulseParams) -> StateVector:
     Initial condition is |z> in the far past. The zbar amplitude is
     identically zero in this approximation; do not extrapolate it to
     omega_B > 0. The change of variable is z = (tanh(eta*(t-c)) + 1)/2,
-    evaluated as a logistic for stability.
+    evaluated as a logistic for stability, and 1 - z as the mirrored
+    logistic, so the trion amplitude keeps its precision in the tail.
     """
     x = p.bandwidth * (t - p.center)
     z = float(expit(2.0 * x))            # (tanh(x)+1)/2 without cancellation
+    z1 = float(expit(-2.0 * x))          # 1 - z, exact where z rounds to 1
+    if z1 < RZ_TAIL_LIMIT:
+        z, z1 = 1.0, 0.0
     a = p.rabi_peak / p.bandwidth
     c = 0.5 * (1.0 + 1j * p.detuning / p.bandwidth)
-    c_z = hyp2f1(HypParams(a, -a, c, z))
+    c_z = hyp2f1(HypParams(a, -a, c, z, z1))
     if z == 0.0:
         c_tau = 0.0 + 0.0j               # z^c -> 0 since Re c = 1/2 > 0
     else:
         z_pow_c = np.exp(c * np.log(z))  # principal branch, z > 0
-        c_tau = -(1j * a / c) * z_pow_c * hyp2f1(HypParams(a + c, -a + c, 1.0 + c, z))
+        c_tau = -(1j * a / c) * z_pow_c * hyp2f1(HypParams(a + c, -a + c, 1.0 + c, z, z1))
     return StateVector(np.array([0.0, c_z, c_tau], dtype=complex))
 
 

@@ -130,6 +130,31 @@ def test_simulate_csv():
     assert last[-1] == pytest.approx(1.0, abs=1e-8)        # norm conserved
 
 
+@pytest.mark.parametrize("args, name", [
+    (["simulate", "--delta", "nan", "--B", "0.29"], "detuning"),
+    (["simulate", "--delta", "inf", "--B", "0.29"], "detuning"),
+    (["fidelity", "--sweep", "--angles", "0.5", "--B", "nan"], "B"),
+    (["fidelity", "--sweep", "--angles", "0.5", "--B", "inf"], "B"),
+    (["phases", "--ratios", "1", "--method", "numeric", "--B", "nan"], "B"),
+])
+def test_non_finite_inputs_exit_2(args, name):
+    res = run(*args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "error: %s must be finite" % name in res.stderr
+
+
+def test_simulate_far_detuned():
+    # the step count no longer follows |Delta|: 1e6 rad/ps runs on the
+    # same ~3,800-step grid as Delta = 1
+    res = run("simulate", "--delta", "1e6", "--B", "0.29", "--stride", "200")
+    assert res.returncode == 0
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in res.stdout.strip().split("\n")[1:]])
+    assert rows.shape[1] == 8 and np.all(np.isfinite(rows))
+    assert np.max(np.abs(rows[:, -1] - 1.0)) < 1e-6
+
+
 def test_simulate_without_pulses_needs_window():
     assert run("simulate").returncode == 2
     res = run("simulate", "--t0", "0", "--t1", "100", "--B", "0.29", "--stride", "50")

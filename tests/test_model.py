@@ -108,6 +108,29 @@ def test_pulse_validation():
         PulseParams(1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("name", ["rabi_peak", "detuning", "bandwidth", "center"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_pulse_rejects_non_finite(name, bad):
+    values = dict(rabi_peak=1.0, detuning=0.5, bandwidth=1.0, center=0.0)
+    values[name] = bad
+    with pytest.raises(ValueError, match=name):
+        PulseParams(**values)
+
+
+def test_non_finite_field_and_precession_rejected():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="omega_B"):
+            SystemParams(omega_B=bad)
+        with pytest.raises(ValueError, match="B must be finite"):
+            larmor_from_field(bad)
+        with pytest.raises(ValueError, match="g must be finite"):
+            larmor_from_field(0.29, bad)
+    with pytest.raises(ValueError, match="trion_lifetime"):
+        SystemParams(trion_lifetime=float("nan"))
+    # an infinite lifetime stays legal: it means no decay
+    assert SystemParams(trion_lifetime=float("inf"), decay_enabled=True).decay_rate == 0.0
+
+
 def test_system_validation_and_decay_rate():
     with pytest.raises(ValueError):
         SystemParams(omega_B=-0.1)

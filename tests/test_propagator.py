@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from sechspin.model import StateVector, SystemParams, larmor_from_field, two_pi_pulse
 from sechspin.propagator import (
@@ -16,7 +17,8 @@ from sechspin.propagator import (
     schedule_for_pulses,
     truncate_qubit,
 )
-from sechspin.special import rz_state
+from sechspin.propagator import _expm, _fold, _scan
+from sechspin.special import overall_phase, rz_state
 
 
 def test_free_precession_cosine():
@@ -38,7 +40,7 @@ def test_trion_decay_norm():
     assert np.all(traj.states[:, 0] == 0) and np.all(traj.states[:, 1] == 0)
 
 
-@pytest.mark.parametrize("delta", [10.0, 1.0, 0.1])
+@pytest.mark.parametrize("delta", [10.0, 1.0, 0.1, 100.0, -100.0])
 def test_matches_closed_form_without_precession(delta):
     p = two_pi_pulse(1.0, delta)
     sched = schedule_for_pulses([p])
@@ -49,6 +51,60 @@ def test_matches_closed_form_without_precession(delta):
         ref = rz_state(float(traj.times[i]), p).amplitudes
         worst = max(worst, np.max(np.abs(traj.states[i] - ref)))
     assert worst < 1e-6
+
+
+def test_step_count_does_not_follow_detuning():
+    # in the pulse's detuning frame Delta is a constant diagonal that the
+    # exponential takes exactly, so only eta, Omega, omega_B set the grid
+    counts = [len(propagate(StateVector.ket_z(), schedule_for_pulses([two_pi_pulse(1.0, d)]),
+                            SystemParams()).times) for d in (0.1, 100.0)]
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("deltas", [(20.0, -0.05), (-0.05, 20.0)])
+def test_two_pulse_frame_switch(deltas):
+    # Distinct detunings 14/eta apart, B = 0: |z> picks up both overall
+    # phases. One pulse is far detuned so its carrier turns 20 rad per 1/eta:
+    # integrating the neighbour in that pulse's frame instead of its own
+    # costs ~2e-7 here. Milder detunings such as (0.5, -2) interact through
+    # their tails by ~3.5e-7 at this spacing at any step size, so they
+    # cannot test the frame rule at this tolerance.
+    pulses = [two_pi_pulse(1.0, deltas[0], 0.0), two_pi_pulse(1.0, deltas[1], 14.0)]
+    u = evolve_operator(schedule_for_pulses(pulses), SystemParams())
+    phase = sum(overall_phase(1.0, d) for d in deltas)
+    assert abs(u[1, 1] - np.exp(1j * phase)) <= 1e-8
+
+
+def _random_generators(n, rng, scales):
+    """-i*H - Gamma*|trion><trion| stacked (3, 3, n): the physical family."""
+    a = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+    x = -0.5j * (a + a.conj().transpose(0, 2, 1)) * scales[:, None, None]
+    x[:, 2, 2] -= 0.1 * scales
+    return np.ascontiguousarray(x.transpose(1, 2, 0))
+
+
+def test_batched_exponential_matches_scipy():
+    # norms from 1e-4 to 1e4 hit every scaling group, including the
+    # squaring depth a detuning of 1e6 rad/ps needs at dt = 0.01
+    x = _random_generators(48, np.random.default_rng(3), np.geomspace(1e-4, 1e4, 48))
+    got = _expm(x)
+    for k in range(x.shape[-1]):
+        norm = np.abs(x[..., k]).sum(axis=0).max()
+        # ~100 roundings of 1.1e-16, and squaring grows them with the norm
+        assert np.max(np.abs(got[..., k] - expm(x[..., k]))) <= 1e-14 * max(1.0, norm)
+
+
+def test_scan_and_fold_match_step_by_step_products():
+    # 1000 steps take the blocked scan through two levels of block carries
+    m = _expm(_random_generators(1000, np.random.default_rng(5), np.full(1000, 0.05)))
+    psi0 = np.array([0.6, 0.8j, 0.0])
+    psi, states, u = psi0, [], np.eye(3)
+    for k in range(m.shape[-1]):
+        psi = m[..., k] @ psi
+        states.append(psi)
+        u = m[..., k] @ u
+    assert np.max(np.abs(_fold(m) - u)) < 1e-13
+    assert np.max(np.abs(_scan(m.copy(), psi0) - states)) < 1e-13
 
 
 def test_backward_returns_initial_state():

@@ -125,6 +125,22 @@ def test_rz_state_resonant_final_phase_pi():
     assert fut[2] == 0.0
 
 
+@pytest.mark.parametrize("r", [1.0, -1.0, 10.0, -10.0])
+def test_rz_state_tail_against_mpmath(r):
+    # 1 - z enters as expit(-2x), not as 1 minus the rounded expit(2x): the
+    # trion amplitude keeps its digits where z rounds to 1 (eta*t >~ 18.5),
+    # inside the default window of arccosh(1e8)/eta ~ 19.1/eta
+    p = two_pi_pulse(1.0, 1.0 / r)
+    a, c = mp.mpf(1), mp.mpc(0.5, 0.5 / r)
+    for t in (14.5, 17.0, 19.0):
+        z = 1 / (1 + mp.exp(-2 * mp.mpf(t)))
+        c_z = mp.hyp2f1(a, -a, c, z)
+        c_tau = -(1j * a / c) * mp.exp(c * mp.log(z)) * mp.hyp2f1(a + c, c - a, 1 + c, z)
+        got = rz_state(t, p).amplitudes
+        assert abs(got[1] - complex(c_z)) < 1e-10
+        assert abs(got[2] - complex(c_tau)) < 1e-10
+
+
 def test_rz_state_huge_argument_no_overflow():
     p = two_pi_pulse(1.0, 1.0)
     amps = rz_state(-1e6, p).amplitudes

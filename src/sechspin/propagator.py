@@ -5,12 +5,16 @@ nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), taken in
 the detuning frame of the nearest pulse. In pulse k's frame the trion
 amplitude carries an extra exp(-i*Delta_k*(t - c_k)), so that pulse's
 carrier becomes the constant diagonal Delta_k - i*Gamma, which the matrix
-exponential handles exactly, and the step count follows the bandwidths,
-Rabi peaks, omega_B and Gamma, not |Delta|. Pulse k's frame holds from the
-midpoint between c_{k-1} and c_k to the midpoint between c_k and c_{k+1};
-every pulse's coupling stays in the Hamiltonian, so the change of frame
-is exact. Each step matrix is returned in the lab frame,
+exponential handles exactly. Pulse k's frame holds from the midpoint
+between c_{k-1} and c_k to the midpoint between c_k and c_{k+1}; every
+pulse's coupling stays in the Hamiltonian, so the change of frame is
+exact. Each step matrix is returned in the lab frame,
 D(t+dt)^dagger exp(Omega_4) D(t), so frames never leak out of a step.
+
+The step count follows the bandwidths, Rabi peaks, omega_B and Gamma, not
+|Delta|. Only another pulse's tail turns in pulse k's frame, at the
+difference of the two detunings; the step rule counts it, weighted by the
+tail's height, so a single pulse's grid never depends on its detuning.
 
 Step matrices are built vectorized over chunks of the fixed grid, in a
 component-major (3, 3, n) layout so each entry is one contiguous vector,
@@ -150,11 +154,26 @@ class Trajectory:
 
 
 def _frequency_scale(sched: PulseSchedule, s: SystemParams) -> float:
-    """Fastest rate the frame Hamiltonian varies at; the detunings are
-    constant diagonals there and do not count."""
+    """Fastest rate the frame Hamiltonian varies at.
+
+    A pulse's own detuning is a constant diagonal in its frame and does
+    not count. Another pulse's tail does: in pulse k's frame pulse j turns
+    at Delta_j - Delta_k, with at most its height h_j (relative to its own
+    peak) at the nearest frame edge. Magnus-4's local error from a term
+    scales as its height times the fourth power of its rate, so the tail
+    counts as a full-height term at |Delta_j - Delta_k| * h_j**(1/4).
+    """
     f = max(s.omega_B, s.decay_rate)
-    for p in sched.pulses:
+    pulses = sched.pulses
+    for p in pulses:
         f = max(f, p.rabi_peak, p.bandwidth)
+    edges = [0.5 * (a.center + b.center) for a, b in zip(pulses, pulses[1:])]
+    for k, pk in enumerate(pulses):
+        for j, pj in enumerate(pulses):
+            if j != k:
+                edge = edges[k - 1] if j < k else edges[k]
+                height = float(sech_envelope(edge, pj)) / pj.rabi_peak
+                f = max(f, abs(pj.detuning - pk.detuning) * height ** 0.25)
     return f
 
 
@@ -180,13 +199,8 @@ def _grid(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts):
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched 3x3 products a @ b in the (3, 3, ...) layout.
-
-    One einsum call wins on short batches; row by row, with each entry a
-    contiguous vector, is about twice as fast on long ones.
-    """
-    if a[0, 0].size < 512:
-        return np.einsum("ik...,kj...->ij...", a, b)
+    """Batched 3x3 products a @ b in the (3, 3, ...) layout, row by row
+    with each entry a contiguous vector."""
     out = np.empty(a.shape, dtype=complex)
     for i in range(3):
         np.multiply(a[i, 0], b[0], out=out[i])
@@ -335,9 +349,10 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     H sums every pulse coupling (each with its detuning phase anchored at
     its own center) plus the precession and optional decay terms. Magnus-4
     steps in per-pulse detuning frames on a fixed grid whose step count
-    does not depend on the detunings; states are returned in the lab frame.
+    does not depend on a pulse's own detuning, only on how far it differs
+    from a neighbour's; states are returned in the lab frame.
     Raises StepTooLarge if the grid cannot resolve the fastest envelope,
-    Rabi, precession or decay rate, NormBlowup if the norm grows.
+    Rabi, precession, decay or neighbour-tail rate, NormBlowup if the norm grows.
     """
     opts = opts or IntegratorOpts()
     if abs(psi0.norm_sq - 1.0) > 1e-9:

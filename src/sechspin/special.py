@@ -19,10 +19,11 @@ from .model import PulseParams, StateVector
 
 SERIES_RTOL = 1e-12
 SERIES_MAX_TERMS = 10 ** 6
-# rz_state returns the t -> inf limit once 1 - z < RZ_TAIL_LIMIT
-# (eta*(t - t_c) > 24.2): the trion tail left, about 2*sqrt(1 - z) for a
-# 2*pi pulse, is then below 1e-10
-RZ_TAIL_LIMIT = 1e-21
+# rz_state returns the t -> inf limit (the "far future" of its limit tests)
+# once the trion amplitude left, about 2*sqrt(1 - z) for a 2*pi pulse, is
+# below RZ_TAIL_ATOL: 1 - z < RZ_TAIL_LIMIT, eta*(t - t_c) > 23.7
+RZ_TAIL_ATOL = 1e-10
+RZ_TAIL_LIMIT = (RZ_TAIL_ATOL / 2.0) ** 2
 
 
 class NonConvergence(ArithmeticError):

@@ -17,7 +17,8 @@ from sechspin.propagator import (
     schedule_for_pulses,
     truncate_qubit,
 )
-from sechspin.propagator import _expm, _fold, _scan
+from sechspin.propagator import _expm, _fold, _grid, _scan
+from sechspin.pulsedesign import design_for_angle
 from sechspin.special import overall_phase, rz_state
 
 
@@ -72,6 +73,24 @@ def test_two_pulse_frame_switch(deltas):
     pulses = [two_pi_pulse(1.0, deltas[0], 0.0), two_pi_pulse(1.0, deltas[1], 14.0)]
     u = evolve_operator(schedule_for_pulses(pulses), SystemParams())
     phase = sum(overall_phase(1.0, d) for d in deltas)
+    assert abs(u[1, 1] - np.exp(1j * phase)) <= 1e-8
+
+
+@pytest.mark.parametrize("gamma", [3.135, -3.135])
+def test_near_pi_gate_resolves_neighbour_tail(gamma):
+    # Delta1 - Delta2 ~ 607*eta: in each pulse's frame the other's tail (1.8e-3
+    # of peak at the frame edge) turns ~2*pi per step of 0.01/eta, where
+    # two Gauss nodes alias it (trion entries off by 1.7e-3). The step rule
+    # counts that tail, so halving dt moves nothing.
+    pair = design_for_angle(gamma, 1.0)
+    pulses = [pair.pulse1, pair.pulse2]
+    sched = schedule_for_pulses(pulses)
+    s = SystemParams()
+    _, dt = _grid(sched, s, IntegratorOpts())
+    assert abs(pulses[0].detuning - pulses[1].detuning) * dt < 0.1
+    u = evolve_operator(sched, s)
+    assert np.max(np.abs(u - evolve_operator(sched, s, IntegratorOpts(dt=dt / 2)))) <= 1e-8
+    phase = sum(overall_phase(1.0, p.detuning) for p in pulses)
     assert abs(u[1, 1] - np.exp(1j * phase)) <= 1e-8
 
 
@@ -186,6 +205,11 @@ def test_step_guard():
     with pytest.raises(StepTooLarge):
         propagate(StateVector.ket_z(), wide, SystemParams())
     assert 30000.0 / 0.01 > MAX_STEPS      # the arithmetic the guard protects
+    # gamma = 3.14: the neighbour's tail turns 25 rad per step at dt = 0.01/eta
+    pair = design_for_angle(3.14, 1.0)
+    with pytest.raises(StepTooLarge):
+        evolve_operator(schedule_for_pulses([pair.pulse1, pair.pulse2]), SystemParams(),
+                        IntegratorOpts(dt=0.01))
 
 
 def test_unnormalized_input_rejected():

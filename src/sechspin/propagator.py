@@ -11,16 +11,30 @@ pulse's coupling stays in the Hamiltonian, so the change of frame is
 exact. Each step matrix is returned in the lab frame,
 D(t+dt)^dagger exp(Omega_4) D(t), so frames never leak out of a step.
 
-The step count follows the bandwidths, Rabi peaks, omega_B and Gamma, not
-|Delta|. Only another pulse's tail turns in pulse k's frame, at the
-difference of the two detunings; the step rule counts it, weighted by the
-tail's height, so a single pulse's grid never depends on its detuning.
+One rule sets the steps: the local rate r(t) of the frame Hamiltonian.
+Pulse j counts at max(Omega_j, eta_j, |Delta_j - Delta_k|) in the frame
+k that t falls in, times h_j(t)**(1/5), h_j being its envelope relative
+to its own peak, and r is the largest of these and the floor
+max(omega_B, Gamma). A pulse's own detuning is the frame's constant
+diagonal and never counts, so a single pulse's grid does not depend on
+it; a neighbour's tail turns at the difference of the two detunings. The
+fifth root gives each step of RESOLUTION_TARGET/r(t) the local error of
+a step in a pulse core (see TAIL_POWER).
 
-Step matrices are built vectorized over chunks of the fixed grid, in a
+propagate steps uniformly at RESOLUTION_TARGET over the maximum of r,
+taken in closed form (for one pulse, max(Omega, eta, omega_B, Gamma)).
+evolve_operator and propagate_backward step on a graded grid, the
+inverse of the cumulative integral of r, so steps stretch where the
+envelopes are small: a gate pair takes about 2,000 steps against 5,223
+uniform ones. An explicit IntegratorOpts.dt always gives the uniform grid
+and the StepTooLarge guard.
+
+Step matrices are built vectorized over chunks of the grid, in a
 component-major (3, 3, n) layout so each entry is one contiguous vector,
 and exponentiated by batched scaling and squaring of a Taylor polynomial.
 They are consumed by a blocked O(n) scan (full trajectory) or a pairwise
-fold (final operator only). The fixed grid makes runs bit-reproducible.
+fold (final operator only). Grids depend only on the inputs, so runs are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ from .model import (
     StateVector,
     SystemParams,
     coupling,
-    sech_envelope,
+    sech,
     warn_if_fast_precession,
 )
 
@@ -46,6 +60,12 @@ from .model import (
 RESOLUTION_TARGET = 0.01
 RESOLUTION_GUARD = 0.1
 MAX_STEPS = 2_000_000
+# Magnus-4's local error from a term of relative height h varying at rate f
+# scales as h*(f*dt)^5, so a step of RESOLUTION_TARGET/(f*h**TAIL_POWER)
+# errs as much as a full-height step of RESOLUTION_TARGET/f
+TAIL_POWER = 0.2
+# spacing, in units of 1/eta, of the auxiliary grid the graded grid is read off
+RATE_SAMPLING = 0.1
 # two pulses count as overlapping when both envelopes exceed this fraction
 # of their own peak at some instant; sub-percent tail contact is harmless
 # because the Hamiltonian sums all pulse couplings exactly
@@ -96,19 +116,14 @@ class PulseSchedule:
         self._check_overlap()
 
     def _check_overlap(self):
-        if len(self.pulses) < 2:
-            return
-        t0, t1 = self.window
-        finest = min(p.bandwidth for p in self.pulses)
-        n = min(int((t1 - t0) * finest * 4) + 2, 20001)
-        t = np.linspace(t0, t1, n)
-        above = np.zeros(n, dtype=int)
-        for p in self.pulses:
-            above += sech_envelope(t, p) > OVERLAP_FRACTION * p.rabi_peak
-        if np.any(above >= 2):
-            raise ValueError(
-                "pulses overlap: more than one envelope above %g of peak"
-                % OVERLAP_FRACTION)
+        # envelope j is above the fraction exactly on |t - c_j| < x/eta_j;
+        # with ordered centers only neighbours' intervals can meet first
+        x = float(np.arccosh(1.0 / OVERLAP_FRACTION))
+        for a, b in zip(self.pulses, self.pulses[1:]):
+            if a.center + x / a.bandwidth > b.center - x / b.bandwidth:
+                raise ValueError(
+                    "pulses overlap: more than one envelope above %g of peak"
+                    % OVERLAP_FRACTION)
 
     @property
     def duration(self) -> float:
@@ -153,31 +168,43 @@ class Trajectory:
         return StateVector(self.states[-1])
 
 
-def _frequency_scale(sched: PulseSchedule, s: SystemParams) -> float:
-    """Fastest rate the frame Hamiltonian varies at.
-
-    A pulse's own detuning is a constant diagonal in its frame and does
-    not count. Another pulse's tail does: in pulse k's frame pulse j turns
-    at Delta_j - Delta_k, with at most its height h_j (relative to its own
-    peak) at the nearest frame edge. Magnus-4's local error from a term
-    scales as its height times the fourth power of its rate, so the tail
-    counts as a full-height term at |Delta_j - Delta_k| * h_j**(1/4).
-    """
-    f = max(s.omega_B, s.decay_rate)
+def _frame_spans(sched: PulseSchedule):
+    """(pulse, start, end) of each pulse's frame inside the window: pulse k's
+    frame runs between the midpoints to its neighbours' centers."""
     pulses = sched.pulses
-    for p in pulses:
-        f = max(f, p.rabi_peak, p.bandwidth)
-    edges = [0.5 * (a.center + b.center) for a, b in zip(pulses, pulses[1:])]
-    for k, pk in enumerate(pulses):
-        for j, pj in enumerate(pulses):
-            if j != k:
-                edge = edges[k - 1] if j < k else edges[k]
-                height = float(sech_envelope(edge, pj)) / pj.rabi_peak
-                f = max(f, abs(pj.detuning - pk.detuning) * height ** 0.25)
+    bounds = ([sched.window[0]] + [0.5 * (a.center + b.center) for a, b in zip(pulses, pulses[1:])]
+              + [sched.window[1]])
+    return zip(pulses, bounds, bounds[1:])
+
+
+def _rate(sched: PulseSchedule, s: SystemParams, delta: float, t: np.ndarray) -> np.ndarray:
+    """Local rate r(t) of the Hamiltonian in a frame of detuning delta.
+
+    Pulse j counts at its fastest rate there, max(Omega_j, eta_j,
+    |Delta_j - delta|), times its height h_j relative to its own peak to
+    the TAIL_POWER; the floor max(omega_B, Gamma) covers the constant
+    terms' commutators with the couplings.
+    """
+    r = np.full(np.shape(t), max(s.omega_B, s.decay_rate))
+    for p in sched.pulses:
+        fastest = np.maximum(max(p.rabi_peak, p.bandwidth), abs(p.detuning - delta))
+        np.maximum(r, fastest * sech(p.bandwidth * (t - p.center)) ** TAIL_POWER, out=r)
+    return r
+
+
+def _frequency_scale(sched: PulseSchedule, s: SystemParams) -> float:
+    """Maximum of the local rate over the window, in closed form: inside
+    pulse k's frame each pulse's share peaks at the point nearest its own
+    center. For a single pulse this is max(Omega, eta, omega_B, Gamma)."""
+    f = max(s.omega_B, s.decay_rate)
+    centers = [p.center for p in sched.pulses]
+    for pk, a, b in _frame_spans(sched):
+        f = max(f, float(_rate(sched, s, pk.detuning, np.clip(centers, a, b)).max()))
     return f
 
 
 def _grid(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts):
+    """Uniform grid: dt from opts, else RESOLUTION_TARGET over the peak rate."""
     t0, t1 = sched.window
     span = t1 - t0
     fmax = _frequency_scale(sched, s)
@@ -191,11 +218,45 @@ def _grid(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts):
         n = 16                     # H = 0, any grid is exact
     else:
         n = max(int(np.ceil(span * fmax / RESOLUTION_TARGET)), 16)
+    _check_steps(n)
+    return np.linspace(t0, t1, n + 1), span / n
+
+
+def _check_steps(n: int, what: str = "steps") -> None:
     if n > MAX_STEPS:
         raise StepTooLarge(
-            "grid would need %d steps (> %d); pass a coarser dt or shrink the window"
-            % (n, MAX_STEPS))
-    return np.linspace(t0, t1, n + 1), span / n
+            "grid would need %d %s (> %d); pass a coarser dt or shrink the window"
+            % (n, what, MAX_STEPS))
+
+
+def _graded_grid(sched: PulseSchedule, s: SystemParams) -> np.ndarray:
+    """Grid whose steps are RESOLUTION_TARGET/r(t) long.
+
+    The cumulative integral of the local rate is taken by the trapezoid
+    rule on an auxiliary grid, RATE_SAMPLING/eta apart in each frame (r
+    changes by at most 2 % there, and the frame edges, where it jumps,
+    are auxiliary points); the step times invert it.
+    """
+    if not sched.pulses:
+        return _grid(sched, s, IntegratorOpts())[0]    # constant rate
+    per_ps = max(p.bandwidth for p in sched.pulses) / RATE_SAMPLING
+    spans = [(pk, a, b, int(np.ceil((b - a) * per_ps))) for pk, a, b in _frame_spans(sched)]
+    _check_steps(sum(m for *_, m in spans), "rate samples")
+    aux, cum, total = [], [], 0.0
+    for pk, a, b, m in spans:
+        t = np.linspace(a, b, m + 1)
+        r = _rate(sched, s, pk.detuning, t)
+        c = total + np.concatenate([[0.0], np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(t))])
+        aux.append(t)
+        cum.append(c)
+        total = c[-1]
+    n = max(int(np.ceil(total / RESOLUTION_TARGET)), 16)
+    _check_steps(n)
+    times = np.interp(np.linspace(0.0, total, n + 1), np.concatenate(cum), np.concatenate(aux))
+    # where every envelope underflows and the floor is 0, H = 0 and the
+    # cumulative rate is flat; the grid still has to span the window
+    times[[0, -1]] = sched.window
+    return times
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -261,19 +322,21 @@ def _taylor(x: np.ndarray) -> np.ndarray:
 
 def _expm(x: np.ndarray) -> np.ndarray:
     """exp of each (3, 3) slice by scaling and squaring: every matrix is
-    scaled by 2^-k to 1-norm <= TAYLOR_THETA with its own k."""
+    scaled by 2^-k to 1-norm <= TAYLOR_THETA with its own k, all go through
+    one Taylor pass, and squaring level l touches only the slices with
+    k >= l."""
     norm = np.abs(x).sum(axis=0).max(axis=0)
     scale = np.maximum(np.frexp(norm / TAYLOR_THETA)[1], 0)
-    groups = np.unique(scale)
-    out = np.empty_like(x)
-    for k in groups:
-        sel = scale == k if groups.size > 1 else slice(None)
-        # a masked copy comes out step-major; products want entries contiguous
-        e = _taylor(np.ascontiguousarray(x[..., sel]) * 0.5 ** k)
-        for _ in range(k):
+    e = _taylor(x * np.ldexp(1.0, -scale))
+    for level in range(1, int(scale.max(initial=0)) + 1):
+        sel = scale >= level
+        if sel.all():
             e = _mul(e, e)
-        out[..., sel] = e
-    return out
+        else:
+            # a masked copy comes out step-major; products want entries contiguous
+            sq = np.ascontiguousarray(e[..., sel])
+            e[..., sel] = _mul(sq, sq)
+    return e
 
 
 def _step_matrices(times: np.ndarray, dt: float, sched: PulseSchedule,
@@ -334,12 +397,22 @@ def _fold(mats: np.ndarray) -> np.ndarray:
     return cur[..., 0]
 
 
-def _operator(times: np.ndarray, dt: float, sched: PulseSchedule,
-              s: SystemParams) -> np.ndarray:
+def _operator(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts,
+              backward: bool = False) -> np.ndarray:
+    """Product of the step matrices over the window (from its end back to
+    its start if backward): on the uniform grid for an explicit dt, else
+    on the graded grid."""
+    times = _grid(sched, s, opts)[0] if opts.dt is not None else _graded_grid(sched, s)
+    if backward:
+        times = times[::-1]
     u = np.eye(3, dtype=complex)
     for _, piece in _chunks(times):
-        u = _fold(_step_matrices(piece, dt, sched, s)) @ u
+        u = _fold(_step_matrices(piece, np.diff(piece), sched, s)) @ u
     return u
+
+
+def _norms(states: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", states, states.conj()).real
 
 
 def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
@@ -348,7 +421,7 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
 
     H sums every pulse coupling (each with its detuning phase anchored at
     its own center) plus the precession and optional decay terms. Magnus-4
-    steps in per-pulse detuning frames on a fixed grid whose step count
+    steps in per-pulse detuning frames on a uniform grid whose step count
     does not depend on a pulse's own detuning, only on how far it differs
     from a neighbour's; states are returned in the lab frame.
     Raises StepTooLarge if the grid cannot resolve the fastest envelope,
@@ -360,18 +433,25 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     if sched.pulses:
         warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses))
     times, dt = _grid(sched, s, opts)
-    states = np.empty((times.shape[0], 3), dtype=complex)
-    states[0] = psi0.amplitudes
-    for a, piece in _chunks(times):
-        mats = _step_matrices(piece, dt, sched, s)
-        states[a + 1:a + piece.shape[0]] = _scan(mats, states[a])
-    norms = np.einsum("ij,ij->i", states, states.conj()).real
-    if norms.max() > 1.0 + 1e-6:
-        raise NormBlowup("norm reached %.9f" % norms.max())
     idx = np.arange(0, times.shape[0], opts.sample_stride)
     if idx[-1] != times.shape[0] - 1:
         idx = np.append(idx, times.shape[0] - 1)
-    return Trajectory(times[idx], states[idx], norms[idx])
+    # only the sampled rows are kept; every step's norm enters the maximum
+    states = np.empty((idx.shape[0], 3), dtype=complex)
+    norms = np.empty(idx.shape[0])
+    psi = states[0] = psi0.amplitudes
+    norms[0] = peak = _norms(states[:1])[0]
+    for a, piece in _chunks(times):
+        chunk = _scan(_step_matrices(piece, dt, sched, s), psi)
+        chunk_norms = _norms(chunk)
+        peak = np.maximum(peak, chunk_norms.max())
+        lo, hi = np.searchsorted(idx, [a + 1, a + piece.shape[0]])
+        states[lo:hi] = chunk[idx[lo:hi] - a - 1]
+        norms[lo:hi] = chunk_norms[idx[lo:hi] - a - 1]
+        psi = chunk[-1]
+    if not peak <= 1.0 + 1e-6:
+        raise NormBlowup("norm reached %.9f" % peak)
+    return Trajectory(times[idx], states, norms)
 
 
 def propagate_backward(psi_end: StateVector, sched: PulseSchedule, s: SystemParams,
@@ -381,9 +461,7 @@ def propagate_backward(psi_end: StateVector, sched: PulseSchedule, s: SystemPara
     Equivalent to evolving the time-mirrored schedule under the negated
     Hamiltonian; used to check integrator reversibility.
     """
-    opts = opts or IntegratorOpts()
-    times, dt = _grid(sched, s, opts)
-    u = _operator(times[::-1].copy(), -dt, sched, s)
+    u = _operator(sched, s, opts or IntegratorOpts(), backward=True)
     return StateVector(u @ psi_end.amplitudes)
 
 
@@ -392,14 +470,13 @@ def evolve_operator(sched: PulseSchedule, s: SystemParams,
     """Time-ordered evolution operator over the window, basis (zbar, z, trion).
 
     Columns are the propagated basis states, in the lab frame, built from
-    the same Magnus-4 steps as propagate. Unitary to rounding without
-    decay, a contraction with decay on.
+    the same Magnus-4 steps as propagate but on the graded grid (the
+    uniform one if opts.dt is given). Unitary to rounding without decay, a
+    contraction with decay on.
     """
-    opts = opts or IntegratorOpts()
     if sched.pulses:
         warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses))
-    times, dt = _grid(sched, s, opts)
-    return _operator(times, dt, sched, s)
+    return _operator(sched, s, opts or IntegratorOpts())
 
 
 def truncate_qubit(u3: np.ndarray) -> np.ndarray:

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from sechspin.model import StateVector, SystemParams, larmor_from_field, two_pi_pulse
+from sechspin import propagator
+from sechspin.model import PulseParams, StateVector, SystemParams, larmor_from_field, two_pi_pulse
 from sechspin.propagator import (
     MAX_STEPS,
+    OVERLAP_FRACTION,
+    RESOLUTION_TARGET,
     IntegratorOpts,
     NormBlowup,
     PulseSchedule,
@@ -17,7 +20,7 @@ from sechspin.propagator import (
     schedule_for_pulses,
     truncate_qubit,
 )
-from sechspin.propagator import _expm, _fold, _grid, _scan
+from sechspin.propagator import _expm, _fold, _graded_grid, _grid, _scan
 from sechspin.pulsedesign import design_for_angle
 from sechspin.special import overall_phase, rz_state
 
@@ -92,6 +95,60 @@ def test_near_pi_gate_resolves_neighbour_tail(gamma):
     assert np.max(np.abs(u - evolve_operator(sched, s, IntegratorOpts(dt=dt / 2)))) <= 1e-8
     phase = sum(overall_phase(1.0, p.detuning) for p in pulses)
     assert abs(u[1, 1] - np.exp(1j * phase)) <= 1e-8
+
+
+@pytest.mark.parametrize("gamma", [0.0, np.pi / 4, -np.pi / 4, 2.25, -2.25,
+                                   2.75, -2.75, 3.0, -3.0])
+def test_graded_operator_matches_half_step_uniform(gamma):
+    # the graded grid stretches steps where the envelopes are small; a
+    # uniform run at half the auto dt is the reference
+    pair = design_for_angle(gamma, 2.0 / 3.0)
+    sched = schedule_for_pulses([pair.pulse1, pair.pulse2])
+    s = SystemParams(omega_B=larmor_from_field(0.29), trion_lifetime=900.0,
+                     decay_enabled=True)
+    _, dt = _grid(sched, s, IntegratorOpts())
+    ref = evolve_operator(sched, s, IntegratorOpts(dt=dt / 2))
+    assert np.max(np.abs(evolve_operator(sched, s) - ref)) <= 1e-9
+
+
+def test_graded_grid_is_coarser_than_uniform():
+    pair = design_for_angle(np.pi / 4, 2.0 / 3.0)
+    sched = schedule_for_pulses([pair.pulse1, pair.pulse2])
+    s = SystemParams(omega_B=larmor_from_field(0.29))
+    graded = len(_graded_grid(sched, s)) - 1
+    assert graded <= 2100
+    assert graded < len(_grid(sched, s, IntegratorOpts())[0]) - 1
+
+
+def test_graded_grid_spans_window_where_envelope_underflows():
+    # past |eta*t| ~ 745 the sech underflows to 0, and at B = 0 without decay
+    # the rate is 0 there too
+    sched = PulseSchedule([two_pi_pulse(1.0, 2.0)], (-800.0, 800.0))
+    s = SystemParams()
+    times = _graded_grid(sched, s)
+    assert (times[0], times[-1]) == sched.window
+    assert np.all(np.diff(times) > 0)
+    ref = evolve_operator(sched, s, IntegratorOpts(dt=0.01))
+    assert np.max(np.abs(evolve_operator(sched, s) - ref)) <= 1e-9
+
+
+def test_graded_grid_refuses_huge_window():
+    # 2e9 rate samples: refused before anything is allocated
+    sched = PulseSchedule([two_pi_pulse(1.0, 0.0)], (-1e8, 1e8))
+    with pytest.raises(StepTooLarge):
+        evolve_operator(sched, SystemParams())
+
+
+def test_single_pulse_propagate_grid():
+    # one pulse: uniform steps of RESOLUTION_TARGET/max(Omega, eta, omega_B, Gamma)
+    p = PulseParams(rabi_peak=1.7, detuning=3.0, bandwidth=1.0)
+    sched = schedule_for_pulses([p])
+    s = SystemParams(omega_B=larmor_from_field(0.29), trion_lifetime=900.0,
+                     decay_enabled=True)
+    t0, t1 = sched.window
+    n = int(np.ceil((t1 - t0) * 1.7 / RESOLUTION_TARGET))
+    traj = propagate(StateVector.ket_z(), sched, s)
+    assert np.array_equal(traj.times, np.linspace(t0, t1, n + 1))
 
 
 def _random_generators(n, rng, scales):
@@ -194,6 +251,36 @@ def test_trajectory_sampling_stride():
     assert np.allclose(traj.states[-1], full.states[-1], atol=0)
 
 
+def test_sampled_rows_match_full_trajectory():
+    # 9,553 steps: the samples straddle a chunk boundary
+    sched = schedule_for_pulses([two_pi_pulse(1.0, 1.0)])
+    s = SystemParams(omega_B=0.007)
+    full = propagate(StateVector.ket_z(), sched, s, IntegratorOpts(dt=0.004))
+    traj = propagate(StateVector.ket_z(), sched, s, IntegratorOpts(dt=0.004, sample_stride=7))
+    idx = np.append(np.arange(0, len(full.times), 7), len(full.times) - 1)
+    assert len(full.times) > propagator.CHUNK_STEPS
+    assert np.array_equal(traj.times, full.times[idx])
+    assert np.array_equal(traj.states, full.states[idx])
+    assert np.array_equal(traj.norms, full.norms[idx])
+
+
+def test_norm_blowup_between_samples(monkeypatch):
+    # one step grows the norm by 2e-3 and the next undoes it, so no sampled
+    # row sees it; the check still covers every step
+    step_matrices = propagator._step_matrices
+
+    def bumped(times, dt, sched, s):
+        m = step_matrices(times, dt, sched, s)
+        m[..., 3] *= 1.001
+        m[..., 4] /= 1.001
+        return m
+
+    monkeypatch.setattr(propagator, "_step_matrices", bumped)
+    sched = schedule_for_pulses([two_pi_pulse(1.0, 1.0)])
+    with pytest.raises(NormBlowup):
+        propagate(StateVector.ket_z(), sched, SystemParams(), IntegratorOpts(sample_stride=1000))
+
+
 def test_step_guard():
     sched = schedule_for_pulses([two_pi_pulse(1.0, 0.0)])
     with pytest.raises(StepTooLarge):
@@ -236,6 +323,16 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         PulseSchedule([p, r], (-20.0, 23.0))               # envelopes overlap
     PulseSchedule([p, two_pi_pulse(1.0, 1.0, center=14.0)], (-20.0, 34.0))
+
+
+def test_overlap_boundary_is_closed_form():
+    # envelope j exceeds the fraction on |t - c_j| < arccosh(1/fraction)/eta_j
+    x = float(np.arccosh(1.0 / OVERLAP_FRACTION))
+    edge = x / 1.0 + x / 2.0
+    p = two_pi_pulse(1.0, 0.0, center=0.0)
+    with pytest.raises(ValueError):
+        PulseSchedule([p, two_pi_pulse(2.0, 1.0, center=edge * (1 - 1e-9))], (-20.0, 40.0))
+    PulseSchedule([p, two_pi_pulse(2.0, 1.0, center=edge * (1 + 1e-9))], (-20.0, 40.0))
 
 
 def test_schedule_for_pulses_margins():

@@ -203,8 +203,9 @@ def _frequency_scale(sched: PulseSchedule, s: SystemParams) -> float:
     return f
 
 
-def _grid(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts):
-    """Uniform grid: dt from opts, else RESOLUTION_TARGET over the peak rate."""
+def _uniform_steps(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts):
+    """Step count n and step of the uniform grid: dt from opts, else
+    RESOLUTION_TARGET over the peak rate."""
     t0, t1 = sched.window
     span = t1 - t0
     fmax = _frequency_scale(sched, s)
@@ -219,7 +220,22 @@ def _grid(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts):
     else:
         n = max(int(np.ceil(span * fmax / RESOLUTION_TARGET)), 16)
     _check_steps(n)
-    return np.linspace(t0, t1, n + 1), span / n
+    return n, span / n
+
+
+def _uniform_times(window: Tuple[float, float], n: int, k: np.ndarray) -> np.ndarray:
+    """np.linspace(*window, n + 1)[k] without building the grid: the same
+    k*step + t0 arithmetic, and the end point exactly t1."""
+    t0, t1 = window
+    t = k * ((t1 - t0) / n) + t0
+    t[k == n] = t1
+    return t
+
+
+def _grid(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts):
+    """The whole uniform grid (n + 1 times) and its step."""
+    n, dt = _uniform_steps(sched, s, opts)
+    return _uniform_times(sched.window, n, np.arange(n + 1)), dt
 
 
 def _check_steps(n: int, what: str = "steps") -> None:
@@ -432,26 +448,29 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
         raise ValueError("psi0 must be normalized")
     if sched.pulses:
         warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses))
-    times, dt = _grid(sched, s, opts)
-    idx = np.arange(0, times.shape[0], opts.sample_stride)
-    if idx[-1] != times.shape[0] - 1:
-        idx = np.append(idx, times.shape[0] - 1)
-    # only the sampled rows are kept; every step's norm enters the maximum
+    n, dt = _uniform_steps(sched, s, opts)
+    idx = np.arange(0, n + 1, opts.sample_stride)
+    if idx[-1] != n:
+        idx = np.append(idx, n)
+    # only the sampled rows are kept, and each chunk's times are computed
+    # from the step index; every step's norm enters the maximum
     states = np.empty((idx.shape[0], 3), dtype=complex)
     norms = np.empty(idx.shape[0])
     psi = states[0] = psi0.amplitudes
     norms[0] = peak = _norms(states[:1])[0]
-    for a, piece in _chunks(times):
+    for a in range(0, n, CHUNK_STEPS):
+        b = min(a + CHUNK_STEPS, n)
+        piece = _uniform_times(sched.window, n, np.arange(a, b + 1))
         chunk = _scan(_step_matrices(piece, dt, sched, s), psi)
         chunk_norms = _norms(chunk)
         peak = np.maximum(peak, chunk_norms.max())
-        lo, hi = np.searchsorted(idx, [a + 1, a + piece.shape[0]])
+        lo, hi = np.searchsorted(idx, [a + 1, b + 1])
         states[lo:hi] = chunk[idx[lo:hi] - a - 1]
         norms[lo:hi] = chunk_norms[idx[lo:hi] - a - 1]
         psi = chunk[-1]
     if not peak <= 1.0 + 1e-6:
         raise NormBlowup("norm reached %.9f" % peak)
-    return Trajectory(times[idx], states, norms)
+    return Trajectory(_uniform_times(sched.window, n, idx), states, norms)
 
 
 def propagate_backward(psi_end: StateVector, sched: PulseSchedule, s: SystemParams,

@@ -1,10 +1,17 @@
-"""Gauss hypergeometric evaluation and the closed-form pulsed state.
+"""The closed-form pulsed state and the Gauss hypergeometric function.
 
-The driven two-level subsystem (|z>, |trion>) under a sech pulse has an
-exact solution in terms of 2F1 with complex parameters. scipy's hyp2f1
-only takes real a, b, c, so the series machinery here is hand-rolled for
-the narrow regime this problem needs: z real in [0, 1], parameters built
-from a = Omega/eta and c = (1 + i*Delta/eta)/2.
+Under one sech pulse the driven pair (|z>, |trion>) has the Rosen-Zener
+solution (Rosen & Zener, Phys. Rev. 40, 502 (1932)), two 2F1 functions of
+z = (tanh(eta*(t - t_c)) + 1)/2 with a = Omega/eta and
+c = (1 + i*Delta/eta)/2. For a 2*pi pulse a = 1 and both are elementary
+(NIST DLMF 15.8): 2F1(1, -1; c; z) = 1 - z/c terminates, and
+2F1(1 + c, c - 1; 1 + c; z) = (1 - z)^(1 - c). rz_state evaluates these
+forms with numpy alone.
+
+hyp2f1 sums 2F1(a, b; c; z) for complex parameters and z in [0, 1]
+(scipy's hyp2f1 only takes real a, b, c). Only its Gauss-sum and
+connection-formula branches need complex gamma functions; they import
+scipy.special when they run, so rz_state and the CLI never load scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, gamma as cgamma, rgamma
 
 from .model import PulseParams, StateVector
 
@@ -83,6 +89,7 @@ def _series(a, b, c, z, max_terms=SERIES_MAX_TERMS):
 
 def _gauss_value(a, b, c):
     """2F1 at z = 1, Gauss summation. Needs Re(c - a - b) > 0."""
+    from scipy.special import gamma as cgamma, rgamma
     s = c - a - b
     if s.real <= 0:
         raise NonConvergence("2F1 at z=1 diverges for Re(c-a-b) <= 0")
@@ -113,6 +120,7 @@ def hyp2f1(h: HypParams) -> complex:
     s = c - a - b
     if abs(s - np.round(s.real)) < 1e-8:
         return _series(a, b, c, z)
+    from scipy.special import gamma as cgamma, rgamma
     f1 = cgamma(c) * cgamma(s) * rgamma(c - a) * rgamma(c - b) \
         * _series(a, b, 1.0 - s + 0j, z1)
     f2 = cgamma(c) * cgamma(-s) * rgamma(a) * rgamma(b) \
@@ -121,28 +129,31 @@ def hyp2f1(h: HypParams) -> complex:
 
 
 def rz_state(t: float, p: PulseParams) -> StateVector:
-    """Closed-form state at time t for a single pulse, precession neglected.
+    """Closed-form state at time t for a single 2*pi pulse, precession neglected.
 
     Initial condition is |z> in the far past. The zbar amplitude is
     identically zero in this approximation; do not extrapolate it to
-    omega_B > 0. The change of variable is z = (tanh(eta*(t-c)) + 1)/2,
-    evaluated as a logistic for stability, and 1 - z as the mirrored
-    logistic, so the trion amplitude keeps its precision in the tail.
+    omega_B > 0. The amplitudes are c_z = 1 - z/c and
+    c_tau = -(i/c) * z^c * (1 - z)^(1 - c), with log z and log(1 - z)
+    taken as -logaddexp(0, -+2x), x = eta*(t - t_c): neither z nor 1 - z is
+    formed as 1 minus the other, so the trion amplitude keeps its digits in
+    both tails. Pulses of another area are refused with ValueError.
     """
+    if not p.is_two_pi:
+        raise ValueError("rz_state needs a 2*pi pulse (rabi_peak == bandwidth), "
+                         "got rabi_peak = %r, bandwidth = %r" % (p.rabi_peak, p.bandwidth))
     x = p.bandwidth * (t - p.center)
-    z = float(expit(2.0 * x))            # (tanh(x)+1)/2 without cancellation
-    z1 = float(expit(-2.0 * x))          # 1 - z, exact where z rounds to 1
-    if z1 < RZ_TAIL_LIMIT:
-        z, z1 = 1.0, 0.0
-    a = p.rabi_peak / p.bandwidth
+    log_z = -np.logaddexp(0.0, -2.0 * x)
+    log_z1 = -np.logaddexp(0.0, 2.0 * x)        # log(1 - z)
     c = 0.5 * (1.0 + 1j * p.detuning / p.bandwidth)
-    c_z = hyp2f1(HypParams(a, -a, c, z, z1))
+    if np.exp(log_z1) < RZ_TAIL_LIMIT:
+        return StateVector(np.array([0.0, 1.0 - 1.0 / c, 0.0]))
+    z = np.exp(log_z)
     if z == 0.0:
-        c_tau = 0.0 + 0.0j               # z^c -> 0 since Re c = 1/2 > 0
+        c_tau = 0.0                              # z^c -> 0 since Re c = 1/2 > 0
     else:
-        z_pow_c = np.exp(c * np.log(z))  # principal branch, z > 0
-        c_tau = -(1j * a / c) * z_pow_c * hyp2f1(HypParams(a + c, -a + c, 1.0 + c, z, z1))
-    return StateVector(np.array([0.0, c_z, c_tau], dtype=complex))
+        c_tau = -(1j / c) * np.exp(c * log_z + (1.0 - c) * log_z1)
+    return StateVector(np.array([0.0, 1.0 - z / c, c_tau]))
 
 
 def overall_phase(omega: float, delta: float) -> float:

@@ -205,3 +205,31 @@ def test_config_errors(tmp_path):
 
 def test_unknown_flag_exit_2():
     assert run("phases", "--ratios", "1", "--frobnicate").returncode == 2
+
+
+# Runs each command in one interpreter where any import of scipy raises
+# ImportError; scipy is needed only by hyp2f1's gamma-function branches.
+SCIPY_BLOCKED = """
+import sys
+sys.modules["scipy"] = None
+from sechspin import cli
+for argv in %r:
+    code = cli.main(argv)
+    if code != 0:
+        sys.exit("%%s exited with %%d" %% (argv[0], code))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    commands = [
+        ["phases", "--ratios", "0.5,2", "--method", "both", "--B", "0.29"],
+        ["design", "--angle", "0.5"],
+        ["fidelity", "--sweep", "--angles", "0.5", "--B", "0.29"],
+        ["simulate", "--delta", "1", "--stride", "100"],
+    ]
+    argvs = [argv + ["--out", str(tmp_path / ("%d.out" % k))]
+             for k, argv in enumerate(commands)]
+    res = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED % (argvs,)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert all((tmp_path / ("%d.out" % k)).stat().st_size > 0 for k in range(len(commands)))

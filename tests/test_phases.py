@@ -26,11 +26,22 @@ def alpha_closed(omega, delta):
     return 4.0 * omega * delta / (omega ** 2 + delta ** 2)
 
 
-@pytest.mark.parametrize("delta", [0.05, 0.3, 1.0, 2.0, 7.0, 40.0, -1.0, -12.0])
+@pytest.mark.parametrize("delta", [0.05, 0.3, 1.0, 2.0, 7.0, 40.0, -1.0, -12.0,
+                                   1e3, -1e3, 200.0])
 def test_quadrature_matches_collapsed_form(delta):
     got = dynamic_phase_analytic(1.0, delta)
     assert got == pytest.approx(alpha_closed(1.0, delta), abs=1e-9)
     assert got == pytest.approx(2.0 * np.sin(overall_phase(1.0, delta)), abs=1e-9)
+
+
+@pytest.mark.parametrize("window", [20.0, 1e3, 1e4, 1e6])
+@pytest.mark.parametrize("omega", [0.5, 1.0, 3.0])
+def test_wide_windows_keep_the_pulse(window, omega):
+    # the integrand is a sech^2 peak of width 1/Omega; a window far wider
+    # than the pulse must not lose it
+    for r in (1.0, 0.3, -4.0):
+        got = dynamic_phase_analytic(omega, omega / r, window)
+        assert abs(got - 4.0 * r / (1.0 + r * r)) < 1e-12
 
 
 def test_maximum_value_and_location():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sechspin.model import two_pi_pulse
+from sechspin.model import PulseParams, two_pi_pulse
 from sechspin.special import (
     HypParams,
     InvalidC,
@@ -139,6 +139,28 @@ def test_rz_state_tail_against_mpmath(r):
         got = rz_state(t, p).amplitudes
         assert abs(got[1] - complex(c_z)) < 1e-10
         assert abs(got[2] - complex(c_tau)) < 1e-10
+
+
+@pytest.mark.parametrize("r", [s * m for m in (0.001, 0.005, 0.01, 1.0, 100.0, 1000.0)
+                               for s in (1.0, -1.0)])
+def test_rz_state_against_mpmath_small_and_large_ratios(r):
+    # |Delta|/eta from 0.001 to 1000, so |Im c| from 5e-4 to 500
+    p = two_pi_pulse(1.0, 1.0 / r)
+    a, c = mp.mpf(1), mp.mpc(0.5, 0.5 / r)
+    worst = 0.0
+    for t in np.linspace(-12.0, 12.0, 49):
+        z = 1 / (1 + mp.exp(-2 * mp.mpf(t)))
+        c_z = mp.hyp2f1(a, -a, c, z)
+        c_tau = -(1j * a / c) * mp.exp(c * mp.log(z)) * mp.hyp2f1(a + c, c - a, 1 + c, z)
+        got = rz_state(float(t), p).amplitudes
+        worst = max(worst, abs(got[1] - complex(c_z)), abs(got[2] - complex(c_tau)))
+    assert worst < 1e-14
+
+
+def test_rz_state_refuses_other_pulse_areas():
+    for rabi in (0.5, 2.0):
+        with pytest.raises(ValueError):
+            rz_state(0.0, PulseParams(rabi_peak=rabi, detuning=1.0, bandwidth=1.0))
 
 
 def test_rz_state_huge_argument_no_overflow():

@@ -130,11 +130,9 @@ def cmd_fidelity(args) -> int:
     b_values = _float_list(args.B)
     if args.sweep:
         angles = parse_grid(args.angles)
-        rows = []
-        for gamma in angles:
-            for b in b_values:
-                rep = fid.gate_report(float(gamma), b, **kwargs)
-                rows.append((gamma, b, rep.fidelity, rep.residual_population))
+        reports = fid.fidelity_sweep(angles, b_values, **kwargs)
+        rows = [(gamma, rep.B, rep.fidelity, rep.residual_population)
+                for gamma, rep in zip(np.repeat(angles, len(b_values)), reports)]
         _write(_csv("gamma,B,fidelity,population_loss", rows), args.out)
         return 0
     if len(b_values) != 1:

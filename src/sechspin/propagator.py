@@ -1,33 +1,47 @@
 """Numerical Schrödinger evolution for pulse schedules.
 
-The integrator is the fourth-order Magnus method with two-point Gauss
-nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), taken in
-the detuning frame of the nearest pulse. In pulse k's frame the trion
+The integrator is the sixth-order Magnus method with three Gauss-Legendre
+nodes, 1/2 - sqrt(15)/10, 1/2 and 1/2 + sqrt(15)/10 of each step (Blanes,
+Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009), sec. 4), taken in the
+detuning frame of the nearest pulse. In pulse k's frame the trion
 amplitude carries an extra exp(-i*Delta_k*(t - c_k)), so that pulse's
-carrier becomes the constant diagonal Delta_k - i*Gamma, which the matrix
-exponential handles exactly. Pulse k's frame holds from the midpoint
-between c_{k-1} and c_k to the midpoint between c_k and c_{k+1}; every
-pulse's coupling stays in the Hamiltonian, so the change of frame is
-exact. Each step matrix is returned in the lab frame,
-D(t+dt)^dagger exp(Omega_4) D(t), so frames never leak out of a step.
+carrier becomes the constant diagonal Delta_k - i*Gamma and its coupling
+its real envelope; every other pulse j turns at Delta_k - Delta_j. Pulse
+k's frame holds from the midpoint between c_{k-1} and c_k to the midpoint
+between c_k and c_{k+1}; every pulse's coupling stays in the Hamiltonian,
+so the change of frame is exact. Each step matrix is returned in the lab
+frame, D(t+dt)^dagger exp(Omega_6) D(t), so frames never leak out of a
+step.
 
 One rule sets the steps: the local rate r(t) of the frame Hamiltonian.
 Pulse j counts at max(Omega_j, eta_j, |Delta_j - Delta_k|) in the frame
-k that t falls in, times h_j(t)**(1/5), h_j being its envelope relative
-to its own peak, and r is the largest of these and the floor
-max(omega_B, Gamma). A pulse's own detuning is the frame's constant
-diagonal and never counts, so a single pulse's grid does not depend on
-it; a neighbour's tail turns at the difference of the two detunings. The
-fifth root gives each step of RESOLUTION_TARGET/r(t) the local error of
-a step in a pulse core (see TAIL_POWER).
+k that t falls in, times h_j(t)**TAIL_POWER, h_j being its envelope
+relative to its own peak, and r is the largest of these and the floor
+max(omega_B, Gamma, |Delta_k|*RESOLUTION_TARGET/MAX_FRAME_PHASE). Steps
+are RESOLUTION_TARGET/r(t) long.
+
+TAIL_POWER = 1/7: a sixth-order method errs per step by O(dt^7), and a
+term of relative height h varying at rate f contributes h*(f*dt)^7, so a
+step of RESOLUTION_TARGET/(f*h**(1/7)) in a tail errs as much as a
+full-height step of RESOLUTION_TARGET/f in a pulse core.
+
+MAX_FRAME_PHASE = 1 rad: the Magnus series converges while a step's
+integral of ||A||, A = -i*H, stays below pi. The frame's own detuning is
+part of A; the exponential takes it exactly, but Omega_6 truncates its
+commutators with the coupling, so the error grows with |Delta_k|*dt. The
+floor keeps |Delta_k|*dt <= 1 rad, well inside the radius, with the
+coupling and precession adding about RESOLUTION_TARGET. So a single 2*pi
+pulse at eta = 1 takes 1,093 steps up to |Delta| = 28.6 and 38.2*|Delta|
+past that; from |Delta| ~ 52,000 the grid passes MAX_STEPS and is refused.
 
 propagate steps uniformly at RESOLUTION_TARGET over the maximum of r,
-taken in closed form (for one pulse, max(Omega, eta, omega_B, Gamma)).
-evolve_operator and propagate_backward step on a graded grid, the
-inverse of the cumulative integral of r, so steps stretch where the
-envelopes are small: a gate pair takes about 2,000 steps against 5,223
-uniform ones. An explicit IntegratorOpts.dt always gives the uniform grid
-and the StepTooLarge guard.
+taken in closed form (for one pulse, max(Omega, eta, omega_B, Gamma,
+|Delta|*RESOLUTION_TARGET/MAX_FRAME_PHASE)). evolve_operator and
+propagate_backward step on a graded grid, the inverse of the cumulative
+integral of r, so steps stretch where the envelopes are small: a gate
+pair takes about 720 steps against 1,500 uniform ones. An explicit
+IntegratorOpts.dt always gives the uniform grid and the StepTooLarge
+guard.
 
 Step matrices are built vectorized over chunks of the grid, in a
 component-major (3, 3, n) layout so each entry is one contiguous vector,
@@ -50,20 +64,22 @@ from .model import (
     PulseParams,
     StateVector,
     SystemParams,
-    coupling,
     sech,
     warn_if_fast_precession,
 )
 
 # default step targets dt*fmax = RESOLUTION_TARGET; the hard guard rejects
 # anything with dt*fmax >= RESOLUTION_GUARD
-RESOLUTION_TARGET = 0.01
+RESOLUTION_TARGET = 0.035
 RESOLUTION_GUARD = 0.1
 MAX_STEPS = 2_000_000
-# Magnus-4's local error from a term of relative height h varying at rate f
-# scales as h*(f*dt)^5, so a step of RESOLUTION_TARGET/(f*h**TAIL_POWER)
+# Magnus-6's local error from a term of relative height h varying at rate f
+# scales as h*(f*dt)^7, so a step of RESOLUTION_TARGET/(f*h**TAIL_POWER)
 # errs as much as a full-height step of RESOLUTION_TARGET/f
-TAIL_POWER = 0.2
+TAIL_POWER = 1.0 / 7.0
+# largest phase, in rad, the frame detuning may turn in one step; the
+# Magnus series converges while the step's integral of ||A|| stays below pi
+MAX_FRAME_PHASE = 1.0
 # spacing, in units of 1/eta, of the auxiliary grid the graded grid is read off
 RATE_SAMPLING = 0.1
 # two pulses count as overlapping when both envelopes exceed this fraction
@@ -71,8 +87,8 @@ RATE_SAMPLING = 0.1
 # because the Hamiltonian sums all pulse couplings exactly
 OVERLAP_FRACTION = 1e-2
 
-# two-point Gauss nodes on [0, 1]
-GAUSS_NODES = (0.5 - np.sqrt(3.0) / 6.0, 0.5 + np.sqrt(3.0) / 6.0)
+# three-point Gauss nodes on [0, 1]
+GAUSS_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
 # degree-8 Taylor: the dropped tail is below 2^-53 relative for norm <= 1/16
 TAYLOR_THETA = 1.0 / 16.0
 TAYLOR_COEFS = tuple(1.0 / math.factorial(k) for k in range(9))
@@ -183,9 +199,11 @@ def _rate(sched: PulseSchedule, s: SystemParams, delta: float, t: np.ndarray) ->
     Pulse j counts at its fastest rate there, max(Omega_j, eta_j,
     |Delta_j - delta|), times its height h_j relative to its own peak to
     the TAIL_POWER; the floor max(omega_B, Gamma) covers the constant
-    terms' commutators with the couplings.
+    terms' commutators with the couplings, and |delta| scaled so that the
+    frame turns at most MAX_FRAME_PHASE per step.
     """
-    r = np.full(np.shape(t), max(s.omega_B, s.decay_rate))
+    floor = abs(delta) * RESOLUTION_TARGET / MAX_FRAME_PHASE
+    r = np.full(np.shape(t), max(s.omega_B, s.decay_rate, floor))
     for p in sched.pulses:
         fastest = np.maximum(max(p.rabi_peak, p.bandwidth), abs(p.detuning - delta))
         np.maximum(r, fastest * sech(p.bandwidth * (t - p.center)) ** TAIL_POWER, out=r)
@@ -195,7 +213,8 @@ def _rate(sched: PulseSchedule, s: SystemParams, delta: float, t: np.ndarray) ->
 def _frequency_scale(sched: PulseSchedule, s: SystemParams) -> float:
     """Maximum of the local rate over the window, in closed form: inside
     pulse k's frame each pulse's share peaks at the point nearest its own
-    center. For a single pulse this is max(Omega, eta, omega_B, Gamma)."""
+    center. For a single pulse this is max(Omega, eta, omega_B, Gamma,
+    |Delta|*RESOLUTION_TARGET/MAX_FRAME_PHASE)."""
     f = max(s.omega_B, s.decay_rate)
     centers = [p.center for p in sched.pulses]
     for pk, a, b in _frame_spans(sched):
@@ -286,41 +305,93 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frames(sched: PulseSchedule, t: np.ndarray):
-    """Detuning and center of the frame each time falls in: the nearest
-    pulse, switching at midpoints between centers. No pulses: the lab."""
+def _frame_runs(sched: PulseSchedule, t: np.ndarray):
+    """(k, a, b) per run of times t[a:b] in pulse k's frame: the nearest
+    pulse, switching at midpoints between centers. The times are monotone,
+    so each frame is one run. No pulses: no runs (the lab frame)."""
     if not sched.pulses:
-        return np.zeros_like(t), np.zeros_like(t)
-    deltas = np.array([p.detuning for p in sched.pulses])
+        return
     centers = np.array([p.center for p in sched.pulses])
     k = np.searchsorted(0.5 * (centers[1:] + centers[:-1]), t)
-    return deltas[k], centers[k]
+    edges = np.flatnonzero(np.diff(k)) + 1
+    for a, b in zip(np.r_[0, edges], np.r_[edges, k.shape[0]]):
+        yield int(k[a]), a, b
 
 
-def _magnus4(t: np.ndarray, dt: float, sched: PulseSchedule, s: SystemParams,
-             delta: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Omega_4 = -i*dt*(H1 + H2)/2 - (sqrt(3)/12)*dt^2*[H2, H1] per step.
+def _frame_coupling(t: np.ndarray, pulses: Sequence[PulseParams], k: int) -> np.ndarray:
+    """(z, trion) entry of the frame Hamiltonian in pulse k's frame,
+    V(t)*exp(i*Delta_k*(t - c_k)): pulse k's own term is its real envelope,
+    and every other pulse j turns at Delta_k - Delta_j."""
+    pk = pulses[k]
+    u = np.zeros(t.shape, dtype=complex)
+    for j, p in enumerate(pulses):
+        env = p.rabi_peak * sech(p.bandwidth * (t - p.center))
+        if j == k:
+            u += env
+        else:
+            u += env * np.exp(1j * (pk.detuning * (t - pk.center) - p.detuning * (t - p.center)))
+    return u
 
-    H1, H2 are the frame Hamiltonians [[0, w, 0], [w, 0, u], [0, u*, d]]
-    at the Gauss nodes, u = V*exp(i*Delta_k*(t - c_k)) and
-    d = Delta_k - i*Gamma; the commutator is written out entrywise.
+
+def _magnus6(u: np.ndarray, h, w: float, d: np.ndarray) -> np.ndarray:
+    """Omega_6 per step from the frame Hamiltonian at the three Gauss nodes.
+
+    H = [[0, w, 0], [w, 0, u], [0, u*, d]] with u (3, n) at the nodes and
+    d = Delta_k - i*Gamma; A = -i*H. With alpha_1 = h*A_2, alpha_2 =
+    (sqrt(15)/3)*h*(A_3 - A_1), alpha_3 = (10/3)*h*(A_3 - 2*A_2 + A_1),
+    C_1 = [alpha_1, alpha_2] and C_2 = -[alpha_1, 2*alpha_3 + C_1]/60,
+    Omega_6 = alpha_1 + alpha_3/12 + [-20*alpha_1 - alpha_3 + C_1, alpha_2 + C_2]/240
+    (Blanes, Casas, Oteo & Ros 2009, sec. 4). alpha_2 and alpha_3 hold only
+    the (z, trion) entries, so C_1 and C_2 are written out entrywise.
     """
-    u1, u2 = (coupling(tn, sched.pulses) * np.exp(1j * delta * (tn - center))
-              for tn in (t + GAUSS_NODES[0] * dt, t + GAUSS_NODES[1] * dt))
-    d = delta - 1j * s.decay_rate
-    w = s.omega_B
-    kappa = np.sqrt(3.0) / 12.0 * dt * dt
-    du = u1 - u2
-    q = u2 * np.conj(u1) - u1 * np.conj(u2)
-    x = np.zeros((3, 3, t.shape[0]), dtype=complex)
-    x[0, 1] = x[1, 0] = -1j * dt * w
-    x[0, 2] = -kappa * w * du
-    x[2, 0] = kappa * w * np.conj(du)
-    x[1, 1] = -kappa * q
-    x[1, 2] = -0.5j * dt * (u1 + u2) + kappa * d * du
-    x[2, 1] = -0.5j * dt * np.conj(u1 + u2) - kappa * d * np.conj(du)
-    x[2, 2] = -1j * dt * d + kappa * q
-    return x
+    # alpha_1's entries: (zbar, z) = (z, zbar), (z, trion), (trion, z), (trion, trion)
+    a = -1j * h * w
+    b = -1j * h * u[1]
+    c = -1j * h * np.conj(u[1])
+    e = -1j * h * d
+    du = u[2] - u[0]
+    ddu = du - 2.0 * (u[1] - u[0])
+    k2 = (-1j * np.sqrt(15.0) / 3.0) * h
+    k3 = (-10j / 3.0) * h
+    p2, q2 = k2 * du, k2 * np.conj(du)          # alpha_2's (z, trion), (trion, z)
+    p3, q3 = k3 * ddu, k3 * np.conj(ddu)        # alpha_3's
+    # C_1; its (trion, trion) entry is -c11
+    c02, c11, c12, c20, c21 = a * p2, b * q2 - c * p2, -e * p2, -a * q2, e * q2
+    # Y = 2*alpha_3 + C_1 differs from C_1 only in y12 and y21
+    y12, y21 = c12 + 2.0 * p3, c21 + 2.0 * q3
+    # W = alpha_2 + C_2 = alpha_2 - [alpha_1, Y]/60
+    wm = np.empty((3, 3, u.shape[1]), dtype=complex)
+    wm[0, 0] = 0.0
+    wm[0, 1] = a * c11 - c * c02
+    wm[0, 2] = a * y12 - e * c02
+    wm[1, 0] = b * c20 - a * c11
+    wm[1, 1] = b * y21 - c * y12
+    wm[1, 2] = a * c02 - 2.0 * b * c11 - e * y12
+    wm[2, 0] = e * c20 - a * y21
+    wm[2, 1] = 2.0 * c * c11 + e * y21 - a * c20
+    wm[2, 2] = c * y12 - b * y21
+    wm *= -1.0 / 60.0
+    wm[1, 2] += p2
+    wm[2, 1] += q2
+    # Z = -20*alpha_1 - alpha_3 + C_1
+    z = np.empty_like(wm)
+    z[0, 0] = 0.0
+    z[0, 1] = z[1, 0] = -20.0 * a
+    z[0, 2] = c02
+    z[1, 1] = c11
+    z[1, 2] = c12 - 20.0 * b - p3
+    z[2, 0] = c20
+    z[2, 1] = c21 - 20.0 * c - q3
+    z[2, 2] = -20.0 * e - c11
+    omega = _mul(z, wm)
+    omega -= _mul(wm, z)
+    omega *= 1.0 / 240.0
+    omega[0, 1] += a
+    omega[1, 0] += a
+    omega[1, 2] += b + p3 / 12.0
+    omega[2, 1] += c + q3 / 12.0
+    omega[2, 2] += e
+    return omega
 
 
 def _taylor(x: np.ndarray) -> np.ndarray:
@@ -329,11 +400,17 @@ def _taylor(x: np.ndarray) -> np.ndarray:
     x3 = _mul(x2, x)
     c = TAYLOR_COEFS
     b0, b1, b2 = (c[k + 1] * x + c[k + 2] * x2 for k in (0, 3, 6))
+    del x2
     for i in range(3):
         b0[i, i] += c[0]
         b1[i, i] += c[3]
         b2[i, i] += c[6]
-    return b0 + _mul(x3, b1 + _mul(x3, b2))
+    # b0 + x3 @ (b1 + x3 @ b2), accumulated in place to keep the peak low
+    e = _mul(x3, b2)
+    e += b1
+    e = _mul(x3, e)
+    e += b0
+    return e
 
 
 def _expm(x: np.ndarray) -> np.ndarray:
@@ -355,14 +432,24 @@ def _expm(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def _step_matrices(times: np.ndarray, dt: float, sched: PulseSchedule,
+def _step_matrices(times: np.ndarray, dt, sched: PulseSchedule,
                    s: SystemParams) -> np.ndarray:
-    """Lab-frame Magnus-4 step matrices, (3, 3, len(times) - 1); slice k maps
-    psi(times[k]) to psi(times[k + 1]). dt < 0 steps backward."""
+    """Lab-frame Magnus-6 step matrices, (3, 3, len(times) - 1); slice k maps
+    psi(times[k]) to psi(times[k + 1]). dt (a scalar or one per step) < 0
+    steps backward."""
     t = times[:-1]
-    delta, center = _frames(sched, t + 0.5 * dt)
-    m = _expm(_magnus4(t, dt, sched, s, delta, center))
-    # to the lab frame, D(t + dt)^dagger exp(Omega_4) D(t), where D(t)
+    nodes = t + GAUSS_NODES[:, None] * dt
+    u = np.zeros(nodes.shape, dtype=complex)
+    delta = np.zeros(t.shape)
+    center = np.zeros(t.shape)
+    for k, a, b in _frame_runs(sched, t + 0.5 * dt):
+        delta[a:b] = sched.pulses[k].detuning
+        center[a:b] = sched.pulses[k].center
+        u[:, a:b] = _frame_coupling(nodes[:, a:b], sched.pulses, k)
+    omega = _magnus6(u, dt, s.omega_B, delta - 1j * s.decay_rate)
+    del nodes, u                         # not held through the exponential's peak
+    m = _expm(omega)
+    # to the lab frame, D(t + dt)^dagger exp(Omega_6) D(t), where D(t)
     # multiplies the trion amplitude by exp(-i*Delta_k*(t - c_k))
     m[:, 2] *= np.exp(-1j * delta * (t - center))
     m[2] *= np.exp(1j * delta * (times[1:] - center))
@@ -436,12 +523,13 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     """Solve i d(psi)/dt = H(t) psi over the schedule window.
 
     H sums every pulse coupling (each with its detuning phase anchored at
-    its own center) plus the precession and optional decay terms. Magnus-4
-    steps in per-pulse detuning frames on a uniform grid whose step count
-    does not depend on a pulse's own detuning, only on how far it differs
-    from a neighbour's; states are returned in the lab frame.
+    its own center) plus the precession and optional decay terms. Magnus-6
+    steps in per-pulse detuning frames on a uniform grid; a pulse's own
+    detuning sets the step count only where a step would turn it by more
+    than MAX_FRAME_PHASE. States are returned in the lab frame.
     Raises StepTooLarge if the grid cannot resolve the fastest envelope,
-    Rabi, precession, decay or neighbour-tail rate, NormBlowup if the norm grows.
+    Rabi, precession, decay, frame or neighbour-tail rate within MAX_STEPS,
+    NormBlowup if the norm grows.
     """
     opts = opts or IntegratorOpts()
     if abs(psi0.norm_sq - 1.0) > 1e-9:
@@ -489,7 +577,7 @@ def evolve_operator(sched: PulseSchedule, s: SystemParams,
     """Time-ordered evolution operator over the window, basis (zbar, z, trion).
 
     Columns are the propagated basis states, in the lab frame, built from
-    the same Magnus-4 steps as propagate but on the graded grid (the
+    the same Magnus-6 steps as propagate but on the graded grid (the
     uniform one if opts.dt is given). Unitary to rounding without decay, a
     contraction with decay on.
     """

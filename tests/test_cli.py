@@ -2,6 +2,7 @@
 determinism, config handling."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -144,15 +145,13 @@ def test_non_finite_inputs_exit_2(args, name):
     assert "error: %s must be finite" % name in res.stderr
 
 
-def test_simulate_far_detuned():
-    # the step count no longer follows |Delta|: 1e6 rad/ps runs on the
-    # same ~3,800-step grid as Delta = 1
+def test_simulate_far_detuned_refused():
+    # a step may turn the frame detuning by at most 1 rad, so 1e6 rad/ps
+    # over the 38 ps window needs ~3.8e7 steps: refused, not run coarse
     res = run("simulate", "--delta", "1e6", "--B", "0.29", "--stride", "200")
-    assert res.returncode == 0
-    rows = np.array([[float(x) for x in line.split(",")]
-                     for line in res.stdout.strip().split("\n")[1:]])
-    assert rows.shape[1] == 8 and np.all(np.isfinite(rows))
-    assert np.max(np.abs(rows[:, -1] - 1.0)) < 1e-6
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert re.search(r"numerical failure: grid would need \d+ steps", res.stderr)
 
 
 def test_simulate_without_pulses_needs_window():

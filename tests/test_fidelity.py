@@ -13,6 +13,8 @@ from sechspin.fidelity import (
     ideal_rotation,
     population_sweep,
 )
+from sechspin.model import SystemParams, bandwidth_from_duration
+from sechspin.pulsedesign import design_for_angle
 
 ANGLES = [np.pi / 4, np.pi / 2, 3 * np.pi / 4]
 
@@ -102,6 +104,21 @@ def test_sign_symmetry(gamma):
 def test_monotone_degradation_in_field(gamma):
     fs = [gate_report(gamma, b).fidelity for b in (0.27, 1.35, 2.7)]
     assert fs[0] > fs[1] > fs[2]
+
+
+def test_decay_matches_closed_form_at_zero_field():
+    # at B = 0 each 2*pi pulse multiplies the z amplitude by 1 - 1/c_k,
+    # c_k = (1 + Gamma/eta + i*Delta_k/eta)/2; the 1.6e-9 left over is tail
+    # contact between the pulses at 14/eta, not integration error
+    tau_d, tau_t = 1.5, 900.0
+    eta = bandwidth_from_duration(tau_d)
+    rate = SystemParams(trion_lifetime=tau_t, decay_enabled=True).decay_rate
+    for gamma in np.linspace(-3.0, 3.0, 25):
+        rep = gate_report(float(gamma), 0.0, tau_d=tau_d, tau_t=tau_t)
+        pair = design_for_angle(float(gamma), eta, 14.0 * tau_d)
+        c = [(1.0 + rate / eta + 1j * p.detuning / eta) / 2.0 for p in (pair.pulse1, pair.pulse2)]
+        zz = np.prod([1.0 - 1.0 / ck for ck in c])
+        assert abs(rep.fidelity - average_fidelity(np.diag([1.0, zz]), rep.u_ideal)) <= 5e-9
 
 
 def test_decay_costs_fidelity():

@@ -111,6 +111,16 @@ def test_method_agreement_without_precession(r):
     assert abs(ana.overall - num.overall) < 1e-3
 
 
+@pytest.mark.parametrize("delta", [1e3, -1e3, 1e4])
+def test_far_detuned_numeric_matches_closed_form(delta):
+    # the frame detuning turns at most MAX_FRAME_PHASE per step, so the
+    # step count grows with |Delta| and the error does not
+    ana = decompose(1.0, delta, "analytic")
+    num = decompose(1.0, delta, "numeric")
+    assert abs(num.overall - ana.overall) <= 1e-9
+    assert abs(num.dynamic - ana.dynamic) <= 1e-9
+
+
 def test_numeric_phase_branch():
     assert decompose(1.0, 1.0, "numeric").overall == pytest.approx(np.pi / 2, abs=1e-4)
     assert decompose(1.0, -1.0, "numeric").overall == pytest.approx(-np.pi / 2, abs=1e-4)

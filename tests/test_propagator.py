@@ -5,8 +5,16 @@ import pytest
 from scipy.linalg import expm
 
 from sechspin import propagator
-from sechspin.model import PulseParams, StateVector, SystemParams, larmor_from_field, two_pi_pulse
+from sechspin.model import (
+    ENVELOPE_TAIL_ARG,
+    PulseParams,
+    StateVector,
+    SystemParams,
+    larmor_from_field,
+    two_pi_pulse,
+)
 from sechspin.propagator import (
+    MAX_FRAME_PHASE,
     MAX_STEPS,
     OVERLAP_FRACTION,
     RESOLUTION_TARGET,
@@ -20,7 +28,7 @@ from sechspin.propagator import (
     schedule_for_pulses,
     truncate_qubit,
 )
-from sechspin.propagator import _expm, _fold, _graded_grid, _grid, _scan
+from sechspin.propagator import _expm, _fold, _graded_grid, _grid, _magnus6, _scan
 from sechspin.pulsedesign import design_for_angle
 from sechspin.special import overall_phase, rz_state
 
@@ -57,12 +65,66 @@ def test_matches_closed_form_without_precession(delta):
     assert worst < 1e-6
 
 
-def test_step_count_does_not_follow_detuning():
+def test_step_count_follows_detuning_only_past_frame_phase_cap():
     # in the pulse's detuning frame Delta is a constant diagonal that the
-    # exponential takes exactly, so only eta, Omega, omega_B set the grid
-    counts = [len(propagate(StateVector.ket_z(), schedule_for_pulses([two_pi_pulse(1.0, d)]),
-                            SystemParams()).times) for d in (0.1, 100.0)]
-    assert counts[0] == counts[1]
+    # exponential takes exactly, but it is part of the Magnus generator, so
+    # a step may turn it by at most MAX_FRAME_PHASE; below that cap only
+    # eta, Omega and omega_B set the grid
+    def count(delta):
+        sched = schedule_for_pulses([two_pi_pulse(1.0, delta)])
+        return len(propagate(StateVector.ket_z(), sched, SystemParams()).times) - 1
+
+    assert count(0.1) == count(20.0)
+    assert count(20.0) < count(100.0) < count(-1000.0)
+    span = 2.0 * ENVELOPE_TAIL_ARG
+    assert count(-1000.0) == int(np.ceil(span * 1000.0 / MAX_FRAME_PHASE))
+
+
+@pytest.mark.parametrize("delta", [0.3, 1.0, 5.0, None])
+def test_sixth_order_convergence(delta):
+    # halving dt cuts the error 64x at sixth order (measured 54-64x, the
+    # smallest where rounding starts to show); without C_2 the ratio is 16x,
+    # without the outer commutator 4x
+    s = SystemParams(omega_B=larmor_from_field(0.29), trion_lifetime=900.0,
+                     decay_enabled=True)
+    if delta is None:
+        pair = design_for_angle(np.pi / 2, 1.0)
+        pulses = [pair.pulse1, pair.pulse2]
+    else:
+        pulses = [two_pi_pulse(1.0, delta)]
+    sched = schedule_for_pulses(pulses)
+    ref = evolve_operator(sched, s, IntegratorOpts(dt=0.005))
+    coarse, fine = (np.max(np.abs(evolve_operator(sched, s, IntegratorOpts(dt=h)) - ref))
+                    for h in (0.08, 0.04))
+    assert coarse >= 40.0 * fine
+
+
+def test_magnus6_matches_commutator_formula():
+    # the entrywise Omega_6 against the nested commutators written with
+    # dense 3x3 products, h of both signs, decay on
+    rng = np.random.default_rng(7)
+    n, w = 40, 0.3
+    u = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    h = rng.uniform(-0.1, 0.1, n)
+    d = rng.normal(size=n) - 0.05j
+    hams = np.zeros((3, n, 3, 3), dtype=complex)
+    hams[..., 0, 1] = hams[..., 1, 0] = w
+    hams[..., 1, 2] = u
+    hams[..., 2, 1] = u.conj()
+    hams[..., 2, 2] = d
+    a1, a2, a3 = (-1j * h[:, None, None] * hams[k] for k in range(3))
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    alpha1 = a2
+    alpha2 = np.sqrt(15.0) / 3.0 * (a3 - a1)
+    alpha3 = 10.0 / 3.0 * (a3 - 2.0 * a2 + a1)
+    c1 = comm(alpha1, alpha2)
+    c2 = -comm(alpha1, 2.0 * alpha3 + c1) / 60.0
+    omega = alpha1 + alpha3 / 12.0 + comm(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
+    got = _magnus6(u, h, w, d).transpose(2, 0, 1)
+    assert np.max(np.abs(got - omega)) < 1e-15
 
 
 @pytest.mark.parametrize("deltas", [(20.0, -0.05), (-0.05, 20.0)])
@@ -83,7 +145,7 @@ def test_two_pulse_frame_switch(deltas):
 def test_near_pi_gate_resolves_neighbour_tail(gamma):
     # Delta1 - Delta2 ~ 607*eta: in each pulse's frame the other's tail (1.8e-3
     # of peak at the frame edge) turns ~2*pi per step of 0.01/eta, where
-    # two Gauss nodes alias it (trion entries off by 1.7e-3). The step rule
+    # Gauss nodes alias it (trion entries off by 1.7e-3). The step rule
     # counts that tail, so halving dt moves nothing.
     pair = design_for_angle(gamma, 1.0)
     pulses = [pair.pulse1, pair.pulse2]
@@ -286,12 +348,14 @@ def test_step_guard():
     with pytest.raises(StepTooLarge):
         propagate(StateVector.ket_z(), sched, SystemParams(),
                   IntegratorOpts(dt=0.2))   # dt*Omega = 0.2 >= 0.1
-    # default-resolution grid over an enormous window exceeds the step cap
+    # default-resolution grid over an enormous window exceeds the step cap:
+    # steps of RESOLUTION_TARGET/Omega over 2*MAX_STEPS*RESOLUTION_TARGET
+    half = MAX_STEPS * RESOLUTION_TARGET
     far = two_pi_pulse(1.0, 0.0, center=0.0)
-    wide = PulseSchedule([far], (-15000.0, 15000.0))
+    wide = PulseSchedule([far], (-half, half))
     with pytest.raises(StepTooLarge):
         propagate(StateVector.ket_z(), wide, SystemParams())
-    assert 30000.0 / 0.01 > MAX_STEPS      # the arithmetic the guard protects
+    assert 2.0 * half / RESOLUTION_TARGET > MAX_STEPS    # the arithmetic the guard protects
     # gamma = 3.14: the neighbour's tail turns 25 rad per step at dt = 0.01/eta
     pair = design_for_angle(3.14, 1.0)
     with pytest.raises(StepTooLarge):

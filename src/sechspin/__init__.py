@@ -6,7 +6,6 @@ average gate fidelity under spin precession and trion decay.
 """
 
 from .model import (
-    PhysicalConstants,
     PulseParams,
     StateVector,
     SystemParams,
@@ -53,7 +52,7 @@ from .fidelity import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PhysicalConstants", "PulseParams", "StateVector", "SystemParams",
+    "PulseParams", "StateVector", "SystemParams",
     "bandwidth_from_duration", "hamiltonian", "larmor_from_field",
     "pulse_area", "sech_envelope", "two_pi_pulse",
     "HypParams", "hyp2f1", "overall_phase", "rz_state",

@@ -254,8 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trion lifetime [ps], 'inf' disables decay")
     p.add_argument("--t0", type=float, default=None, help="window start [ps]")
     p.add_argument("--t1", type=float, default=None, help="window end [ps]")
-    p.add_argument("--dt", type=float, default=None, help="step [ps] (default auto)")
-    p.add_argument("--stride", type=int, default=1, help="sample stride")
+    p.add_argument("--dt", type=float, default=None,
+                   help="uniform step [ps] (default: the graded grid)")
+    p.add_argument("--stride", type=int, default=1,
+                   help="write every stride-th step's row, plus the last "
+                        "(the grid is graded unless --dt is given)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)
     top.simulate_parser = p

@@ -10,7 +10,7 @@ throughout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +29,6 @@ def _require_finite(**values) -> None:
     for name, value in values.items():
         if not np.isfinite(value):
             raise ValueError("%s must be finite, got %r" % (name, value))
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    bohr_magneton: float = BOHR_MAGNETON
-    hbar: float = HBAR
-    g_factor: float = G_FACTOR_DEFAULT
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,10 @@ Two routes, kept structurally independent on purpose:
   Gauss-Legendre rule (16 nodes per panel, panels 1/Omega wide, checked
   against panels twice as wide); the overall phase comes from the arctan
   formula.
-* method II ("numeric"): full propagation of the three-level system, the
-  dynamic phase as minus the time integral of the Hamiltonian expectation
-  value on the trajectory grid, the overall phase read off the final state.
+* method II ("numeric"): full propagation of the three-level system on
+  the graded grid, the dynamic phase as minus the time integral of the
+  Hamiltonian expectation value by the derivative-corrected trapezoid rule
+  on the trajectory times, the overall phase read off the final state.
 
 The geometric part is the difference in both cases.
 """
@@ -119,19 +120,33 @@ def dynamic_phase_analytic(omega: float, delta: float,
 
 def dynamic_phase_numeric(traj: Trajectory, sched: PulseSchedule,
                           s: SystemParams) -> float:
-    """Minus the trapezoid integral of <psi|H|psi> on the trajectory grid.
+    """Minus the integral of E = <psi|H|psi> over the trajectory times.
 
-    Uses the Hermitian Hamiltonian (precession + pulse coupling); a
-    trajectory produced with decay on is rejected since the decomposition
-    is only defined for unitary evolution.
+    Uses the Hermitian Hamiltonian (precession + pulse coupling). For
+    Hermitian H, dE/dt = <psi|dH/dt|psi> = 2*Re(dV/dt * conj(c_z) * c_tau)
+    exactly, so each interval takes the derivative-corrected trapezoid
+    h/2*(E_k + E_{k+1}) + h^2/12*(E'_k - E'_{k+1}), fourth order on any
+    grid (graded or strided). On a uniform grid the corrections cancel in
+    pairs up to the end points, where the pulse has died out. A trajectory
+    produced with decay on is rejected since the decomposition is only
+    defined for unitary evolution.
     """
     if s.decay_enabled:
         raise DecayForbidden("phase decomposition needs decay off")
+    t = traj.times
     cb, cz, ct = traj.states[:, 0], traj.states[:, 1], traj.states[:, 2]
-    v = model.coupling(traj.times, sched.pulses)
-    expect = (2.0 * s.omega_B * np.real(np.conj(cb) * cz)
-              + 2.0 * np.real(v * np.conj(cz) * ct))
-    return float(-np.trapezoid(expect, traj.times))
+    v = np.zeros(t.shape, dtype=complex)
+    dv = np.zeros(t.shape, dtype=complex)
+    for p in sched.pulses:
+        x = t - p.center
+        vj = p.rabi_peak * sech(p.bandwidth * x) * np.exp(-1j * p.detuning * x)
+        v += vj
+        dv += vj * (-p.bandwidth * np.tanh(p.bandwidth * x) - 1j * p.detuning)
+    zt = np.conj(cz) * ct
+    e = 2.0 * s.omega_B * np.real(np.conj(cb) * cz) + 2.0 * np.real(v * zt)
+    de = 2.0 * np.real(dv * zt)
+    h = np.diff(t)
+    return float(-np.sum(0.5 * h * (e[1:] + e[:-1]) + h * h / 12.0 * (de[:-1] - de[1:])))
 
 
 def _numeric_raw(omega, delta, s, window, opts):

@@ -30,29 +30,31 @@ integral of ||A||, A = -i*H, stays below pi. The frame's own detuning is
 part of A; the exponential takes it exactly, but Omega_6 truncates its
 commutators with the coupling, so the error grows with |Delta_k|*dt. The
 floor keeps |Delta_k|*dt <= 1 rad, well inside the radius, with the
-coupling and precession adding about RESOLUTION_TARGET. So a single 2*pi
-pulse at eta = 1 takes 1,093 steps up to |Delta| = 28.6 and 38.2*|Delta|
-past that; from |Delta| ~ 52,000 the grid passes MAX_STEPS and is refused.
+coupling and precession adding about RESOLUTION_TARGET.
 
-propagate steps uniformly at RESOLUTION_TARGET over the maximum of r,
-taken in closed form (for one pulse, max(Omega, eta, omega_B, Gamma,
-|Delta|*RESOLUTION_TARGET/MAX_FRAME_PHASE)). evolve_operator and
-propagate_backward step on a graded grid, the inverse of the cumulative
-integral of r, so steps stretch where the envelopes are small: a gate
-pair takes about 720 steps against 1,500 uniform ones. An explicit
-IntegratorOpts.dt always gives the uniform grid and the StepTooLarge
-guard.
+propagate, evolve_operator and propagate_backward step on the graded
+grid, the inverse of the cumulative integral of r, so steps stretch where
+the envelopes are small. A single 2*pi pulse at eta = 1 takes 410 steps
+for |Delta| up to about 3, where a uniform grid at the maximum of r takes
+1,093; the floor then takes over in the tails first (796 steps at
+|Delta| = 20) and everywhere from |Delta| = 28.6, where both grids take
+38.2*|Delta| steps. From |Delta| ~ 52,000 the grid passes MAX_STEPS and
+is refused. A gate pair takes about 720 steps against 1,500 uniform ones.
+Without pulses the rate is the constant max(omega_B, Gamma) and the grid
+uniform. An explicit IntegratorOpts.dt always gives the uniform grid and
+the StepTooLarge guard on dt times the peak of r.
 
 Step matrices are built vectorized over chunks of the grid, in a
 component-major (3, 3, n) layout so each entry is one contiguous vector,
 and exponentiated by batched scaling and squaring of a Taylor polynomial.
-They are consumed by a blocked O(n) scan (full trajectory) or a pairwise
-fold (final operator only). Grids depend only on the inputs, so runs are
+They are consumed by a blocked scan (full trajectory) or a pairwise fold
+(final operator only). Grids depend only on the inputs, so runs are
 bit-reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -68,8 +70,8 @@ from .model import (
     warn_if_fast_precession,
 )
 
-# default step targets dt*fmax = RESOLUTION_TARGET; the hard guard rejects
-# anything with dt*fmax >= RESOLUTION_GUARD
+# graded steps are RESOLUTION_TARGET/r(t) long; the hard guard rejects an
+# explicit dt with dt*fmax >= RESOLUTION_GUARD, fmax the peak of r
 RESOLUTION_TARGET = 0.035
 RESOLUTION_GUARD = 0.1
 MAX_STEPS = 2_000_000
@@ -92,7 +94,7 @@ GAUSS_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 1
 # degree-8 Taylor: the dropped tail is below 2^-53 relative for norm <= 1/16
 TAYLOR_THETA = 1.0 / 16.0
 TAYLOR_COEFS = tuple(1.0 / math.factorial(k) for k in range(9))
-# steps built at once, and block length of the trajectory scan
+# steps built at once, and block length of the trajectory scan (a power of 2)
 CHUNK_STEPS = 8192
 SCAN_BLOCK = 16
 
@@ -160,7 +162,7 @@ def schedule_for_pulses(pulses: Sequence[PulseParams],
 
 @dataclass(frozen=True)
 class IntegratorOpts:
-    dt: Optional[float] = None     # ps; None picks dt from the resolution target
+    dt: Optional[float] = None     # ps, uniform steps; None steps on the graded grid
     sample_stride: int = 1
 
     def __post_init__(self):
@@ -175,9 +177,6 @@ class Trajectory:
     times: np.ndarray    # (n,) strictly increasing
     states: np.ndarray   # (n, 3) complex amplitudes
     norms: np.ndarray    # (n,) sum of |amplitude|^2
-
-    def state_at(self, i: int) -> StateVector:
-        return StateVector(self.states[i])
 
     @property
     def final_state(self) -> StateVector:
@@ -211,9 +210,10 @@ def _rate(sched: PulseSchedule, s: SystemParams, delta: float, t: np.ndarray) ->
 
 
 def _frequency_scale(sched: PulseSchedule, s: SystemParams) -> float:
-    """Maximum of the local rate over the window, in closed form: inside
-    pulse k's frame each pulse's share peaks at the point nearest its own
-    center. For a single pulse this is max(Omega, eta, omega_B, Gamma,
+    """Maximum of the local rate over the window, the scale an explicit dt
+    is guarded against. In closed form: inside pulse k's frame each
+    pulse's share peaks at the point nearest its own center. For a single
+    pulse this is max(Omega, eta, omega_B, Gamma,
     |Delta|*RESOLUTION_TARGET/MAX_FRAME_PHASE)."""
     f = max(s.omega_B, s.decay_rate)
     centers = [p.center for p in sched.pulses]
@@ -222,24 +222,17 @@ def _frequency_scale(sched: PulseSchedule, s: SystemParams) -> float:
     return f
 
 
-def _uniform_steps(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts):
-    """Step count n and step of the uniform grid: dt from opts, else
-    RESOLUTION_TARGET over the peak rate."""
-    t0, t1 = sched.window
-    span = t1 - t0
+def _uniform_steps(sched: PulseSchedule, s: SystemParams, dt: float):
+    """Step count n and step of the uniform grid for an explicit dt, which
+    must pass the resolution guard at the peak rate."""
     fmax = _frequency_scale(sched, s)
-    if opts.dt is not None:
-        if opts.dt * fmax >= RESOLUTION_GUARD:
-            raise StepTooLarge(
-                "dt*fmax = %.3g exceeds the resolution guard %.2g"
-                % (opts.dt * fmax, RESOLUTION_GUARD))
-        n = max(int(np.ceil(span / opts.dt)), 2)
-    elif fmax == 0.0:
-        n = 16                     # H = 0, any grid is exact
-    else:
-        n = max(int(np.ceil(span * fmax / RESOLUTION_TARGET)), 16)
+    if dt * fmax >= RESOLUTION_GUARD:
+        raise StepTooLarge(
+            "dt*fmax = %.3g exceeds the resolution guard %.2g"
+            % (dt * fmax, RESOLUTION_GUARD))
+    n = max(int(np.ceil(sched.duration / dt)), 2)
     _check_steps(n)
-    return n, span / n
+    return n, sched.duration / n
 
 
 def _uniform_times(window: Tuple[float, float], n: int, k: np.ndarray) -> np.ndarray:
@@ -249,12 +242,6 @@ def _uniform_times(window: Tuple[float, float], n: int, k: np.ndarray) -> np.nda
     t = k * ((t1 - t0) / n) + t0
     t[k == n] = t1
     return t
-
-
-def _grid(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts):
-    """The whole uniform grid (n + 1 times) and its step."""
-    n, dt = _uniform_steps(sched, s, opts)
-    return _uniform_times(sched.window, n, np.arange(n + 1)), dt
 
 
 def _check_steps(n: int, what: str = "steps") -> None:
@@ -270,10 +257,15 @@ def _graded_grid(sched: PulseSchedule, s: SystemParams) -> np.ndarray:
     The cumulative integral of the local rate is taken by the trapezoid
     rule on an auxiliary grid, RATE_SAMPLING/eta apart in each frame (r
     changes by at most 2 % there, and the frame edges, where it jumps,
-    are auxiliary points); the step times invert it.
+    are auxiliary points); the step times invert it. Without pulses the
+    rate is the constant max(omega_B, Gamma), and the grid uniform.
     """
     if not sched.pulses:
-        return _grid(sched, s, IntegratorOpts())[0]    # constant rate
+        # at least 16 steps: with omega_B = Gamma = 0, H = 0 and any grid is exact
+        rate = max(s.omega_B, s.decay_rate)
+        n = max(int(np.ceil(sched.duration * rate / RESOLUTION_TARGET)), 16)
+        _check_steps(n)
+        return np.linspace(*sched.window, n + 1)
     per_ps = max(p.bandwidth for p in sched.pulses) / RATE_SAMPLING
     spans = [(pk, a, b, int(np.ceil((b - a) * per_ps))) for pk, a, b in _frame_spans(sched)]
     _check_steps(sum(m for *_, m in spans), "rate samples")
@@ -468,7 +460,10 @@ def _scan(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
     Blocked: prefix products inside blocks of SCAN_BLOCK steps, vectorized
     across blocks; the block totals then carry psi from block to block (the
-    same scan one level up). O(n) work; m is overwritten.
+    same scan one level up). Inside the blocks the prefixes double: after
+    the pass with offset d, slot j holds the product of steps j - 2d + 1..j,
+    so log2(SCAN_BLOCK) batched products replace SCAN_BLOCK - 1 sequential
+    ones. O(n log SCAN_BLOCK) work; m is overwritten.
     """
     n = m.shape[-1]
     if n <= SCAN_BLOCK:
@@ -482,8 +477,10 @@ def _scan(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
         eye = np.eye(3, dtype=complex)[..., None]
         m = np.concatenate([m, np.broadcast_to(eye, (3, 3, nb * SCAN_BLOCK - n))], axis=-1)
     blocks = m.reshape(3, 3, nb, SCAN_BLOCK)
-    for j in range(1, SCAN_BLOCK):
-        blocks[..., j] = _mul(blocks[..., j], blocks[..., j - 1])
+    d = 1
+    while d < SCAN_BLOCK:
+        blocks[..., d:] = _mul(blocks[..., d:], blocks[..., :-d])
+        d *= 2
     carried = _scan(np.ascontiguousarray(blocks[..., -1]), psi)
     starts = np.concatenate([psi[None], carried[:-1]])
     states = np.einsum("ijbk,bj->bki", blocks, starts)
@@ -505,7 +502,11 @@ def _operator(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts,
     """Product of the step matrices over the window (from its end back to
     its start if backward): on the uniform grid for an explicit dt, else
     on the graded grid."""
-    times = _grid(sched, s, opts)[0] if opts.dt is not None else _graded_grid(sched, s)
+    if opts.dt is None:
+        times = _graded_grid(sched, s)
+    else:
+        n, _ = _uniform_steps(sched, s, opts.dt)
+        times = _uniform_times(sched.window, n, np.arange(n + 1))
     if backward:
         times = times[::-1]
     u = np.eye(3, dtype=complex)
@@ -524,32 +525,42 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
 
     H sums every pulse coupling (each with its detuning phase anchored at
     its own center) plus the precession and optional decay terms. Magnus-6
-    steps in per-pulse detuning frames on a uniform grid; a pulse's own
-    detuning sets the step count only where a step would turn it by more
-    than MAX_FRAME_PHASE. States are returned in the lab frame.
+    steps in per-pulse detuning frames on the graded grid, or on the
+    uniform one for an explicit opts.dt; a pulse's own detuning sets the
+    step count only where a step would turn it by more than
+    MAX_FRAME_PHASE. States are returned in the lab frame.
     Raises StepTooLarge if the grid cannot resolve the fastest envelope,
-    Rabi, precession, decay, frame or neighbour-tail rate within MAX_STEPS,
-    NormBlowup if the norm grows.
+    Rabi, precession, decay, frame or neighbour-tail rate within MAX_STEPS
+    (or an explicit dt breaks the resolution guard), NormBlowup if the
+    norm grows.
     """
     opts = opts or IntegratorOpts()
     if abs(psi0.norm_sq - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
     if sched.pulses:
         warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses))
-    n, dt = _uniform_steps(sched, s, opts)
+    if opts.dt is None:
+        grid = _graded_grid(sched, s)
+        n = grid.shape[0] - 1
+        times_at = grid.__getitem__
+    else:
+        # the uniform grid is never built: each chunk's times come from the
+        # step index, so a long explicit-dt run holds only its sampled rows
+        n, dt = _uniform_steps(sched, s, opts.dt)
+        times_at = functools.partial(_uniform_times, sched.window, n)
     idx = np.arange(0, n + 1, opts.sample_stride)
     if idx[-1] != n:
         idx = np.append(idx, n)
-    # only the sampled rows are kept, and each chunk's times are computed
-    # from the step index; every step's norm enters the maximum
+    # only the sampled rows are kept; every step's norm enters the maximum
     states = np.empty((idx.shape[0], 3), dtype=complex)
     norms = np.empty(idx.shape[0])
     psi = states[0] = psi0.amplitudes
     norms[0] = peak = _norms(states[:1])[0]
     for a in range(0, n, CHUNK_STEPS):
         b = min(a + CHUNK_STEPS, n)
-        piece = _uniform_times(sched.window, n, np.arange(a, b + 1))
-        chunk = _scan(_step_matrices(piece, dt, sched, s), psi)
+        piece = times_at(np.arange(a, b + 1))
+        chunk = _scan(_step_matrices(piece, np.diff(piece) if opts.dt is None else dt,
+                                     sched, s), psi)
         chunk_norms = _norms(chunk)
         peak = np.maximum(peak, chunk_norms.max())
         lo, hi = np.searchsorted(idx, [a + 1, b + 1])
@@ -558,7 +569,7 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
         psi = chunk[-1]
     if not peak <= 1.0 + 1e-6:
         raise NormBlowup("norm reached %.9f" % peak)
-    return Trajectory(_uniform_times(sched.window, n, idx), states, norms)
+    return Trajectory(times_at(idx), states, norms)
 
 
 def propagate_backward(psi_end: StateVector, sched: PulseSchedule, s: SystemParams,
@@ -577,8 +588,8 @@ def evolve_operator(sched: PulseSchedule, s: SystemParams,
     """Time-ordered evolution operator over the window, basis (zbar, z, trion).
 
     Columns are the propagated basis states, in the lab frame, built from
-    the same Magnus-6 steps as propagate but on the graded grid (the
-    uniform one if opts.dt is given). Unitary to rounding without decay, a
+    the same Magnus-6 steps on the same grid as propagate: graded, or
+    uniform if opts.dt is given. Unitary to rounding without decay, a
     contraction with decay on.
     """
     if sched.pulses:

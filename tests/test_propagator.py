@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from sechspin import propagator
@@ -28,9 +30,23 @@ from sechspin.propagator import (
     schedule_for_pulses,
     truncate_qubit,
 )
-from sechspin.propagator import _expm, _fold, _graded_grid, _grid, _magnus6, _scan
+from sechspin.propagator import (
+    _expm,
+    _fold,
+    _frequency_scale,
+    _graded_grid,
+    _magnus6,
+    _scan,
+)
 from sechspin.pulsedesign import design_for_angle
 from sechspin.special import overall_phase, rz_state
+
+
+def _uniform_dt(sched, s):
+    """The uniform step at RESOLUTION_TARGET over the peak rate, the
+    reference the graded grid is held against."""
+    span = sched.duration
+    return span / np.ceil(span * _frequency_scale(sched, s) / RESOLUTION_TARGET)
 
 
 def test_free_precession_cosine():
@@ -69,12 +85,18 @@ def test_step_count_follows_detuning_only_past_frame_phase_cap():
     # in the pulse's detuning frame Delta is a constant diagonal that the
     # exponential takes exactly, but it is part of the Magnus generator, so
     # a step may turn it by at most MAX_FRAME_PHASE; below that cap only
-    # eta, Omega and omega_B set the grid
-    def count(delta):
-        sched = schedule_for_pulses([two_pi_pulse(1.0, delta)])
-        return len(propagate(StateVector.ket_z(), sched, SystemParams()).times) - 1
+    # eta, Omega and omega_B set the peak rate. The graded grid also counts
+    # the floor in the tails, where it sits above the envelope terms, so
+    # there the count grows with |Delta| from the start (410 steps at 0.1,
+    # 796 at 20)
+    def sched(delta):
+        return schedule_for_pulses([two_pi_pulse(1.0, delta)])
 
-    assert count(0.1) == count(20.0)
+    def count(delta):
+        return len(propagate(StateVector.ket_z(), sched(delta), SystemParams()).times) - 1
+
+    s = SystemParams()
+    assert _frequency_scale(sched(0.1), s) == _frequency_scale(sched(20.0), s) == 1.0
     assert count(20.0) < count(100.0) < count(-1000.0)
     span = 2.0 * ENVELOPE_TAIL_ARG
     assert count(-1000.0) == int(np.ceil(span * 1000.0 / MAX_FRAME_PHASE))
@@ -151,7 +173,7 @@ def test_near_pi_gate_resolves_neighbour_tail(gamma):
     pulses = [pair.pulse1, pair.pulse2]
     sched = schedule_for_pulses(pulses)
     s = SystemParams()
-    _, dt = _grid(sched, s, IntegratorOpts())
+    dt = _uniform_dt(sched, s)
     assert abs(pulses[0].detuning - pulses[1].detuning) * dt < 0.1
     u = evolve_operator(sched, s)
     assert np.max(np.abs(u - evolve_operator(sched, s, IntegratorOpts(dt=dt / 2)))) <= 1e-8
@@ -168,7 +190,7 @@ def test_graded_operator_matches_half_step_uniform(gamma):
     sched = schedule_for_pulses([pair.pulse1, pair.pulse2])
     s = SystemParams(omega_B=larmor_from_field(0.29), trion_lifetime=900.0,
                      decay_enabled=True)
-    _, dt = _grid(sched, s, IntegratorOpts())
+    dt = _uniform_dt(sched, s)
     ref = evolve_operator(sched, s, IntegratorOpts(dt=dt / 2))
     assert np.max(np.abs(evolve_operator(sched, s) - ref)) <= 1e-9
 
@@ -179,7 +201,7 @@ def test_graded_grid_is_coarser_than_uniform():
     s = SystemParams(omega_B=larmor_from_field(0.29))
     graded = len(_graded_grid(sched, s)) - 1
     assert graded <= 2100
-    assert graded < len(_grid(sched, s, IntegratorOpts())[0]) - 1
+    assert graded < round(sched.duration / _uniform_dt(sched, s))
 
 
 def test_graded_grid_spans_window_where_envelope_underflows():
@@ -202,15 +224,59 @@ def test_graded_grid_refuses_huge_window():
 
 
 def test_single_pulse_propagate_grid():
-    # one pulse: uniform steps of RESOLUTION_TARGET/max(Omega, eta, omega_B, Gamma)
+    # without dt, propagate steps on the graded grid evolve_operator uses;
+    # an explicit dt gives the uniform grid of ceil(span/dt) steps
     p = PulseParams(rabi_peak=1.7, detuning=3.0, bandwidth=1.0)
     sched = schedule_for_pulses([p])
     s = SystemParams(omega_B=larmor_from_field(0.29), trion_lifetime=900.0,
                      decay_enabled=True)
-    t0, t1 = sched.window
-    n = int(np.ceil((t1 - t0) * 1.7 / RESOLUTION_TARGET))
     traj = propagate(StateVector.ket_z(), sched, s)
+    assert np.array_equal(traj.times, _graded_grid(sched, s))
+    t0, t1 = sched.window
+    dt = RESOLUTION_TARGET / 1.7
+    n = int(np.ceil((t1 - t0) / dt))
+    traj = propagate(StateVector.ket_z(), sched, s, IntegratorOpts(dt=dt))
     assert np.array_equal(traj.times, np.linspace(t0, t1, n + 1))
+
+
+# one or two 2*pi pulses 14/eta apart, detunings up to 40*eta (past the
+# frame-phase cap), fields up to the paper's 2.7 T, random normalized start
+_graded_cases = dict(
+    eta=st.floats(0.3, 3.0),
+    ratios=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=2),
+    field=st.floats(0.0, 2.7),
+    amps=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6).filter(
+        lambda a: np.hypot.reduce(a) > 0.1),
+)
+
+
+def _graded_case(eta, ratios, amps):
+    pulses = [two_pi_pulse(eta, x * eta, 14.0 * k / eta) for k, x in enumerate(ratios)]
+    psi = np.array(amps[:3]) + 1j * np.array(amps[3:])
+    return schedule_for_pulses(pulses), StateVector(psi / np.linalg.norm(psi))
+
+
+@pytest.mark.filterwarnings("ignore:omega_B/eta")
+@settings(max_examples=30, deadline=None)
+@given(**_graded_cases)
+def test_graded_propagate_keeps_norm_without_decay(eta, ratios, field, amps):
+    # rounding only: 600 random cases of this family drift by at most 3.2e-12
+    sched, psi0 = _graded_case(eta, ratios, amps)
+    traj = propagate(psi0, sched, SystemParams(omega_B=larmor_from_field(field)))
+    assert np.max(np.abs(traj.norms - 1.0)) <= 1e-11
+
+
+@pytest.mark.filterwarnings("ignore:omega_B/eta")
+@settings(max_examples=30, deadline=None)
+@given(lifetime=st.floats(50.0, 2000.0), **_graded_cases)
+def test_graded_propagate_norm_never_grows_with_decay(eta, ratios, field, amps, lifetime):
+    # where the trion is empty the norm is flat and a step may round up:
+    # 600 random cases of this family rise by at most 5.4e-15 in one step
+    sched, psi0 = _graded_case(eta, ratios, amps)
+    s = SystemParams(omega_B=larmor_from_field(field), trion_lifetime=lifetime,
+                     decay_enabled=True)
+    traj = propagate(psi0, sched, s)
+    assert np.max(np.diff(traj.norms)) <= 1e-13
 
 
 def _random_generators(n, rng, scales):
@@ -348,14 +414,14 @@ def test_step_guard():
     with pytest.raises(StepTooLarge):
         propagate(StateVector.ket_z(), sched, SystemParams(),
                   IntegratorOpts(dt=0.2))   # dt*Omega = 0.2 >= 0.1
-    # default-resolution grid over an enormous window exceeds the step cap:
-    # steps of RESOLUTION_TARGET/Omega over 2*MAX_STEPS*RESOLUTION_TARGET
-    half = MAX_STEPS * RESOLUTION_TARGET
-    far = two_pi_pulse(1.0, 0.0, center=0.0)
-    wide = PulseSchedule([far], (-half, half))
-    with pytest.raises(StepTooLarge):
+    # the graded grid over an enormous window: 2e9 rate samples at
+    # RATE_SAMPLING/eta apart exceed the step cap, refused before the
+    # auxiliary grid is allocated
+    half = 1e8
+    wide = PulseSchedule([two_pi_pulse(1.0, 0.0, center=0.0)], (-half, half))
+    with pytest.raises(StepTooLarge, match="rate samples"):
         propagate(StateVector.ket_z(), wide, SystemParams())
-    assert 2.0 * half / RESOLUTION_TARGET > MAX_STEPS    # the arithmetic the guard protects
+    assert 2.0 * half / propagator.RATE_SAMPLING > MAX_STEPS    # the arithmetic the guard protects
     # gamma = 3.14: the neighbour's tail turns 25 rad per step at dt = 0.01/eta
     pair = design_for_angle(3.14, 1.0)
     with pytest.raises(StepTooLarge):

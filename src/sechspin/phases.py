@@ -9,8 +9,9 @@ Two routes, kept structurally independent on purpose:
   formula.
 * method II ("numeric"): full propagation of the three-level system on
   the graded grid, the dynamic phase as minus the time integral of the
-  Hamiltonian expectation value by the derivative-corrected trapezoid rule
-  on the trajectory times, the overall phase read off the final state.
+  Hamiltonian expectation value by a two-point Hermite rule with exact
+  first and second derivatives on the trajectory times, the overall phase
+  read off the final state.
 
 The geometric part is the difference in both cases.
 """
@@ -123,11 +124,12 @@ def dynamic_phase_numeric(traj: Trajectory, sched: PulseSchedule,
     """Minus the integral of E = <psi|H|psi> over the trajectory times.
 
     Uses the Hermitian Hamiltonian (precession + pulse coupling). For
-    Hermitian H, dE/dt = <psi|dH/dt|psi> = 2*Re(dV/dt * conj(c_z) * c_tau)
-    exactly, so each interval takes the derivative-corrected trapezoid
-    h/2*(E_k + E_{k+1}) + h^2/12*(E'_k - E'_{k+1}), fourth order on any
-    grid (graded or strided). On a uniform grid the corrections cancel in
-    pairs up to the end points, where the pulse has died out. A trajectory
+    Hermitian H and i d(psi)/dt = H psi, E' = <psi|H'|psi> and E'' =
+    <psi|H''|psi> + i<psi|[H, H']|psi> hold exactly, with H' carrying only
+    V' = sum_j V_j*(-eta_j*tanh(eta_j*(t - c_j)) - i*Delta_j). So each
+    interval takes the two-point Hermite rule h/2*(E_k + E_{k+1}) +
+    h^2/10*(E'_k - E'_{k+1}) + h^3/120*(E''_k + E''_{k+1}), sixth order on
+    any grid (graded or strided), like the Magnus-6 steps. A trajectory
     produced with decay on is rejected since the decomposition is only
     defined for unitary evolution.
     """
@@ -137,16 +139,23 @@ def dynamic_phase_numeric(traj: Trajectory, sched: PulseSchedule,
     cb, cz, ct = traj.states[:, 0], traj.states[:, 1], traj.states[:, 2]
     v = np.zeros(t.shape, dtype=complex)
     dv = np.zeros(t.shape, dtype=complex)
+    ddv = np.zeros(t.shape, dtype=complex)
     for p in sched.pulses:
-        x = t - p.center
-        vj = p.rabi_peak * sech(p.bandwidth * x) * np.exp(-1j * p.detuning * x)
+        vj = model.coupling(t, [p])
+        tanh = np.tanh(p.bandwidth * (t - p.center))
+        g = -p.bandwidth * tanh - 1j * p.detuning      # V_j'/V_j
         v += vj
-        dv += vj * (-p.bandwidth * np.tanh(p.bandwidth * x) - 1j * p.detuning)
+        dv += vj * g
+        ddv += vj * (g * g - p.bandwidth ** 2 * (1.0 - tanh * tanh))
     zt = np.conj(cz) * ct
     e = 2.0 * s.omega_B * np.real(np.conj(cb) * cz) + 2.0 * np.real(v * zt)
     de = 2.0 * np.real(dv * zt)
+    # i<psi|[H, H']|psi> = -2*Im(<H psi|H' psi>)
+    dde = (2.0 * np.real(ddv * zt) - 2.0 * s.omega_B * np.imag(dv * np.conj(cb) * ct)
+           - 2.0 * np.imag(dv * np.conj(v)) * (np.abs(ct) ** 2 - np.abs(cz) ** 2))
     h = np.diff(t)
-    return float(-np.sum(0.5 * h * (e[1:] + e[:-1]) + h * h / 12.0 * (de[:-1] - de[1:])))
+    return float(-np.sum(h * (0.5 * (e[1:] + e[:-1]) + h / 10.0 * (de[:-1] - de[1:])
+                              + h * h / 120.0 * (dde[:-1] + dde[1:]))))
 
 
 def _numeric_raw(omega, delta, s, window, opts):

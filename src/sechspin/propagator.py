@@ -14,35 +14,44 @@ frame, D(t+dt)^dagger exp(Omega_6) D(t), so frames never leak out of a
 step.
 
 One rule sets the steps: the local rate r(t) of the frame Hamiltonian.
-Pulse j counts at max(Omega_j, eta_j, |Delta_j - Delta_k|) in the frame
-k that t falls in, times h_j(t)**TAIL_POWER, h_j being its envelope
-relative to its own peak, and r is the largest of these and the floor
-max(omega_B, Gamma, |Delta_k|*RESOLUTION_TARGET/MAX_FRAME_PHASE). Steps
-are RESOLUTION_TARGET/r(t) long.
+Pulse j counts at max(Omega_j, eta_j, |Delta_j - Delta_k|,
+|Delta_k|*RESOLUTION_TARGET/MAX_FRAME_PHASE) in the frame k that t falls
+in, times h_j(t)**TAIL_POWER, h_j being its envelope relative to its own
+peak, and r is the largest of these and the floor max(omega_B, Gamma,
+|Delta_k|*RESOLUTION_TARGET/MAGNUS_RADIUS). Steps are
+RESOLUTION_TARGET/r(t) long.
 
 TAIL_POWER = 1/7: a sixth-order method errs per step by O(dt^7), and a
 term of relative height h varying at rate f contributes h*(f*dt)^7, so a
 step of RESOLUTION_TARGET/(f*h**(1/7)) in a tail errs as much as a
 full-height step of RESOLUTION_TARGET/f in a pulse core.
 
-MAX_FRAME_PHASE = 1 rad: the Magnus series converges while a step's
-integral of ||A||, A = -i*H, stays below pi. The frame's own detuning is
-part of A; the exponential takes it exactly, but Omega_6 truncates its
-commutators with the coupling, so the error grows with |Delta_k|*dt. The
-floor keeps |Delta_k|*dt <= 1 rad, well inside the radius, with the
-coupling and precession adding about RESOLUTION_TARGET.
+MAX_FRAME_PHASE = 0.6 rad, MAGNUS_RADIUS = pi: the frame's own detuning
+is part of A = -i*H. The exponential takes it exactly, but Omega_6
+truncates its commutators with the coupling, so the error grows with
+|Delta_k|*dt and, like every other term's, with the coupling's height.
+Where a pulse is at full height a step turns the frame by at most 0.6
+rad; on the shoulders and in the tails the cap grows as h**-TAIL_POWER,
+but never past pi, inside which the Magnus series converges (a step's
+integral of ||A|| below pi). Numeric phi and alpha at 0.29 T then stay
+within 9.2e-10 of a run at a quarter of the uniform step for |Delta| from
+0.01 to 150 (a 1 rad cap at every height let phi err by 1.9e-9 near
+|Delta| = 25; without the pi bound, trion entries err by 9e-10 at
+|Delta| = 100).
 
 propagate, evolve_operator and propagate_backward step on the graded
 grid, the inverse of the cumulative integral of r, so steps stretch where
 the envelopes are small. A single 2*pi pulse at eta = 1 takes 410 steps
-for |Delta| up to about 3, where a uniform grid at the maximum of r takes
-1,093; the floor then takes over in the tails first (796 steps at
-|Delta| = 20) and everywhere from |Delta| = 28.6, where both grids take
-38.2*|Delta| steps. From |Delta| ~ 52,000 the grid passes MAX_STEPS and
-is refused. A gate pair takes about 720 steps against 1,500 uniform ones.
-Without pulses the rate is the constant max(omega_B, Gamma) and the grid
-uniform. An explicit IntegratorOpts.dt always gives the uniform grid and
-the StepTooLarge guard on dt times the peak of r.
+for |Delta| up to about 6.5, where a uniform grid at the maximum of r
+takes 1,093; the pi bound then sets the far tails (428 steps at |Delta| =
+15), and from |Delta| = 17.1, where the frame term passes Omega and eta,
+every term of r is proportional to |Delta| and the grid takes
+25.5*|Delta| steps (a uniform one 63.7*|Delta|). From |Delta| ~ 78,500
+the grid passes MAX_STEPS and is refused. A gate pair takes about 720
+steps against 1,500 uniform ones. Without pulses the rate is the constant
+max(omega_B, Gamma) and the grid uniform. An explicit IntegratorOpts.dt
+always gives the uniform grid and the StepTooLarge guard on dt times the
+peak of r.
 
 Step matrices are built vectorized over chunks of the grid, in a
 component-major (3, 3, n) layout so each entry is one contiguous vector,
@@ -54,7 +63,6 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -79,9 +87,13 @@ MAX_STEPS = 2_000_000
 # scales as h*(f*dt)^7, so a step of RESOLUTION_TARGET/(f*h**TAIL_POWER)
 # errs as much as a full-height step of RESOLUTION_TARGET/f
 TAIL_POWER = 1.0 / 7.0
-# largest phase, in rad, the frame detuning may turn in one step; the
-# Magnus series converges while the step's integral of ||A|| stays below pi
-MAX_FRAME_PHASE = 1.0
+# largest phase, in rad, the frame detuning may turn in one step where a
+# pulse is at full height; at relative height h the cap is
+# MAX_FRAME_PHASE/h**TAIL_POWER, up to MAGNUS_RADIUS
+MAX_FRAME_PHASE = 0.6
+# the Magnus series converges while a step's integral of ||A|| stays below
+# pi, so no step turns the frame detuning further anywhere
+MAGNUS_RADIUS = math.pi
 # spacing, in units of 1/eta, of the auxiliary grid the graded grid is read off
 RATE_SAMPLING = 0.1
 # two pulses count as overlapping when both envelopes exceed this fraction
@@ -97,6 +109,11 @@ TAYLOR_COEFS = tuple(1.0 / math.factorial(k) for k in range(9))
 # steps built at once, and block length of the trajectory scan (a power of 2)
 CHUNK_STEPS = 8192
 SCAN_BLOCK = 16
+# the scan doubles its in-block prefixes up to this many blocks, where
+# fewer, larger products beat the per-call overhead of sequential ones
+# (doubling against sequential on a 2-core Xeon: 0.23 against 0.42 ms at
+# 413 steps, even near 2,048, 2.6 against 1.6 ms at 8,192)
+SCAN_DOUBLING_BLOCKS = 128
 
 
 class StepTooLarge(ValueError):
@@ -196,15 +213,18 @@ def _rate(sched: PulseSchedule, s: SystemParams, delta: float, t: np.ndarray) ->
     """Local rate r(t) of the Hamiltonian in a frame of detuning delta.
 
     Pulse j counts at its fastest rate there, max(Omega_j, eta_j,
-    |Delta_j - delta|), times its height h_j relative to its own peak to
-    the TAIL_POWER; the floor max(omega_B, Gamma) covers the constant
-    terms' commutators with the couplings, and |delta| scaled so that the
-    frame turns at most MAX_FRAME_PHASE per step.
+    |Delta_j - delta|, |delta|*RESOLUTION_TARGET/MAX_FRAME_PHASE), times
+    its height h_j relative to its own peak to the TAIL_POWER: the frame
+    detuning errs only through its commutators with the couplings, so it is
+    weighted like the couplings' own rates. The floor max(omega_B, Gamma,
+    |delta|*RESOLUTION_TARGET/MAGNUS_RADIUS) covers the constant terms'
+    commutators with the couplings and keeps every step inside the Magnus
+    radius.
     """
-    floor = abs(delta) * RESOLUTION_TARGET / MAX_FRAME_PHASE
-    r = np.full(np.shape(t), max(s.omega_B, s.decay_rate, floor))
+    frame = abs(delta) * RESOLUTION_TARGET
+    r = np.full(np.shape(t), max(s.omega_B, s.decay_rate, frame / MAGNUS_RADIUS))
     for p in sched.pulses:
-        fastest = np.maximum(max(p.rabi_peak, p.bandwidth), abs(p.detuning - delta))
+        fastest = max(p.rabi_peak, p.bandwidth, abs(p.detuning - delta), frame / MAX_FRAME_PHASE)
         np.maximum(r, fastest * sech(p.bandwidth * (t - p.center)) ** TAIL_POWER, out=r)
     return r
 
@@ -220,28 +240,6 @@ def _frequency_scale(sched: PulseSchedule, s: SystemParams) -> float:
     for pk, a, b in _frame_spans(sched):
         f = max(f, float(_rate(sched, s, pk.detuning, np.clip(centers, a, b)).max()))
     return f
-
-
-def _uniform_steps(sched: PulseSchedule, s: SystemParams, dt: float):
-    """Step count n and step of the uniform grid for an explicit dt, which
-    must pass the resolution guard at the peak rate."""
-    fmax = _frequency_scale(sched, s)
-    if dt * fmax >= RESOLUTION_GUARD:
-        raise StepTooLarge(
-            "dt*fmax = %.3g exceeds the resolution guard %.2g"
-            % (dt * fmax, RESOLUTION_GUARD))
-    n = max(int(np.ceil(sched.duration / dt)), 2)
-    _check_steps(n)
-    return n, sched.duration / n
-
-
-def _uniform_times(window: Tuple[float, float], n: int, k: np.ndarray) -> np.ndarray:
-    """np.linspace(*window, n + 1)[k] without building the grid: the same
-    k*step + t0 arithmetic, and the end point exactly t1."""
-    t0, t1 = window
-    t = k * ((t1 - t0) / n) + t0
-    t[k == n] = t1
-    return t
 
 
 def _check_steps(n: int, what: str = "steps") -> None:
@@ -284,6 +282,21 @@ def _graded_grid(sched: PulseSchedule, s: SystemParams) -> np.ndarray:
     # cumulative rate is flat; the grid still has to span the window
     times[[0, -1]] = sched.window
     return times
+
+
+def _times(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts) -> np.ndarray:
+    """Step grid: uniform for an explicit opts.dt, which must pass the
+    resolution guard at the peak rate; otherwise graded."""
+    if opts.dt is None:
+        return _graded_grid(sched, s)
+    fmax = _frequency_scale(sched, s)
+    if opts.dt * fmax >= RESOLUTION_GUARD:
+        raise StepTooLarge(
+            "dt*fmax = %.3g exceeds the resolution guard %.2g"
+            % (opts.dt * fmax, RESOLUTION_GUARD))
+    n = max(int(np.ceil(sched.duration / opts.dt)), 2)
+    _check_steps(n)
+    return np.linspace(*sched.window, n + 1)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -460,10 +473,11 @@ def _scan(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
     Blocked: prefix products inside blocks of SCAN_BLOCK steps, vectorized
     across blocks; the block totals then carry psi from block to block (the
-    same scan one level up). Inside the blocks the prefixes double: after
-    the pass with offset d, slot j holds the product of steps j - 2d + 1..j,
-    so log2(SCAN_BLOCK) batched products replace SCAN_BLOCK - 1 sequential
-    ones. O(n log SCAN_BLOCK) work; m is overwritten.
+    same scan one level up). Up to SCAN_DOUBLING_BLOCKS blocks the prefixes
+    double: after the pass with offset d, slot j holds the product of steps
+    j - 2d + 1..j, so log2(SCAN_BLOCK) batched products replace
+    SCAN_BLOCK - 1 sequential ones at about 3x the arithmetic. Past that
+    the products run in sequence. m is overwritten.
     """
     n = m.shape[-1]
     if n <= SCAN_BLOCK:
@@ -477,10 +491,14 @@ def _scan(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
         eye = np.eye(3, dtype=complex)[..., None]
         m = np.concatenate([m, np.broadcast_to(eye, (3, 3, nb * SCAN_BLOCK - n))], axis=-1)
     blocks = m.reshape(3, 3, nb, SCAN_BLOCK)
-    d = 1
-    while d < SCAN_BLOCK:
-        blocks[..., d:] = _mul(blocks[..., d:], blocks[..., :-d])
-        d *= 2
+    if nb <= SCAN_DOUBLING_BLOCKS:
+        d = 1
+        while d < SCAN_BLOCK:
+            blocks[..., d:] = _mul(blocks[..., d:], blocks[..., :-d])
+            d *= 2
+    else:
+        for j in range(1, SCAN_BLOCK):
+            blocks[..., j] = _mul(blocks[..., j], blocks[..., j - 1])
     carried = _scan(np.ascontiguousarray(blocks[..., -1]), psi)
     starts = np.concatenate([psi[None], carried[:-1]])
     states = np.einsum("ijbk,bj->bki", blocks, starts)
@@ -502,11 +520,7 @@ def _operator(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts,
     """Product of the step matrices over the window (from its end back to
     its start if backward): on the uniform grid for an explicit dt, else
     on the graded grid."""
-    if opts.dt is None:
-        times = _graded_grid(sched, s)
-    else:
-        n, _ = _uniform_steps(sched, s, opts.dt)
-        times = _uniform_times(sched.window, n, np.arange(n + 1))
+    times = _times(sched, s, opts)
     if backward:
         times = times[::-1]
     u = np.eye(3, dtype=complex)
@@ -528,7 +542,8 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     steps in per-pulse detuning frames on the graded grid, or on the
     uniform one for an explicit opts.dt; a pulse's own detuning sets the
     step count only where a step would turn it by more than
-    MAX_FRAME_PHASE. States are returned in the lab frame.
+    MAX_FRAME_PHASE, relaxed by the envelope in the tails up to
+    MAGNUS_RADIUS. States are returned in the lab frame.
     Raises StepTooLarge if the grid cannot resolve the fastest envelope,
     Rabi, precession, decay, frame or neighbour-tail rate within MAX_STEPS
     (or an explicit dt breaks the resolution guard), NormBlowup if the
@@ -539,15 +554,8 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
         raise ValueError("psi0 must be normalized")
     if sched.pulses:
         warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses))
-    if opts.dt is None:
-        grid = _graded_grid(sched, s)
-        n = grid.shape[0] - 1
-        times_at = grid.__getitem__
-    else:
-        # the uniform grid is never built: each chunk's times come from the
-        # step index, so a long explicit-dt run holds only its sampled rows
-        n, dt = _uniform_steps(sched, s, opts.dt)
-        times_at = functools.partial(_uniform_times, sched.window, n)
+    times = _times(sched, s, opts)
+    n = times.shape[0] - 1
     idx = np.arange(0, n + 1, opts.sample_stride)
     if idx[-1] != n:
         idx = np.append(idx, n)
@@ -556,20 +564,17 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     norms = np.empty(idx.shape[0])
     psi = states[0] = psi0.amplitudes
     norms[0] = peak = _norms(states[:1])[0]
-    for a in range(0, n, CHUNK_STEPS):
-        b = min(a + CHUNK_STEPS, n)
-        piece = times_at(np.arange(a, b + 1))
-        chunk = _scan(_step_matrices(piece, np.diff(piece) if opts.dt is None else dt,
-                                     sched, s), psi)
+    for a, piece in _chunks(times):
+        chunk = _scan(_step_matrices(piece, np.diff(piece), sched, s), psi)
         chunk_norms = _norms(chunk)
         peak = np.maximum(peak, chunk_norms.max())
-        lo, hi = np.searchsorted(idx, [a + 1, b + 1])
+        lo, hi = np.searchsorted(idx, [a + 1, a + piece.shape[0]])
         states[lo:hi] = chunk[idx[lo:hi] - a - 1]
         norms[lo:hi] = chunk_norms[idx[lo:hi] - a - 1]
         psi = chunk[-1]
     if not peak <= 1.0 + 1e-6:
         raise NormBlowup("norm reached %.9f" % peak)
-    return Trajectory(times_at(idx), states, norms)
+    return Trajectory(times[idx], states, norms)
 
 
 def propagate_backward(psi_end: StateVector, sched: PulseSchedule, s: SystemParams,

@@ -146,8 +146,9 @@ def test_non_finite_inputs_exit_2(args, name):
 
 
 def test_simulate_far_detuned_refused():
-    # a step may turn the frame detuning by at most 1 rad, so 1e6 rad/ps
-    # over the 38 ps window needs ~3.8e7 steps: refused, not run coarse
+    # a step may turn the frame detuning by at most 0.6 rad at the pulse
+    # center and pi in the tails, so 1e6 rad/ps over the 38 ps window needs
+    # ~2.5e7 steps: refused, not run coarse
     res = run("simulate", "--delta", "1e6", "--B", "0.29", "--stride", "200")
     assert res.returncode == 1
     assert res.stdout == ""

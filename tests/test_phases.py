@@ -25,7 +25,15 @@ from sechspin.phases import (
     dynamic_phase_numeric,
     sweep_ratio,
 )
-from sechspin.propagator import IntegratorOpts, PulseSchedule, Trajectory, _graded_grid, propagate
+from sechspin.propagator import (
+    RESOLUTION_TARGET,
+    IntegratorOpts,
+    PulseSchedule,
+    Trajectory,
+    _frequency_scale,
+    _graded_grid,
+    propagate,
+)
 from sechspin.special import overall_phase
 
 
@@ -120,8 +128,8 @@ def test_method_agreement_without_precession(r):
 
 @pytest.mark.parametrize("delta", [1e3, -1e3, 1e4])
 def test_far_detuned_numeric_matches_closed_form(delta):
-    # the frame detuning turns at most MAX_FRAME_PHASE per step, so the
-    # step count grows with |Delta| and the error does not
+    # the frame detuning turns at most MAX_FRAME_PHASE per step at full
+    # pulse height, so the step count grows with |Delta| and the error does not
     ana = decompose(1.0, delta, "analytic")
     num = decompose(1.0, delta, "numeric")
     assert abs(num.overall - ana.overall) <= 1e-9
@@ -153,11 +161,12 @@ def test_numeric_decomposition_is_window_independent():
         assert abs(d.overall - ds[0].overall) < 1e-6
 
 
-def test_numeric_alpha_is_fourth_order_on_graded_times():
+def test_numeric_alpha_is_sixth_order_on_graded_times():
     # A fine uniform trajectory, read only at the fine times nearest the
     # graded grid (steps from 0.035 at the center to 0.53 in the tails):
-    # the derivative-corrected trapezoid keeps alpha within 1e-9 of the
-    # full-grid value (measured 2.4e-10), the plain trapezoid misses by 4.7e-5
+    # the Hermite rule with exact E' and E'' keeps alpha within 1e-11 of
+    # the full-grid value (measured 9.2e-14; 2.4e-10 with E' alone), the
+    # plain trapezoid misses by 4.7e-5
     s = SystemParams(omega_B=larmor_from_field(0.29))
     sched = PulseSchedule([two_pi_pulse(1.0, 1.0)], (-20.0, 20.0))
     dt = 0.005
@@ -165,11 +174,28 @@ def test_numeric_alpha_is_fourth_order_on_graded_times():
     idx = np.unique(np.round((_graded_grid(sched, s) - sched.window[0]) / dt).astype(int))
     sub = Trajectory(full.times[idx], full.states[idx], full.norms[idx])
     ref = dynamic_phase_numeric(full, sched, s)
-    assert abs(dynamic_phase_numeric(sub, sched, s) - ref) <= 1e-9
+    assert abs(dynamic_phase_numeric(sub, sched, s) - ref) <= 1e-11
     cb, cz, ct = sub.states.T
     energy = (2.0 * s.omega_B * np.real(np.conj(cb) * cz)
               + 2.0 * np.real(coupling(sub.times, sched.pulses) * np.conj(cz) * ct))
     assert abs(-np.trapezoid(energy, sub.times) - ref) > 1e-5
+
+
+@pytest.mark.parametrize("delta", [15.0, 17.1, 21.5, 25.1])
+def test_numeric_phases_where_frame_phase_cap_sets_steps(delta):
+    # from |Delta| ~ 15 the frame-phase cap, not eta or Omega, sets the steps
+    # on the pulse shoulders, where the coupling is still large. Against a
+    # run at a quarter of the uniform step, phi and alpha stay within the
+    # uniform grid's worst on the README grid, 1.6e-9 and 3.5e-9 (measured
+    # at most 7.3e-10 and 9.2e-10, at 17.1; a cap of 1 rad at every height
+    # reached 1.9e-9 in phi at 25.1)
+    s = SystemParams(omega_B=larmor_from_field(0.29))
+    sched = PulseSchedule([two_pi_pulse(1.0, delta)], (-20.0, 20.0))
+    dt = RESOLUTION_TARGET / _frequency_scale(sched, s) / 4
+    ref = decompose(1.0, delta, "numeric", s, opts=IntegratorOpts(dt=dt))
+    num = decompose(1.0, delta, "numeric", s)
+    assert abs(num.overall - ref.overall) <= 1.6e-9
+    assert abs(num.dynamic - ref.dynamic) <= 3.5e-9
 
 
 def test_numeric_decomposition_steps_on_graded_grid(monkeypatch):

@@ -13,13 +13,16 @@ from sechspin.model import (
     StateVector,
     SystemParams,
     larmor_from_field,
+    sech,
     two_pi_pulse,
 )
 from sechspin.propagator import (
+    MAGNUS_RADIUS,
     MAX_FRAME_PHASE,
     MAX_STEPS,
     OVERLAP_FRACTION,
     RESOLUTION_TARGET,
+    TAIL_POWER,
     IntegratorOpts,
     NormBlowup,
     PulseSchedule,
@@ -84,11 +87,11 @@ def test_matches_closed_form_without_precession(delta):
 def test_step_count_follows_detuning_only_past_frame_phase_cap():
     # in the pulse's detuning frame Delta is a constant diagonal that the
     # exponential takes exactly, but it is part of the Magnus generator, so
-    # a step may turn it by at most MAX_FRAME_PHASE; below that cap only
-    # eta, Omega and omega_B set the peak rate. The graded grid also counts
-    # the floor in the tails, where it sits above the envelope terms, so
-    # there the count grows with |Delta| from the start (410 steps at 0.1,
-    # 796 at 20)
+    # where the pulse is at full height a step may turn it by at most
+    # MAX_FRAME_PHASE; below that cap only eta, Omega and omega_B set the
+    # peak rate. In the tails the cap grows with the envelope, up to
+    # MAGNUS_RADIUS, so the count grows slowly with |Delta| from about 6.5
+    # (410 steps at 0.1, 428 at 15)
     def sched(delta):
         return schedule_for_pulses([two_pi_pulse(1.0, delta)])
 
@@ -96,10 +99,15 @@ def test_step_count_follows_detuning_only_past_frame_phase_cap():
         return len(propagate(StateVector.ket_z(), sched(delta), SystemParams()).times) - 1
 
     s = SystemParams()
-    assert _frequency_scale(sched(0.1), s) == _frequency_scale(sched(20.0), s) == 1.0
-    assert count(20.0) < count(100.0) < count(-1000.0)
-    span = 2.0 * ENVELOPE_TAIL_ARG
-    assert count(-1000.0) == int(np.ceil(span * 1000.0 / MAX_FRAME_PHASE))
+    assert _frequency_scale(sched(0.1), s) == _frequency_scale(sched(17.0), s) == 1.0
+    assert count(0.1) == count(3.0) < count(15.0) < count(100.0) < count(-1000.0)
+    # past the cap every term of the rate is |Delta| times a fixed profile,
+    # max(sech**TAIL_POWER/MAX_FRAME_PHASE, 1/MAGNUS_RADIUS), so the count
+    # is |Delta| times its integral over the window
+    t = np.linspace(-ENVELOPE_TAIL_ARG, ENVELOPE_TAIL_ARG, 400_001)
+    profile = np.maximum(sech(t) ** TAIL_POWER / MAX_FRAME_PHASE, 1.0 / MAGNUS_RADIUS)
+    assert count(-1000.0) == pytest.approx(1000.0 * np.trapezoid(profile, t), rel=1e-4)
+    assert 2 * count(-1000.0) - 1 <= count(2000.0) <= 2 * count(-1000.0)
 
 
 @pytest.mark.parametrize("delta", [0.3, 1.0, 5.0, None])
@@ -195,6 +203,17 @@ def test_graded_operator_matches_half_step_uniform(gamma):
     assert np.max(np.abs(evolve_operator(sched, s) - ref)) <= 1e-9
 
 
+def test_frame_phase_cap_stays_inside_magnus_radius_in_tails():
+    # in the tails the frame-phase cap grows as the envelope falls, but no
+    # step turns the frame detuning by more than MAGNUS_RADIUS: without that
+    # bound the trion entries at Delta = 100 err by 8.9e-10 against an
+    # eighth-step uniform run (measured 1.4e-11 with it)
+    sched = schedule_for_pulses([two_pi_pulse(1.0, 100.0)])
+    s = SystemParams(omega_B=larmor_from_field(0.29))
+    ref = evolve_operator(sched, s, IntegratorOpts(dt=_uniform_dt(sched, s) / 8))
+    assert np.max(np.abs(evolve_operator(sched, s) - ref)) <= 1e-10
+
+
 def test_graded_grid_is_coarser_than_uniform():
     pair = design_for_angle(np.pi / 4, 2.0 / 3.0)
     sched = schedule_for_pulses([pair.pulse1, pair.pulse2])
@@ -260,7 +279,7 @@ def _graded_case(eta, ratios, amps):
 @settings(max_examples=30, deadline=None)
 @given(**_graded_cases)
 def test_graded_propagate_keeps_norm_without_decay(eta, ratios, field, amps):
-    # rounding only: 600 random cases of this family drift by at most 3.2e-12
+    # rounding only: 600 random cases of this family drift by at most 2.1e-12
     sched, psi0 = _graded_case(eta, ratios, amps)
     traj = propagate(psi0, sched, SystemParams(omega_B=larmor_from_field(field)))
     assert np.max(np.abs(traj.norms - 1.0)) <= 1e-11
@@ -270,8 +289,8 @@ def test_graded_propagate_keeps_norm_without_decay(eta, ratios, field, amps):
 @settings(max_examples=30, deadline=None)
 @given(lifetime=st.floats(50.0, 2000.0), **_graded_cases)
 def test_graded_propagate_norm_never_grows_with_decay(eta, ratios, field, amps, lifetime):
-    # where the trion is empty the norm is flat and a step may round up:
-    # 600 random cases of this family rise by at most 5.4e-15 in one step
+    # where the trion is empty the norm is flat and a step may round up;
+    # 600 random cases of this family never rose, so the bound is rounding
     sched, psi0 = _graded_case(eta, ratios, amps)
     s = SystemParams(omega_B=larmor_from_field(field), trion_lifetime=lifetime,
                      decay_enabled=True)
@@ -299,16 +318,19 @@ def test_batched_exponential_matches_scipy():
 
 
 def test_scan_and_fold_match_step_by_step_products():
-    # 1000 steps take the blocked scan through two levels of block carries
-    m = _expm(_random_generators(1000, np.random.default_rng(5), np.full(1000, 0.05)))
-    psi0 = np.array([0.6, 0.8j, 0.0])
-    psi, states, u = psi0, [], np.eye(3)
-    for k in range(m.shape[-1]):
-        psi = m[..., k] @ psi
-        states.append(psi)
-        u = m[..., k] @ u
-    assert np.max(np.abs(_fold(m) - u)) < 1e-13
-    assert np.max(np.abs(_scan(m.copy(), psi0) - states)) < 1e-13
+    # 1000 steps take the blocked scan through two levels of block carries,
+    # doubling its in-block prefixes; 2100 steps (132 blocks) run the top
+    # level's products in sequence
+    for n in (1000, 2100):
+        m = _expm(_random_generators(n, np.random.default_rng(5), np.full(n, 0.05)))
+        psi0 = np.array([0.6, 0.8j, 0.0])
+        psi, states, u = psi0, [], np.eye(3)
+        for k in range(m.shape[-1]):
+            psi = m[..., k] @ psi
+            states.append(psi)
+            u = m[..., k] @ u
+        assert np.max(np.abs(_fold(m) - u)) < 1e-13
+        assert np.max(np.abs(_scan(m.copy(), psi0) - states)) < 1e-13
 
 
 def test_backward_returns_initial_state():

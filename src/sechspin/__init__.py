@@ -10,7 +10,6 @@ from .model import (
     StateVector,
     SystemParams,
     bandwidth_from_duration,
-    hamiltonian,
     larmor_from_field,
     pulse_area,
     sech_envelope,
@@ -46,14 +45,13 @@ from .fidelity import (
     fidelity_sweep,
     gate_report,
     ideal_rotation,
-    population_sweep,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "PulseParams", "StateVector", "SystemParams",
-    "bandwidth_from_duration", "hamiltonian", "larmor_from_field",
+    "bandwidth_from_duration", "larmor_from_field",
     "pulse_area", "sech_envelope", "two_pi_pulse",
     "HypParams", "hyp2f1", "overall_phase", "rz_state",
     "IntegratorOpts", "PulseSchedule", "Trajectory", "evolve_operator",
@@ -63,5 +61,5 @@ __all__ = [
     "CancelingPair", "cancel_pair", "design_for_angle",
     "total_geometric_phase", "verify_cancellation",
     "GateReport", "average_fidelity", "fidelity_sweep", "gate_report",
-    "ideal_rotation", "population_sweep",
+    "ideal_rotation",
 ]

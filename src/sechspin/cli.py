@@ -121,7 +121,6 @@ def cmd_design(args) -> int:
 def _report_kwargs(args):
     return dict(g=args.g, tau_d=args.tau_d, tau_t=args.tau_t,
                 spacing=args.spacing, ideal=args.ideal,
-                decay=np.isfinite(args.tau_t),
                 duration_convention=args.duration_convention)
 
 
@@ -166,9 +165,7 @@ def cmd_simulate(args) -> int:
     else:
         raise ValueError("no pulses: an explicit --t0/--t1 window is required")
     omega_b = model.larmor_from_field(args.B, args.g)
-    decay_on = np.isfinite(args.tau_t)
-    s = model.SystemParams(omega_B=omega_b, trion_lifetime=args.tau_t,
-                           decay_enabled=decay_on)
+    s = model.SystemParams(omega_B=omega_b, trion_lifetime=args.tau_t)
     opts = propagator.IntegratorOpts(dt=args.dt, sample_stride=args.stride)
     traj = propagator.propagate(model.StateVector.ket_z(), sched, s, opts)
     rows = []
@@ -261,19 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "(the grid is graded unless --dt is given)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)
-    top.simulate_parser = p
     return top
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv):
-    """Pre-scan for simulate --config and fold the file in as defaults."""
-    if not argv or argv[0] != "simulate" or "--config" not in argv:
-        return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return                     # let argparse report the missing value
-    path = argv[idx + 1]
-    values = {}
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list:
+    """simulate --config's 'key = value' lines as --key=value flags, which
+    argparse converts and checks like any other."""
+    flags = []
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -283,28 +274,19 @@ def _apply_config(parser: argparse.ArgumentParser, argv):
                 if "=" not in line:
                     raise ValueError("line %d: expected 'key = value'" % lineno)
                 key, val = (part.strip() for part in line.split("=", 1))
-                values[key.replace("-", "_")] = val
+                flags.append("--%s=%s" % (key.replace("_", "-"), val))
     except (OSError, ValueError) as exc:
         parser.error("cannot read config: %s" % exc)
-    sim = parser.simulate_parser
-    known = {a.dest: a for a in sim._actions}
-    defaults = {}
-    for key, val in values.items():
-        if key not in known:
-            parser.error("config: unknown key %r" % key)
-        action = known[key]
-        try:
-            defaults[key] = action.type(val) if action.type else val
-        except ValueError as exc:
-            parser.error("config: bad value for %r: %s" % (key, exc))
-    sim.set_defaults(**defaults)
+    return flags
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    _apply_config(parser, argv)
     args = parser.parse_args(argv)
+    if getattr(args, "config", None) is not None:
+        # the file's flags go right after 'simulate', so explicit ones win
+        args = parser.parse_args(argv[:1] + _config_flags(parser, args.config) + argv[1:])
     try:
         return args.func(args)
     except NUMERIC_ERRORS as exc:

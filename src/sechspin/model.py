@@ -1,4 +1,4 @@
-"""Physical types, units and the three-level Hamiltonian.
+"""Physical types, units and the pulse coupling.
 
 Everything internal runs in rad/ps for angular frequencies and ps for
 times, with hbar = 1. The only unit conversions live in
@@ -73,27 +73,24 @@ def two_pi_pulse(bandwidth: float, detuning: float, center: float = 0.0) -> Puls
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Environment: precession frequency, trion lifetime, decay switch."""
+    """Environment: precession frequency and trion lifetime. Decay is on
+    exactly when the lifetime is finite."""
 
     omega_B: float = 0.0                  # rad/ps, >= 0
-    trion_lifetime: float = float("inf")  # ps
-    decay_enabled: bool = False
+    trion_lifetime: float = float("inf")  # ps, > 0; inf means no decay
 
     def __post_init__(self):
         _require_finite(omega_B=self.omega_B)
-        if np.isnan(self.trion_lifetime):
-            raise ValueError("trion_lifetime must not be NaN")
         if self.omega_B < 0:
             raise ValueError("omega_B must be nonnegative")
-        if self.decay_enabled and not self.trion_lifetime > 0:
-            raise ValueError("trion_lifetime must be positive when decay is on")
+        if not self.trion_lifetime > 0:
+            raise ValueError("trion_lifetime must be positive, got %r" % (self.trion_lifetime,))
 
     @property
     def decay_rate(self) -> float:
-        """Coefficient of the -i*decay_rate trion diagonal, 1/(2*tau_t)."""
-        if self.decay_enabled and np.isfinite(self.trion_lifetime):
-            return 1.0 / (2.0 * self.trion_lifetime)
-        return 0.0
+        """Coefficient of the -i*decay_rate trion diagonal, 1/(2*tau_t);
+        0 for an infinite lifetime."""
+        return 1.0 / (2.0 * self.trion_lifetime)
 
     def slow_precession(self, bandwidth: float) -> bool:
         """True when omega_B << bandwidth (threshold omega_B/eta < 0.1)."""
@@ -159,7 +156,7 @@ def coupling(t, pulses) -> np.ndarray:
     """Summed complex coupling V(t) = sum_k Omega_k(t) exp(-i Delta_k (t-c_k)).
 
     This is the (z, trion) entry of the Hamiltonian. Vectorized in t for the
-    propagator and the phase integrals.
+    numeric dynamic phase.
     """
     t = np.asarray(t, dtype=float)
     v = np.zeros(t.shape, dtype=complex)
@@ -167,22 +164,6 @@ def coupling(t, pulses) -> np.ndarray:
         tt = t - p.center
         v += p.rabi_peak * sech(p.bandwidth * tt) * np.exp(-1j * p.detuning * tt)
     return v
-
-
-def hamiltonian(t: float, p: PulseParams, s: SystemParams) -> np.ndarray:
-    """H/hbar at time t for a single pulse, basis (zbar, z, trion).
-
-    Hermitian when decay is off; with decay on the trion diagonal picks up
-    -i/(2*tau_t), which gives trion population decay exp(-t/tau_t) with
-    norm loss and no repopulation.
-    """
-    v = complex(coupling(np.array([t]), [p])[0])
-    h = np.zeros((3, 3), dtype=complex)
-    h[0, 1] = h[1, 0] = s.omega_B
-    h[1, 2] = v
-    h[2, 1] = np.conj(v)
-    h[2, 2] = -1j * s.decay_rate
-    return h
 
 
 def free_precession(omega_B: float, dt: float) -> np.ndarray:
@@ -220,8 +201,3 @@ def bandwidth_from_duration(tau_d: float, convention: str = "time-constant") -> 
     if convention == "fwhm":
         return 2.0 * float(np.arccosh(2.0)) / tau_d
     raise ValueError("unknown duration convention %r" % (convention,))
-
-
-def duration_from_bandwidth(eta: float, convention: str = "time-constant") -> float:
-    """Inverse of bandwidth_from_duration."""
-    return bandwidth_from_duration(eta, convention)  # the mappings are involutions up to constants

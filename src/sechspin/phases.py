@@ -34,7 +34,13 @@ from .propagator import (
 from .special import overall_phase
 from . import model
 
-DEFAULT_WINDOW = 20.0    # half-width in units of 1/Omega; sech^2(20) ~ 1e-17
+# half-width in units of 1/Omega. The truncation is larger than sech^2(20)
+# ~ 1e-17 suggests: the spin starts in |z> where the infinite pulse would
+# already have moved ~e^-20 of amplitude into the trion, and numeric alpha
+# feels that at first order. At B = 0 it misses 4r/(1+r^2) by 2.4e-8 at
+# r = 10, 4.9e-9 at r = +-100 and 2.6e-9 at r = 1 (<= 6.8e-13 at these r
+# with window 30).
+DEFAULT_WINDOW = 20.0
 # beyond this x, sech(x)**2 ~ 4*exp(-2x) is below half the smallest
 # subnormal and rounds to exactly 0 (x ~ 373.3)
 SECH2_UNDERFLOW = 0.5 * float(np.log(8.0) - np.log(np.finfo(float).smallest_subnormal))
@@ -133,7 +139,7 @@ def dynamic_phase_numeric(traj: Trajectory, sched: PulseSchedule,
     produced with decay on is rejected since the decomposition is only
     defined for unitary evolution.
     """
-    if s.decay_enabled:
+    if s.decay_rate > 0:
         raise DecayForbidden("phase decomposition needs decay off")
     t = traj.times
     cb, cz, ct = traj.states[:, 0], traj.states[:, 1], traj.states[:, 2]

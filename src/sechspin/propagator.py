@@ -39,12 +39,12 @@ within 9.2e-10 of a run at a quarter of the uniform step for |Delta| from
 |Delta| = 25; without the pi bound, trion entries err by 9e-10 at
 |Delta| = 100).
 
-propagate, evolve_operator and propagate_backward step on the graded
-grid, the inverse of the cumulative integral of r, so steps stretch where
-the envelopes are small. A single 2*pi pulse at eta = 1 takes 410 steps
-for |Delta| up to about 6.5, where a uniform grid at the maximum of r
-takes 1,093; the pi bound then sets the far tails (428 steps at |Delta| =
-15), and from |Delta| = 17.1, where the frame term passes Omega and eta,
+propagate and evolve_operator step on the graded grid, the inverse of
+the cumulative integral of r, so steps stretch where the envelopes are
+small. A single 2*pi pulse at eta = 1 takes 410 steps for |Delta| up to
+about 6.5, where a uniform grid at the maximum of r takes 1,093; the pi
+bound then sets the far tails (428 steps at |Delta| = 15), and from
+|Delta| = 17.1, where the frame term passes Omega and eta,
 every term of r is proportional to |Delta| and the grid takes
 25.5*|Delta| steps (a uniform one 63.7*|Delta|). From |Delta| ~ 78,500
 the grid passes MAX_STEPS and is refused. A gate pair takes about 720
@@ -437,11 +437,10 @@ def _expm(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def _step_matrices(times: np.ndarray, dt, sched: PulseSchedule,
+def _step_matrices(times: np.ndarray, dt: np.ndarray, sched: PulseSchedule,
                    s: SystemParams) -> np.ndarray:
     """Lab-frame Magnus-6 step matrices, (3, 3, len(times) - 1); slice k maps
-    psi(times[k]) to psi(times[k + 1]). dt (a scalar or one per step) < 0
-    steps backward."""
+    psi(times[k]) to psi(times[k + 1]), dt[k] later."""
     t = times[:-1]
     nodes = t + GAUSS_NODES[:, None] * dt
     u = np.zeros(nodes.shape, dtype=complex)
@@ -515,20 +514,6 @@ def _fold(mats: np.ndarray) -> np.ndarray:
     return cur[..., 0]
 
 
-def _operator(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts,
-              backward: bool = False) -> np.ndarray:
-    """Product of the step matrices over the window (from its end back to
-    its start if backward): on the uniform grid for an explicit dt, else
-    on the graded grid."""
-    times = _times(sched, s, opts)
-    if backward:
-        times = times[::-1]
-    u = np.eye(3, dtype=complex)
-    for _, piece in _chunks(times):
-        u = _fold(_step_matrices(piece, np.diff(piece), sched, s)) @ u
-    return u
-
-
 def _norms(states: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", states, states.conj()).real
 
@@ -577,17 +562,6 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     return Trajectory(times[idx], states, norms)
 
 
-def propagate_backward(psi_end: StateVector, sched: PulseSchedule, s: SystemParams,
-                       opts: Optional[IntegratorOpts] = None) -> StateVector:
-    """Integrate the same equation from t_end back to t_start.
-
-    Equivalent to evolving the time-mirrored schedule under the negated
-    Hamiltonian; used to check integrator reversibility.
-    """
-    u = _operator(sched, s, opts or IntegratorOpts(), backward=True)
-    return StateVector(u @ psi_end.amplitudes)
-
-
 def evolve_operator(sched: PulseSchedule, s: SystemParams,
                     opts: Optional[IntegratorOpts] = None) -> np.ndarray:
     """Time-ordered evolution operator over the window, basis (zbar, z, trion).
@@ -599,7 +573,10 @@ def evolve_operator(sched: PulseSchedule, s: SystemParams,
     """
     if sched.pulses:
         warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses))
-    return _operator(sched, s, opts or IntegratorOpts())
+    u = np.eye(3, dtype=complex)
+    for _, piece in _chunks(_times(sched, s, opts or IntegratorOpts())):
+        u = _fold(_step_matrices(piece, np.diff(piece), sched, s)) @ u
+    return u
 
 
 def truncate_qubit(u3: np.ndarray) -> np.ndarray:

@@ -183,6 +183,9 @@ def test_config_file(tmp_path):
     t0 = float(res.stdout.strip().split("\n")[1].split(",")[0])
     # eta = 2 halves the default window half-width arccosh(1e8)/eta
     assert t0 == pytest.approx(-np.arccosh(1e8) / 2.0, rel=1e-6)
+    # --config itself follows the flag rules
+    for argv in (["--config=" + str(cfg)], ["--conf", str(cfg)]):
+        assert run("simulate", *argv).stdout == res.stdout
     # explicit flag beats the file
     res = run("simulate", "--config", str(cfg), "--eta", "1.0")
     assert res.returncode == 0
@@ -201,6 +204,31 @@ def test_config_errors(tmp_path):
     bad_line.write_text("just words\n")
     assert run("simulate", "--config", str(bad_line)).returncode == 2
     assert run("simulate", "--config", str(tmp_path / "nope.cfg")).returncode == 2
+
+
+def test_config_negative_values_match_flags(tmp_path):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("delta = -0.667,0.667\ncenters = 0,21\nB = 0.29\n"
+                   "tau_t = 900\nstride = 10\n")
+    from_file = run("simulate", "--config", str(cfg))
+    assert from_file.returncode == 0
+    flags = run("simulate", "--delta=-0.667,0.667", "--centers=0,21", "--B=0.29",
+                "--tau-t=900", "--stride=10")
+    assert flags.returncode == 0
+    assert from_file.stdout == flags.stdout
+    # a later flag overrides the file
+    overridden = run("simulate", "--config", str(cfg), "--B", "0")
+    assert overridden.returncode == 0
+    assert overridden.stdout != from_file.stdout
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--delta", "1", "--tau-t", "0"],
+                                  ["fidelity", "--tau-t", "-5"]])
+def test_nonpositive_lifetime_exit_2(argv):
+    res = run(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "trion_lifetime must be positive" in res.stderr
 
 
 def test_unknown_flag_exit_2():

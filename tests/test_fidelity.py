@@ -11,7 +11,6 @@ from sechspin.fidelity import (
     free_precession,
     gate_report,
     ideal_rotation,
-    population_sweep,
 )
 from sechspin.model import SystemParams, bandwidth_from_duration
 from sechspin.pulsedesign import design_for_angle
@@ -88,7 +87,7 @@ def test_gate_report_reference_point():
 
 @pytest.mark.parametrize("gamma", [0.3, np.pi / 4, np.pi / 2, 3 * np.pi / 4, -2.0, np.pi])
 def test_closed_loop_exact_without_field_or_decay(gamma):
-    rep = gate_report(gamma, 0.0, tau_t=float("inf"), decay=False)
+    rep = gate_report(gamma, 0.0, tau_t=float("inf"))
     assert rep.fidelity == pytest.approx(1.0, abs=1e-6)
 
 
@@ -112,7 +111,7 @@ def test_decay_matches_closed_form_at_zero_field():
     # contact between the pulses at 14/eta, not integration error
     tau_d, tau_t = 1.5, 900.0
     eta = bandwidth_from_duration(tau_d)
-    rate = SystemParams(trion_lifetime=tau_t, decay_enabled=True).decay_rate
+    rate = SystemParams(trion_lifetime=tau_t).decay_rate
     for gamma in np.linspace(-3.0, 3.0, 25):
         rep = gate_report(float(gamma), 0.0, tau_d=tau_d, tau_t=tau_t)
         pair = design_for_angle(float(gamma), eta, 14.0 * tau_d)
@@ -123,7 +122,7 @@ def test_decay_matches_closed_form_at_zero_field():
 
 def test_decay_costs_fidelity():
     with_decay = gate_report(np.pi / 2, 0.29).fidelity
-    without = gate_report(np.pi / 2, 0.29, tau_t=float("inf"), decay=False).fidelity
+    without = gate_report(np.pi / 2, 0.29, tau_t=float("inf")).fidelity
     assert with_decay < without
 
 
@@ -150,12 +149,9 @@ def test_duration_convention_switch():
     assert 0.99 < b < 1.0
 
 
-@pytest.mark.filterwarnings("ignore:omega_B/eta")   # 8 T is deliberately fast
+@pytest.mark.filterwarnings("ignore:omega_B/eta")   # 2.7 T gives omega_B/eta = 0.102
 def test_sweep_shapes():
     reports = fidelity_sweep([0.5, 1.0], [0.29, 1.35, 2.7])
     assert len(reports) == 6
     assert [r.B for r in reports[:3]] == [0.29, 1.35, 2.7]     # gamma-major
     assert reports[0].gamma_tot == pytest.approx(0.5)
-    pops = population_sweep([0.5, 1.0], 8.0)
-    assert len(pops) == 2
-    assert all(loss > 0 for _, loss in pops)

@@ -214,7 +214,7 @@ def test_numeric_decomposition_steps_on_graded_grid(monkeypatch):
 
 def test_decay_rejected():
     p = two_pi_pulse(1.0, 1.0)
-    s = SystemParams(trion_lifetime=900.0, decay_enabled=True)
+    s = SystemParams(trion_lifetime=900.0)
     sched = PulseSchedule([p], (-20.0, 20.0))
     traj = propagate(StateVector.ket_z(), sched, s)
     with pytest.raises(DecayForbidden):

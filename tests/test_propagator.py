@@ -29,7 +29,6 @@ from sechspin.propagator import (
     StepTooLarge,
     evolve_operator,
     propagate,
-    propagate_backward,
     schedule_for_pulses,
     truncate_qubit,
 )
@@ -64,7 +63,7 @@ def test_free_precession_cosine():
 
 
 def test_trion_decay_norm():
-    s = SystemParams(trion_lifetime=900.0, decay_enabled=True)
+    s = SystemParams(trion_lifetime=900.0)
     sched = PulseSchedule([], (0.0, 900.0))
     traj = propagate(StateVector.ket_tau(), sched, s)
     assert np.max(np.abs(traj.norms - np.exp(-traj.times / 900.0))) < 1e-8
@@ -115,8 +114,7 @@ def test_sixth_order_convergence(delta):
     # halving dt cuts the error 64x at sixth order (measured 54-64x, the
     # smallest where rounding starts to show); without C_2 the ratio is 16x,
     # without the outer commutator 4x
-    s = SystemParams(omega_B=larmor_from_field(0.29), trion_lifetime=900.0,
-                     decay_enabled=True)
+    s = SystemParams(omega_B=larmor_from_field(0.29), trion_lifetime=900.0)
     if delta is None:
         pair = design_for_angle(np.pi / 2, 1.0)
         pulses = [pair.pulse1, pair.pulse2]
@@ -196,8 +194,7 @@ def test_graded_operator_matches_half_step_uniform(gamma):
     # uniform run at half the auto dt is the reference
     pair = design_for_angle(gamma, 2.0 / 3.0)
     sched = schedule_for_pulses([pair.pulse1, pair.pulse2])
-    s = SystemParams(omega_B=larmor_from_field(0.29), trion_lifetime=900.0,
-                     decay_enabled=True)
+    s = SystemParams(omega_B=larmor_from_field(0.29), trion_lifetime=900.0)
     dt = _uniform_dt(sched, s)
     ref = evolve_operator(sched, s, IntegratorOpts(dt=dt / 2))
     assert np.max(np.abs(evolve_operator(sched, s) - ref)) <= 1e-9
@@ -247,8 +244,7 @@ def test_single_pulse_propagate_grid():
     # an explicit dt gives the uniform grid of ceil(span/dt) steps
     p = PulseParams(rabi_peak=1.7, detuning=3.0, bandwidth=1.0)
     sched = schedule_for_pulses([p])
-    s = SystemParams(omega_B=larmor_from_field(0.29), trion_lifetime=900.0,
-                     decay_enabled=True)
+    s = SystemParams(omega_B=larmor_from_field(0.29), trion_lifetime=900.0)
     traj = propagate(StateVector.ket_z(), sched, s)
     assert np.array_equal(traj.times, _graded_grid(sched, s))
     t0, t1 = sched.window
@@ -292,8 +288,7 @@ def test_graded_propagate_norm_never_grows_with_decay(eta, ratios, field, amps, 
     # where the trion is empty the norm is flat and a step may round up;
     # 600 random cases of this family never rose, so the bound is rounding
     sched, psi0 = _graded_case(eta, ratios, amps)
-    s = SystemParams(omega_B=larmor_from_field(field), trion_lifetime=lifetime,
-                     decay_enabled=True)
+    s = SystemParams(omega_B=larmor_from_field(field), trion_lifetime=lifetime)
     traj = propagate(psi0, sched, s)
     assert np.max(np.diff(traj.norms)) <= 1e-13
 
@@ -333,15 +328,6 @@ def test_scan_and_fold_match_step_by_step_products():
         assert np.max(np.abs(_scan(m.copy(), psi0) - states)) < 1e-13
 
 
-def test_backward_returns_initial_state():
-    pulses = [two_pi_pulse(1.0, 0.5, 0.0), two_pi_pulse(1.0, -2.0, 21.0)]
-    sched = schedule_for_pulses(pulses)
-    s = SystemParams(omega_B=0.007)
-    traj = propagate(StateVector.ket_z(), sched, s)
-    back = propagate_backward(traj.final_state, sched, s)
-    assert np.max(np.abs(back.amplitudes - StateVector.ket_z().amplitudes)) < 1e-6
-
-
 def test_grid_halving_convergence():
     p = two_pi_pulse(1.0, 1.0)
     sched = schedule_for_pulses([p])
@@ -359,7 +345,7 @@ def test_evolve_operator_unitary_without_decay():
 
 def test_evolve_operator_contraction_with_decay():
     sched = schedule_for_pulses([two_pi_pulse(1.0, 0.7)])
-    s = SystemParams(omega_B=0.007, trion_lifetime=900.0, decay_enabled=True)
+    s = SystemParams(omega_B=0.007, trion_lifetime=900.0)
     u = evolve_operator(sched, s)
     smax = np.linalg.svd(u, compute_uv=False).max()
     assert smax <= 1.0 + 1e-9

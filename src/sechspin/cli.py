@@ -6,12 +6,15 @@ field/angle sweeps), simulate (raw trajectories). Output is CSV or JSON
 on stdout or --out; numeric CSV fields are printed with 17 significant
 digits so files round-trip exactly. Exit codes: 0 ok, 1 numerical
 failure, 2 usage error. No ANSI escapes are ever emitted, so NO_COLOR
-is honored by construction.
+is honored by construction. The parser is built once per process
+(build_parser is cached), so each further main() call in the same
+interpreter pays only for its own command.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -180,7 +183,10 @@ def _parse_inf(text: str) -> float:
     return float("inf") if text.lower() in ("inf", "infinite") else float(text)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The sechspin parser; built on the first call, then shared, so
+    callers must not modify it."""
     top = argparse.ArgumentParser(
         prog="sechspin",
         description="Sech-pulse spin rotation phases, pulse design and gate fidelity")

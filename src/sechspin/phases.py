@@ -45,6 +45,10 @@ DEFAULT_WINDOW = 20.0
 # subnormal and rounds to exactly 0 (x ~ 373.3)
 SECH2_UNDERFLOW = 0.5 * float(np.log(8.0) - np.log(np.finfo(float).smallest_subnormal))
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# detunings per quadrature pass: at the default window one detuning takes
+# ~40 KB of temporaries, so a block stays under 1 MB however long the grid
+# (16 ran a 60- and a 2,000-detuning grid faster than 8, 32 or 64)
+QUAD_BLOCK = 16
 
 
 class QuadratureFailure(ArithmeticError):
@@ -64,24 +68,36 @@ class PhaseDecomposition:
     ratio: float        # r = Omega/Delta, signed; inf at resonance
 
 
-def _as_decomposition(phi, alpha, method, ratio) -> PhaseDecomposition:
+def _as_decomposition(phi, alpha, method, omega, delta) -> PhaseDecomposition:
+    ratio = np.inf if delta == 0.0 else omega / delta
     return PhaseDecomposition(overall=float(phi), dynamic=float(alpha),
                               geometric=float(phi - alpha), method=method,
                               ratio=float(ratio))
 
 
-def _gauss_legendre(f, lim: float, n: int) -> float:
-    """Integral of f over [-lim, lim] by GL_NODES on n equal panels. The
-    panel centers are counted from 0, so nodes near the center, where the
-    integrands here peak, carry no rounding from lim."""
+def _panel_sums(omega: float, delta: np.ndarray, lim: float, n: int) -> np.ndarray:
+    """Integral of the raw integrand over [-lim, lim] by GL_NODES on n
+    equal panels, for a column of detunings. The panel centers are counted
+    from 0, so nodes near the center, where the integrand peaks, carry no
+    rounding from lim. Each row is reduced as a lone detuning would be
+    (per panel @ GL_WEIGHTS, then np.sum), so its bits do not depend on
+    the block it sits in."""
     h = 2.0 * lim / n
     mid = h * (np.arange(n) - 0.5 * (n - 1))
-    values = f((mid[:, None] + 0.5 * h * GL_NODES).ravel())
-    return 0.5 * h * float(np.sum(values.reshape(n, -1) @ GL_WEIGHTS))
+    t = (mid[:, None] + 0.5 * h * GL_NODES).ravel()
+    x = omega * t
+    # log(1 -+ tanh x) without cancellation: ln 2 - ln(1 + e^(+-2x))
+    log_1m = np.log(2.0) - np.logaddexp(0.0, 2.0 * x)
+    log_1p = np.log(2.0) - np.logaddexp(0.0, -2.0 * x)
+    half = delta / (2.0 * omega)
+    # arg of e^(-i*Delta*t) * (1-th)^(-i*half) * (1+th)^(i*half)
+    theta = -delta * t - half * log_1m + half * log_1p
+    re_part = delta * np.cos(theta) + omega * np.tanh(x) * np.sin(theta)
+    values = sech(x) ** 2 * 2.0 * re_part
+    return 0.5 * h * np.sum(values.reshape(len(delta), n, -1) @ GL_WEIGHTS, axis=-1)
 
 
-def dynamic_phase_analytic(omega: float, delta: float,
-                           window: float = DEFAULT_WINDOW) -> float:
+def dynamic_phase_analytic(omega: float, delta, window: float = DEFAULT_WINDOW):
     """Dynamic phase of one 2*pi pulse (Omega = eta) from the closed form.
 
     The integrand is assembled in its raw oscillatory-factor shape, products
@@ -92,37 +108,39 @@ def dynamic_phase_analytic(omega: float, delta: float,
     integrand is exactly 0 beyond SECH2_UNDERFLOW/Omega, so the clip drops
     nothing), by 16-node Gauss-Legendre panels at most 1/Omega wide;
     QuadratureFailure is raised when panels twice as wide give a sum
-    further away than 1e-7*max(1, |value|).
+    further away than 1e-7*max(1, |value|), or a sum that is not finite.
 
+    delta may be an array: every detuning is summed on the same nodes, in
+    blocks of QUAD_BLOCK, and each result equals that of a scalar call.
     At Delta = 0 the limit form is the analytic zero (odd integrand).
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
     if not window >= 10.0:
         raise ValueError("window must be >= 10 (integrand support)")
-    if delta == 0.0:
-        return 0.0
-    half = delta / (2.0 * omega)
-
-    def integrand(t):
-        x = omega * t
-        th = np.tanh(x)
-        # log(1 -+ tanh x) without cancellation: ln 2 - ln(1 + e^(+-2x))
-        log_1m = np.log(2.0) - np.logaddexp(0.0, 2.0 * x)
-        log_1p = np.log(2.0) - np.logaddexp(0.0, -2.0 * x)
-        # arg of e^(-i*Delta*t) * (1-th)^(-i*half) * (1+th)^(i*half)
-        theta = -delta * t - half * log_1m + half * log_1p
-        re_part = delta * np.cos(theta) + omega * th * np.sin(theta)
-        return sech(x) ** 2 * 2.0 * re_part
-
+    d = np.asarray(delta, dtype=float)
+    flat = d.ravel()
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        raise ValueError("detuning must be finite, got %r" % float(flat[bad][0]))
     half_span = min(window, SECH2_UNDERFLOW)
     n = int(np.ceil(half_span))             # coarse panels, at most 2/Omega wide
-    value = _gauss_legendre(integrand, half_span / omega, 2 * n)
-    err = abs(value - _gauss_legendre(integrand, half_span / omega, n))
-    if err > 1e-7 * max(1.0, abs(value)):
-        raise QuadratureFailure(
-            "dynamic phase quadrature error %.2e too large" % err)
-    return omega ** 2 / (delta ** 2 + omega ** 2) * value
+    lim = half_span / omega
+    out = np.zeros(flat.shape)               # Delta = 0 stays the analytic zero
+    live = np.flatnonzero(flat)
+    for k in range(0, live.size, QUAD_BLOCK):
+        idx = live[k:k + QUAD_BLOCK]
+        value = _panel_sums(omega, flat[idx, None], lim, 2 * n)
+        err = np.abs(value - _panel_sums(omega, flat[idx, None], lim, n))
+        failed = ~(err <= 1e-7 * np.maximum(1.0, np.abs(value)))
+        if failed.any():
+            raise QuadratureFailure(
+                "dynamic phase quadrature error %.2e too large" % err[failed][0])
+        # float_power is libm's pow, as a scalar delta ** 2 is; numpy's
+        # power and square differ from it in the last bit for ~0.1 % of
+        # detunings
+        out[idx] = omega ** 2 / (np.float_power(flat[idx], 2) + omega ** 2) * value
+    return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
 
 
 def dynamic_phase_numeric(traj: Trajectory, sched: PulseSchedule,
@@ -208,15 +226,14 @@ def decompose(omega: float, delta: float, method: str,
     omega_B = 0 this is the plain |z> start and arg<z|psi(t_end)> readout.
     """
     s = s or SystemParams()
-    ratio = np.inf if delta == 0.0 else omega / delta
     phi_a = overall_phase(omega, delta)
     if method == "analytic":
         alpha = dynamic_phase_analytic(omega, delta, window)
-        return _as_decomposition(phi_a, alpha, "analytic", ratio)
+        return _as_decomposition(phi_a, alpha, "analytic", omega, delta)
     if method == "numeric":
         phi_raw, alpha = _numeric_raw(omega, delta, s, window, opts)
         phi = _nearest_branch(phi_raw, phi_a)
-        return _as_decomposition(phi, alpha, "numeric", ratio)
+        return _as_decomposition(phi, alpha, "numeric", omega, delta)
     raise ValueError("method must be 'analytic' or 'numeric'")
 
 
@@ -224,16 +241,22 @@ def sweep_ratio(r_values: Sequence[float], method: str,
                 s: Optional[SystemParams] = None, omega: float = 1.0,
                 window: float = DEFAULT_WINDOW,
                 opts: Optional[IntegratorOpts] = None):
-    """One decomposition per ratio, in input order.
+    """One decomposition per ratio, in input order, each equal to
+    decompose(omega, omega/r, method, ...).
 
-    Each entry is computed independently (the numeric phase branch is
-    anchored to the analytic curve pointwise rather than chained along the
-    grid, which keeps entries order-independent and parallel-safe).
+    Method "analytic" takes every dynamic phase from one
+    dynamic_phase_analytic call over the grid's detunings. Method "numeric"
+    propagates each entry independently (the phase branch is anchored to
+    the analytic curve pointwise rather than chained along the grid, which
+    keeps entries order-independent and parallel-safe).
     """
-    out = []
-    for r in r_values:
-        if not np.isfinite(r) or r == 0.0:
-            raise ValueError("ratios must be finite and nonzero")
-        delta = omega / r
-        out.append(decompose(omega, delta, method, s, window, opts))
-    return out
+    r = np.asarray(r_values, dtype=float)
+    if not np.all(np.isfinite(r)) or np.any(r == 0.0):
+        raise ValueError("ratios must be finite and nonzero")
+    with np.errstate(over="ignore"):    # an overflowed detuning is refused by name
+        deltas = omega / r
+    if method == "analytic":
+        alphas = dynamic_phase_analytic(omega, deltas, window)
+        return [_as_decomposition(overall_phase(omega, d), a, "analytic", omega, d)
+                for d, a in zip(deltas, alphas)]
+    return [decompose(omega, d, method, s, window, opts) for d in deltas]

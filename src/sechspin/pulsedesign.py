@@ -101,8 +101,8 @@ def verify_cancellation(pair: CancelingPair, s: Optional[SystemParams] = None,
     s = s or SystemParams()
     omega = pair.pulse1.rabi_peak
     if method == "analytic":
-        a1 = dynamic_phase_analytic(omega, pair.pulse1.detuning, window)
-        a2 = dynamic_phase_analytic(omega, pair.pulse2.detuning, window)
+        a1, a2 = dynamic_phase_analytic(
+            omega, [pair.pulse1.detuning, pair.pulse2.detuning], window)
     elif method == "numeric":
         a1 = decompose(omega, pair.pulse1.detuning, "numeric", s, window).dynamic
         a2 = decompose(omega, pair.pulse2.detuning, "numeric", s, window).dynamic

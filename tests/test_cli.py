@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 
+from sechspin import cli
+
 CMD = [sys.executable, "-m", "sechspin"]
 
 
@@ -137,6 +139,8 @@ def test_simulate_csv():
     (["fidelity", "--sweep", "--angles", "0.5", "--B", "nan"], "B"),
     (["fidelity", "--sweep", "--angles", "0.5", "--B", "inf"], "B"),
     (["phases", "--ratios", "1", "--method", "numeric", "--B", "nan"], "B"),
+    # Omega/r overflows to an infinite detuning
+    (["phases", "--ratios", "1e-310", "--method", "analytic"], "detuning"),
 ])
 def test_non_finite_inputs_exit_2(args, name):
     res = run(*args)
@@ -220,6 +224,31 @@ def test_config_negative_values_match_flags(tmp_path):
     overridden = run("simulate", "--config", str(cfg), "--B", "0")
     assert overridden.returncode == 0
     assert overridden.stdout != from_file.stdout
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
+    # main() reuses one parser per process: no call's flags, defaults or
+    # refusal may leak into the next
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("delta = -0.667,0.667\ncenters = -10.5,10.5\nB = 0.29\nstride = 10\n")
+    sequence = [
+        ["phases", "--ratios", "0.5,1,-2", "--window", "30"],
+        ["phases", "--ratios", "0.5,1,-2"],
+        ["design", "--angle", "1", "--omega", "2", "--spacing", "30"],
+        ["design", "--angle", "1"],
+        ["fidelity", "--tau-t", "inf", "--B", "0"],
+        ["fidelity"],
+        ["simulate", "--config", str(cfg)],
+    ]
+    for argv in sequence:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == run(*argv).stdout
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["design", "--angle", "1", "--frobnicate"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert cli.main(sequence[1]) == 0
+    assert capsys.readouterr().out == run(*sequence[1]).stdout
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--delta", "1", "--tau-t", "0"],

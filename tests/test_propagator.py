@@ -293,6 +293,27 @@ def test_graded_propagate_norm_never_grows_with_decay(eta, ratios, field, amps, 
     assert np.max(np.diff(traj.norms)) <= 1e-13
 
 
+@pytest.mark.filterwarnings("ignore:omega_B/eta")
+@settings(max_examples=30, deadline=None)
+@given(**_graded_cases)
+def test_graded_operator_unitary_without_decay(eta, ratios, field, amps):
+    # rounding only: 300 random cases of this family reach 1.8e-12
+    sched, _ = _graded_case(eta, ratios, amps)
+    u = evolve_operator(sched, SystemParams(omega_B=larmor_from_field(field)))
+    assert np.max(np.abs(u.conj().T @ u - np.eye(3))) <= 1e-11
+
+
+@pytest.mark.filterwarnings("ignore:omega_B/eta")
+@settings(max_examples=30, deadline=None)
+@given(lifetime=st.floats(50.0, 2000.0), **_graded_cases)
+def test_graded_operator_contracts_with_decay(eta, ratios, field, amps, lifetime):
+    # 300 random cases of this family never had a singular value above 1
+    sched, _ = _graded_case(eta, ratios, amps)
+    s = SystemParams(omega_B=larmor_from_field(field), trion_lifetime=lifetime)
+    u = evolve_operator(sched, s)
+    assert np.linalg.svd(u, compute_uv=False).max() <= 1.0 + 1e-12
+
+
 def _random_generators(n, rng, scales):
     """-i*H - Gamma*|trion><trion| stacked (3, 3, n): the physical family."""
     a = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))

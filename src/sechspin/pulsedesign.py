@@ -108,4 +108,4 @@ def verify_cancellation(pair: CancelingPair, s: Optional[SystemParams] = None,
         a2 = decompose(omega, pair.pulse2.detuning, "numeric", s, window).dynamic
     else:
         raise ValueError("method must be 'analytic' or 'numeric'")
-    return a1 + a2
+    return float(a1 + a2)

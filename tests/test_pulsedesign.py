@@ -65,11 +65,14 @@ def test_cancellation_analytic(r1):
 
 @pytest.mark.parametrize("gamma, omega", [(-2.9, 1.0), (0.3, 1.0), (1.2, 2.0), (2.75, 0.5)])
 def test_analytic_residual_is_sum_of_scalar_calls(gamma, omega):
-    # one array call for the pair gives the same bits as two scalar calls
+    # one array call for the pair gives the same bits as two scalar calls,
+    # and a plain float as before
     pair = design_for_angle(gamma, omega)
     a1 = dynamic_phase_analytic(omega, pair.pulse1.detuning)
     a2 = dynamic_phase_analytic(omega, pair.pulse2.detuning)
-    assert verify_cancellation(pair) == a1 + a2
+    residual = verify_cancellation(pair)
+    assert residual == a1 + a2
+    assert type(residual) is float
 
 
 def test_unit_ratio_pair_phases():

@@ -28,7 +28,7 @@ def _require_finite(**values) -> None:
     """Reject NaN and +-inf where the types are built, naming the parameter."""
     for name, value in values.items():
         if not np.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
+            raise ValueError("%s must be finite, got %r" % (name, float(value)))
 
 
 @dataclass(frozen=True)

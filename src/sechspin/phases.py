@@ -11,7 +11,12 @@ Two routes, kept structurally independent on purpose:
   the graded grid, the dynamic phase as minus the time integral of the
   Hamiltonian expectation value by a two-point Hermite rule with exact
   first and second derivatives on the trajectory times, the overall phase
-  read off the final state.
+  read off the final state. The window is symmetric about the pulse
+  center c, so the grid is mirrored about c and propagate integrates
+  only [c, t_end]; the earlier half follows by time reversal,
+  psi(c - s) = conj(V(s) conj(psi(c))) with V(s) = U(c + s, c) and
+  psi(c) = V(t_end - c)^T psi(t_start) (see propagator). A run with an
+  explicit IntegratorOpts.dt steps forward over the whole window.
 
 The geometric part is the difference in both cases.
 """
@@ -109,6 +114,9 @@ def dynamic_phase_analytic(omega: float, delta, window: float = DEFAULT_WINDOW):
     nothing), by 16-node Gauss-Legendre panels at most 1/Omega wide;
     QuadratureFailure is raised when panels twice as wide give a sum
     further away than 1e-7*max(1, |value|), or a sum that is not finite.
+    A detuning that is not finite, or whose carrier phase |Delta|*L at the
+    ends of the span is not (|Delta| above ~9e306 at the default window
+    and Omega = 1), is refused with ValueError.
 
     delta may be an array: every detuning is summed on the same nodes, in
     blocks of QUAD_BLOCK, and each result equals that of a scalar call.
@@ -126,13 +134,20 @@ def dynamic_phase_analytic(omega: float, delta, window: float = DEFAULT_WINDOW):
     half_span = min(window, SECH2_UNDERFLOW)
     n = int(np.ceil(half_span))             # coarse panels, at most 2/Omega wide
     lim = half_span / omega
+    # the carrier phase -Delta*t reaches |Delta|*lim at the ends of the span
+    with np.errstate(over="ignore"):
+        far = ~np.isfinite(np.abs(flat) * lim)
+    if far.any():
+        raise ValueError(
+            "detuning %r too large: |detuning|*min(window, %.6g)/omega must be finite"
+            % (float(flat[far][0]), SECH2_UNDERFLOW))
     out = np.zeros(flat.shape)               # Delta = 0 stays the analytic zero
     live = np.flatnonzero(flat)
     for k in range(0, live.size, QUAD_BLOCK):
         idx = live[k:k + QUAD_BLOCK]
         value = _panel_sums(omega, flat[idx, None], lim, 2 * n)
         err = np.abs(value - _panel_sums(omega, flat[idx, None], lim, n))
-        failed = ~(err <= 1e-7 * np.maximum(1.0, np.abs(value)))
+        failed = ~(err <= 1e-7 * np.maximum(1.0, np.abs(value))) | ~np.isfinite(value)
         if failed.any():
             raise QuadratureFailure(
                 "dynamic phase quadrature error %.2e too large" % err[failed][0])

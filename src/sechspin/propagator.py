@@ -41,17 +41,28 @@ within 9.2e-10 of a run at a quarter of the uniform step for |Delta| from
 
 propagate and evolve_operator step on the graded grid, the inverse of
 the cumulative integral of r, so steps stretch where the envelopes are
-small. A single 2*pi pulse at eta = 1 takes 410 steps for |Delta| up to
-about 6.5, where a uniform grid at the maximum of r takes 1,093; the pi
-bound then sets the far tails (428 steps at |Delta| = 15), and from
+small. A single 2*pi pulse at eta = 1 has 410 grid steps for |Delta| up
+to about 6.5, where a uniform grid at the maximum of r has 1,093; the pi
+bound then sets the far tails (428 at |Delta| = 15), and from
 |Delta| = 17.1, where the frame term passes Omega and eta,
-every term of r is proportional to |Delta| and the grid takes
+every term of r is proportional to |Delta| and the grid has
 25.5*|Delta| steps (a uniform one 63.7*|Delta|). From |Delta| ~ 78,500
-the grid passes MAX_STEPS and is refused. A gate pair takes about 720
+the grid passes MAX_STEPS and is refused. A gate pair has about 720
 steps against 1,500 uniform ones. Without pulses the rate is the constant
 max(omega_B, Gamma) and the grid uniform. An explicit IntegratorOpts.dt
 always gives the uniform grid and the StepTooLarge guard on dt times the
 peak of r.
+
+Even schedules, one pulse whose center c splits the window into two
+bitwise-equal halves (every numeric phase decomposition), get a mirrored
+grid: the half [c, t_end] by the rule above, reflected about c. With
+decay off and no explicit dt, propagate integrates only that half, so a
+pulse's 410 grid steps take 205 integrated ones: in the lab frame
+H(c - s) = H(c + s)^T, so with V(s) = U(c + s, c) and T = t_end - c,
+psi(c) = V(T)^T psi0 and psi(c - s) = (V(s)^-1)^T psi(c), which equals
+conj(V(s) conj(psi(c))) for unitary V. Magnus-6 steps are time-symmetric,
+so this holds step by step, and the states match a forward scan on the
+same grid to rounding (4e-14 up to |Delta| = 1e3).
 
 Step matrices are built vectorized over chunks of the grid, in a
 component-major (3, 3, n) layout so each entry is one contiguous vector,
@@ -249,14 +260,26 @@ def _check_steps(n: int, what: str = "steps") -> None:
             % (n, what, MAX_STEPS))
 
 
+def _even_center(sched: PulseSchedule) -> Optional[float]:
+    """Center c of an even schedule, one pulse whose center splits the
+    window into two bitwise-equal halves; None for any other schedule."""
+    if len(sched.pulses) != 1:
+        return None
+    c = sched.pulses[0].center
+    t0, t1 = sched.window
+    return c if c - t0 == t1 - c else None
+
+
 def _graded_grid(sched: PulseSchedule, s: SystemParams) -> np.ndarray:
     """Grid whose steps are RESOLUTION_TARGET/r(t) long.
 
     The cumulative integral of the local rate is taken by the trapezoid
     rule on an auxiliary grid, RATE_SAMPLING/eta apart in each frame (r
     changes by at most 2 % there, and the frame edges, where it jumps,
-    are auxiliary points); the step times invert it. Without pulses the
-    rate is the constant max(omega_B, Gamma), and the grid uniform.
+    are auxiliary points); the step times invert it. For an even schedule
+    (see _even_center) this builds the half [c, t_end] and mirrors it
+    about c, so both halves have the same steps. Without pulses the rate
+    is the constant max(omega_B, Gamma), and the grid uniform.
     """
     if not sched.pulses:
         # at least 16 steps: with omega_B = Gamma = 0, H = 0 and any grid is exact
@@ -264,8 +287,11 @@ def _graded_grid(sched: PulseSchedule, s: SystemParams) -> np.ndarray:
         n = max(int(np.ceil(sched.duration * rate / RESOLUTION_TARGET)), 16)
         _check_steps(n)
         return np.linspace(*sched.window, n + 1)
+    center = _even_center(sched)
+    halves = 1 if center is None else 2
+    spans = _frame_spans(sched) if center is None else [(sched.pulses[0], center, sched.window[1])]
     per_ps = max(p.bandwidth for p in sched.pulses) / RATE_SAMPLING
-    spans = [(pk, a, b, int(np.ceil((b - a) * per_ps))) for pk, a, b in _frame_spans(sched)]
+    spans = [(pk, a, b, int(np.ceil((b - a) * per_ps))) for pk, a, b in spans]
     _check_steps(sum(m for *_, m in spans), "rate samples")
     aux, cum, total = [], [], 0.0
     for pk, a, b, m in spans:
@@ -275,9 +301,11 @@ def _graded_grid(sched: PulseSchedule, s: SystemParams) -> np.ndarray:
         aux.append(t)
         cum.append(c)
         total = c[-1]
-    n = max(int(np.ceil(total / RESOLUTION_TARGET)), 16)
-    _check_steps(n)
+    n = max(int(np.ceil(total / RESOLUTION_TARGET)), 16 // halves)
+    _check_steps(halves * n)
     times = np.interp(np.linspace(0.0, total, n + 1), np.concatenate(cum), np.concatenate(aux))
+    if center is not None:
+        times = np.concatenate([2.0 * center - times[:0:-1], times])
     # where every envelope underflows and the floor is 0, H = 0 and the
     # cumulative rate is flat; the grid still has to span the window
     times[[0, -1]] = sched.window
@@ -467,24 +495,15 @@ def _chunks(times: np.ndarray):
         yield a, times[a:min(a + CHUNK_STEPS, n) + 1]
 
 
-def _scan(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """States after each step, m[..., k] @ ... @ m[..., 0] @ psi, as (n, 3).
-
-    Blocked: prefix products inside blocks of SCAN_BLOCK steps, vectorized
-    across blocks; the block totals then carry psi from block to block (the
-    same scan one level up). Up to SCAN_DOUBLING_BLOCKS blocks the prefixes
+def _block_prefixes(m: np.ndarray) -> np.ndarray:
+    """Prefix products of m inside blocks of SCAN_BLOCK steps, vectorized
+    across blocks, as (3, 3, blocks, SCAN_BLOCK); the last block is padded
+    with identities. Up to SCAN_DOUBLING_BLOCKS blocks the prefixes
     double: after the pass with offset d, slot j holds the product of steps
     j - 2d + 1..j, so log2(SCAN_BLOCK) batched products replace
     SCAN_BLOCK - 1 sequential ones at about 3x the arithmetic. Past that
-    the products run in sequence. m is overwritten.
-    """
+    the products run in sequence. m is overwritten."""
     n = m.shape[-1]
-    if n <= SCAN_BLOCK:
-        out = np.empty((n, 3), dtype=complex)
-        for k in range(n):
-            psi = m[..., k] @ psi
-            out[k] = psi
-        return out
     nb = -(-n // SCAN_BLOCK)
     if nb * SCAN_BLOCK > n:
         eye = np.eye(3, dtype=complex)[..., None]
@@ -498,10 +517,57 @@ def _scan(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
     else:
         for j in range(1, SCAN_BLOCK):
             blocks[..., j] = _mul(blocks[..., j], blocks[..., j - 1])
+    return blocks
+
+
+def _scan(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """States after each step, m[..., k] @ ... @ m[..., 0] @ psi, as (n, 3).
+
+    Blocked: _block_prefixes, then the block totals carry psi from block to
+    block (the same scan one level up). m is overwritten.
+    """
+    n = m.shape[-1]
+    if n <= SCAN_BLOCK:
+        out = np.empty((n, 3), dtype=complex)
+        for k in range(n):
+            psi = m[..., k] @ psi
+            out[k] = psi
+        return out
+    blocks = _block_prefixes(m)
     carried = _scan(np.ascontiguousarray(blocks[..., -1]), psi)
     starts = np.concatenate([psi[None], carried[:-1]])
     states = np.einsum("ijbk,bj->bki", blocks, starts)
     return states.reshape(-1, 3)[:n]
+
+
+def _running_products(m: np.ndarray) -> np.ndarray:
+    """m[..., k] @ ... @ m[..., 0] for every k, as (3, 3, n): in sequence up
+    to SCAN_BLOCK matrices, else block prefixes with the running products
+    of the block totals (the same scan one level up) applied to each block.
+    m is overwritten."""
+    n = m.shape[-1]
+    if n <= SCAN_BLOCK:
+        for k in range(1, n):
+            m[..., k] = m[..., k] @ m[..., k - 1]
+        return m
+    blocks = _block_prefixes(m)
+    upto = _running_products(np.ascontiguousarray(blocks[:, :, :-1, -1]))
+    blocks[:, :, 1:] = _mul(blocks[:, :, 1:], upto[..., None])
+    return blocks.reshape(3, 3, -1)[..., :n]
+
+
+def _inverse_transpose(a: np.ndarray) -> np.ndarray:
+    """(a^-1)^T of each slice of a (3, 3, ...) stack: its cofactor matrix
+    over its determinant."""
+    cof = np.empty(a.shape, dtype=complex)
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            np.multiply(a[i1, j1], a[i2, j2], out=cof[i, j, ...])
+            cof[i, j, ...] -= a[i1, j2] * a[i2, j1]
+    cof *= 1.0 / (a[0, 0] * cof[0, 0] + a[0, 1] * cof[0, 1] + a[0, 2] * cof[0, 2])
+    return cof
 
 
 def _fold(mats: np.ndarray) -> np.ndarray:
@@ -518,6 +584,67 @@ def _norms(states: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", states, states.conj()).real
 
 
+def _forward(psi0: np.ndarray, times: np.ndarray, sched: PulseSchedule, s: SystemParams,
+             store) -> None:
+    """States at every grid time after the first, stepped from psi0."""
+    psi = psi0
+    for a, piece in _chunks(times):
+        chunk = _scan(_step_matrices(piece, np.diff(piece), sched, s), psi)
+        store(chunk, a + 1)
+        psi = chunk[-1]
+
+
+def _mirrored(psi0: np.ndarray, times: np.ndarray, sched: PulseSchedule, s: SystemParams,
+              store) -> None:
+    """States at every grid time after the first on the mirrored grid of an
+    even schedule, stepping only its second half [c, t_end].
+
+    With V(s) = U(c + s, c) and T = t_end - c, H(c - s) = H(c + s)^T gives
+    psi(c) = V(T)^T psi0 and psi(c - s) = (V(s)^-1)^T psi(c), and Magnus-6
+    steps are time-symmetric, so both hold step by step: the step from
+    c - s_{k+1} to c - s_k is the transpose of the one from c + s_k to
+    c + s_{k+1}. With decay off V is unitary, (V^-1)^T = conj(V), and the
+    cofactor inverse below is perfectly conditioned; it is used instead of
+    conj(V) because the steps' unitarity defect, rounding that grows with
+    the squarings of _expm, would add up along the carried products.
+    One block scan gives both halves: the running products, applied to
+    psi(c), and their inverse transposes, applied to psi(c) again. In one
+    chunk V(T) is the product of the block totals; over several, a first
+    pass folds it chunk by chunk and a second rebuilds each chunk's steps.
+    """
+    n = (times.shape[0] - 1) // 2
+    half = times[n:]
+
+    def pieces():
+        # per chunk: its offset, its block prefixes, and the running
+        # products of its block totals
+        for a, piece in _chunks(half):
+            blocks = _block_prefixes(_step_matrices(piece, np.diff(piece), sched, s))
+            yield a, blocks, _running_products(np.ascontiguousarray(blocks[..., -1]))
+
+    chunks = pieces()
+    if n <= CHUNK_STEPS:
+        chunks = [next(chunks)]
+        total = chunks[0][2][..., -1]
+    else:
+        total = np.eye(3, dtype=complex)
+        for _, piece in _chunks(half):
+            total = _fold(_step_matrices(piece, np.diff(piece), sched, s)) @ total
+    # the states at c + s_a and c - s_a, s_a where the chunk starts
+    right = left = total.T @ psi0
+    eye = np.eye(3, dtype=complex)[..., None]
+    for a, blocks, upto in chunks:
+        k = min(CHUNK_STEPS, n - a)
+        before = np.concatenate([eye, upto[..., :-1]], axis=-1)
+        rows = np.einsum("ijbk,bj->bki", blocks, np.einsum("ijb,j->bi", before, right))
+        store(np.concatenate([right[None], rows.reshape(-1, 3)[:k]]), n + a)
+        rows = np.einsum("ijbk,bj->bki", _inverse_transpose(blocks),
+                         np.einsum("ijb,j->bi", _inverse_transpose(before), left))
+        store(rows.reshape(-1, 3)[k - 1::-1], n - a - k)
+        if a + k < n:
+            right, left = upto[..., -1] @ right, _inverse_transpose(upto[..., -1]) @ left
+
+
 def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
               opts: Optional[IntegratorOpts] = None) -> Trajectory:
     """Solve i d(psi)/dt = H(t) psi over the schedule window.
@@ -528,7 +655,11 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     uniform one for an explicit opts.dt; a pulse's own detuning sets the
     step count only where a step would turn it by more than
     MAX_FRAME_PHASE, relaxed by the envelope in the tails up to
-    MAGNUS_RADIUS. States are returned in the lab frame.
+    MAGNUS_RADIUS. States are returned in the lab frame. An even
+    schedule with decay off and no explicit dt steps only the half after
+    the pulse center and gets the half before it by time reversal,
+    psi(c - s) = conj(V(s) conj(psi(c))) with V(s) = U(c + s, c) and
+    psi(c) = V(t_end - c)^T psi0 (see the module docstring).
     Raises StepTooLarge if the grid cannot resolve the fastest envelope,
     Rabi, precession, decay, frame or neighbour-tail rate within MAX_STEPS
     (or an explicit dt breaks the resolution guard), NormBlowup if the
@@ -547,16 +678,23 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     # only the sampled rows are kept; every step's norm enters the maximum
     states = np.empty((idx.shape[0], 3), dtype=complex)
     norms = np.empty(idx.shape[0])
-    psi = states[0] = psi0.amplitudes
-    norms[0] = peak = _norms(states[:1])[0]
-    for a, piece in _chunks(times):
-        chunk = _scan(_step_matrices(piece, np.diff(piece), sched, s), psi)
-        chunk_norms = _norms(chunk)
-        peak = np.maximum(peak, chunk_norms.max())
-        lo, hi = np.searchsorted(idx, [a + 1, a + piece.shape[0]])
-        states[lo:hi] = chunk[idx[lo:hi] - a - 1]
-        norms[lo:hi] = chunk_norms[idx[lo:hi] - a - 1]
-        psi = chunk[-1]
+    peak = 0.0
+
+    def store(rows, start):
+        """Keep the sampled ones of rows, grid rows start.. in order."""
+        nonlocal peak
+        row_norms = _norms(rows)
+        peak = np.maximum(peak, row_norms.max())
+        lo, hi = np.searchsorted(idx, [start, start + rows.shape[0]])
+        sel = idx[lo:hi] - start
+        states[lo:hi] = rows[sel]
+        norms[lo:hi] = row_norms[sel]
+
+    mirror = opts.dt is None and s.decay_rate == 0 and _even_center(sched) is not None
+    (_mirrored if mirror else _forward)(psi0.amplitudes, times, sched, s, store)
+    states[0] = psi0.amplitudes
+    norms[0] = _norms(states[:1])[0]
+    peak = np.maximum(peak, norms[0])
     if not peak <= 1.0 + 1e-6:
         raise NormBlowup("norm reached %.9f" % peak)
     return Trajectory(times[idx], states, norms)

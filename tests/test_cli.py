@@ -149,6 +149,24 @@ def test_non_finite_inputs_exit_2(args, name):
     assert "error: %s must be finite" % name in res.stderr
 
 
+@pytest.mark.parametrize("method", ["analytic", "numeric"])
+def test_overflowed_detuning_names_plain_value(method):
+    # both routes print the value as a plain float, not numpy's repr
+    res = run("phases", "--ratios", "1e-310", "--method", method)
+    assert res.returncode == 2
+    assert res.stderr.strip().endswith("error: detuning must be finite, got inf")
+
+
+def test_analytic_refuses_detuning_whose_carrier_phase_overflows():
+    # Omega/r = 1e307 is finite, but -Delta*t at the window edge is not:
+    # refused by name before the quadrature, with no numpy warning
+    res = run("phases", "--ratios", "1e-307", "--method", "analytic")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "|detuning|*min(window, 373.26)/omega must be finite" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+
+
 def test_simulate_far_detuned_refused():
     # a step may turn the frame detuning by at most 0.6 rad at the pulse
     # center and pi in the tails, so 1e6 rad/ps over the 38 ps window needs

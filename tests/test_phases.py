@@ -201,7 +201,8 @@ def test_numeric_phases_where_frame_phase_cap_sets_steps(delta):
 
 
 def test_numeric_decomposition_steps_on_graded_grid(monkeypatch):
-    # one pulse at r = 1 over +-20/Omega: 413 graded steps (1,143 uniform)
+    # one pulse at r = 1 over +-20/Omega: 414 graded steps, 207 of them
+    # integrated (1,143 uniform)
     steps = []
 
     def counting(*args, **kwargs):
@@ -244,12 +245,22 @@ def test_non_finite_detuning_refused():
         sweep_ratio([1.0, 1e-310], "analytic")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_quadrature_sum_fails():
-    # Delta*t overflows at the window edge, so the sums are NaN; a NaN
-    # error must fail the tolerance check, not pass it
-    with pytest.raises(QuadratureFailure):
+def test_detuning_whose_carrier_phase_overflows_refused():
+    # Delta*t at the window edge, 2e308 at Omega = 1, is not finite: the
+    # detuning is refused, naming the limit, before the quadrature
+    with pytest.raises(ValueError, match=r"\|detuning\|\*min\(window, 373.26\)/omega"):
         dynamic_phase_analytic(1.0, 1e307)
+    with pytest.raises(ValueError, match="too large"):
+        dynamic_phase_analytic(1.0, [1.0, -1e307])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_quadrature_sum_fails_at_large_omega():
+    # Delta*t stays finite (2e307) but the integrand, up to 2*|Delta|,
+    # overflows: an infinite sum must fail the check even where its error
+    # bound, 1e-7*|sum|, is infinite too (it printed NaN with exit 0)
+    with pytest.raises(QuadratureFailure):
+        dynamic_phase_analytic(100.0, 1e308)
 
 
 def test_array_detunings_equal_scalar_calls():

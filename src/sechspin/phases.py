@@ -23,6 +23,7 @@ The geometric part is the difference in both cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,6 +51,13 @@ DEFAULT_WINDOW = 20.0
 # subnormal and rounds to exactly 0 (x ~ 373.3)
 SECH2_UNDERFLOW = 0.5 * float(np.log(8.0) - np.log(np.finfo(float).smallest_subnormal))
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# the integrand is bounded by 2*(|Delta| + Omega) and its fine panel sums,
+# before they are scaled by the panel width, reach about 8*(|Delta| + Omega),
+# so both stay finite below this
+INTEGRAND_LIMIT = float(np.finfo(float).max) / 16.0
+# with Omega and every |Delta| of a call between 1/PLAIN_SQUARES and
+# PLAIN_SQUARES, the prefactor's squares are normal floats with a finite sum
+PLAIN_SQUARES = 1e150
 # detunings per quadrature pass: at the default window one detuning takes
 # ~40 KB of temporaries, so a block stays under 1 MB however long the grid
 # (16 ran a 60- and a 2,000-detuning grid faster than 8, 32 or 64)
@@ -102,6 +110,20 @@ def _panel_sums(omega: float, delta: np.ndarray, lim: float, n: int) -> np.ndarr
     return 0.5 * h * np.sum(values.reshape(len(delta), n, -1) @ GL_WEIGHTS, axis=-1)
 
 
+def _prefactor_times(omega: float, delta: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """Omega**2/(Delta**2 + Omega**2)*value where a square may leave the
+    normal range: as written where Omega**2 is a normal float and
+    Delta**2 + Omega**2 finite, else value/(1 + q**2) with q = Delta/Omega,
+    or value/q/q where q**2 overflows too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = np.float_power(omega, 2)
+        den = np.float_power(delta, 2) + w2
+        q = delta / omega
+        q2 = q * q
+        wide = np.where(np.isfinite(q2), value / (1.0 + q2), value / q / q)
+        return np.where(np.isfinite(den) & (w2 >= np.finfo(float).tiny), w2 / den * value, wide)
+
+
 def dynamic_phase_analytic(omega: float, delta, window: float = DEFAULT_WINDOW):
     """Dynamic phase of one 2*pi pulse (Omega = eta) from the closed form.
 
@@ -114,9 +136,13 @@ def dynamic_phase_analytic(omega: float, delta, window: float = DEFAULT_WINDOW):
     nothing), by 16-node Gauss-Legendre panels at most 1/Omega wide;
     QuadratureFailure is raised when panels twice as wide give a sum
     further away than 1e-7*max(1, |value|), or a sum that is not finite.
-    A detuning that is not finite, or whose carrier phase |Delta|*L at the
+    A detuning that is not finite, whose carrier phase |Delta|*L at the
     ends of the span is not (|Delta| above ~9e306 at the default window
-    and Omega = 1), is refused with ValueError.
+    and Omega = 1), or for which |Delta| + Omega reaches INTEGRAND_LIMIT
+    (~1.1e307, where the integrand's sums would overflow), is refused with
+    ValueError. Where Delta**2 + Omega**2 overflows or Omega**2 leaves the
+    normal range, the prefactor Omega**2/(Delta**2 + Omega**2) is taken as
+    1/(1 + q**2), q = Delta/Omega (see _prefactor_times).
 
     delta may be an array: every detuning is summed on the same nodes, in
     blocks of QUAD_BLOCK, and each result equals that of a scalar call.
@@ -134,13 +160,20 @@ def dynamic_phase_analytic(omega: float, delta, window: float = DEFAULT_WINDOW):
     half_span = min(window, SECH2_UNDERFLOW)
     n = int(np.ceil(half_span))             # coarse panels, at most 2/Omega wide
     lim = half_span / omega
+    mag = np.abs(flat)
+    top = float(mag.max(initial=0.0))
     # the carrier phase -Delta*t reaches |Delta|*lim at the ends of the span
-    with np.errstate(over="ignore"):
-        far = ~np.isfinite(np.abs(flat) * lim)
-    if far.any():
+    if not math.isfinite(top * lim):
+        with np.errstate(over="ignore"):
+            first = flat[~np.isfinite(mag * lim)][0]
         raise ValueError(
             "detuning %r too large: |detuning|*min(window, %.6g)/omega must be finite"
-            % (float(flat[far][0]), SECH2_UNDERFLOW))
+            % (float(first), SECH2_UNDERFLOW))
+    if not top + omega < INTEGRAND_LIMIT:
+        first = flat[~(mag + omega < INTEGRAND_LIMIT)][0]
+        raise ValueError("detuning %r too large: |detuning| + omega must be below %.3g"
+                         % (float(first), INTEGRAND_LIMIT))
+    plain = 1.0 / PLAIN_SQUARES <= omega <= PLAIN_SQUARES and top <= PLAIN_SQUARES
     out = np.zeros(flat.shape)               # Delta = 0 stays the analytic zero
     live = np.flatnonzero(flat)
     for k in range(0, live.size, QUAD_BLOCK):
@@ -151,10 +184,13 @@ def dynamic_phase_analytic(omega: float, delta, window: float = DEFAULT_WINDOW):
         if failed.any():
             raise QuadratureFailure(
                 "dynamic phase quadrature error %.2e too large" % err[failed][0])
-        # float_power is libm's pow, as a scalar delta ** 2 is; numpy's
-        # power and square differ from it in the last bit for ~0.1 % of
-        # detunings
-        out[idx] = omega ** 2 / (np.float_power(flat[idx], 2) + omega ** 2) * value
+        if plain:
+            # float_power is libm's pow, as a scalar delta ** 2 is; numpy's
+            # power and square differ from it in the last bit for ~0.1 % of
+            # detunings
+            out[idx] = omega ** 2 / (np.float_power(flat[idx], 2) + omega ** 2) * value
+        else:
+            out[idx] = _prefactor_times(omega, flat[idx], value)
     return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
 
 

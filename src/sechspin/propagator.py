@@ -13,56 +13,68 @@ so the change of frame is exact. Each step matrix is returned in the lab
 frame, D(t+dt)^dagger exp(Omega_6) D(t), so frames never leak out of a
 step.
 
-One rule sets the steps: the local rate r(t) of the frame Hamiltonian.
-Pulse j counts at max(Omega_j, eta_j, |Delta_j - Delta_k|,
-|Delta_k|*RESOLUTION_TARGET/MAX_FRAME_PHASE) in the frame k that t falls
-in, times h_j(t)**TAIL_POWER, h_j being its envelope relative to its own
-peak, and r is the largest of these and the floor max(omega_B, Gamma,
-|Delta_k|*RESOLUTION_TARGET/MAGNUS_RADIUS). Steps are
-RESOLUTION_TARGET/r(t) long.
+One rule sets the steps: the local rate r(t) of the frame Hamiltonian,
+each term weighted by its leading local error, so that a step of
+RESOLUTION_TARGET/r(t) errs about equally wherever it falls. With
+S_j = max(Omega_j, eta_j) and h_j(t) pulse j's envelope relative to its
+own peak, pulse j counts in the frame k that t falls in at
+
+    max(S_j*(1 + (|Delta_k|/S_j)**3)**(1/7),
+        S_j**(1/7)*|Delta_j - Delta_k|**(6/7),
+        |Delta_k|*RESOLUTION_TARGET/MAX_FRAME_PHASE) * h_j(t)**TAIL_POWER,
+
+and r is the largest of these and the floor max(omega_B, Gamma,
+|Delta_k|*RESOLUTION_TARGET/MAGNUS_RADIUS).
 
 TAIL_POWER = 1/7: a sixth-order method errs per step by O(dt^7), and a
 term of relative height h varying at rate f contributes h*(f*dt)^7, so a
 step of RESOLUTION_TARGET/(f*h**(1/7)) in a tail errs as much as a
 full-height step of RESOLUTION_TARGET/f in a pulse core.
 
-MAX_FRAME_PHASE = 0.6 rad, MAGNUS_RADIUS = pi: the frame's own detuning
-is part of A = -i*H. The exponential takes it exactly, but Omega_6
-truncates its commutators with the coupling, so the error grows with
-|Delta_k|*dt and, like every other term's, with the coupling's height.
-Where a pulse is at full height a step turns the frame by at most 0.6
-rad; on the shoulders and in the tails the cap grows as h**-TAIL_POWER,
-but never past pi, inside which the Magnus series converges (a step's
-integral of ||A|| below pi). Numeric phi and alpha at 0.29 T then stay
-within 9.2e-10 of a run at a quarter of the uniform step for |Delta| from
-0.01 to 150 (a 1 rad cap at every height let phi err by 1.9e-9 near
-|Delta| = 25; without the pi bound, trion entries err by 9e-10 at
-|Delta| = 100).
+The cubic term: the frame's own detuning is part of A = -i*H. The
+exponential takes it exactly, but Omega_6 truncates its commutators with
+the coupling, whose leading error grows as S**4*|Delta_k|**3*dt**7
+against S**7*dt**7 from the coupling's own rates (Blanes et al. 2009,
+sec. 4), so the detuning adds steps from |Delta_k| ~ S on. The 6/7
+power: in frame k pulse j's carrier turns at f = |Delta_j - Delta_k|,
+and the Gauss nodes integrate that oscillation with an error of
+S_j*dt*(f*dt)**6.
+
+MAX_FRAME_PHASE = 0.6 rad, MAGNUS_RADIUS = pi: where a pulse is at full
+height a step turns the frame by at most 0.6 rad; on the shoulders and in
+the tails the cap grows as h**-TAIL_POWER, but never past pi, inside
+which the Magnus series converges (a step's integral of ||A|| below pi).
+From |Delta| ~ 43*S the cap is the largest term (a 1 rad cap at every
+height let phi err by 1.9e-9 near |Delta| = 25; without the pi bound,
+trion entries err by 9e-10 at |Delta| = 100). At RESOLUTION_TARGET = 0.07
+numeric phi and alpha at 0.29 T stay within 4.6e-11 and 5.7e-11 of a run
+at a quarter of the uniform step 0.035/fmax for |Delta| from 0.01 to 100,
+and gate operators' qubit blocks at the default spacing within 6.1e-11,
+up to 2.7 T and |gamma| = 3.
 
 propagate and evolve_operator step on the graded grid, the inverse of
 the cumulative integral of r, so steps stretch where the envelopes are
-small. A single 2*pi pulse at eta = 1 has 410 grid steps for |Delta| up
-to about 6.5, where a uniform grid at the maximum of r has 1,093; the pi
-bound then sets the far tails (428 at |Delta| = 15), and from
-|Delta| = 17.1, where the frame term passes Omega and eta,
-every term of r is proportional to |Delta| and the grid has
-25.5*|Delta| steps (a uniform one 63.7*|Delta|). From |Delta| ~ 78,500
-the grid passes MAX_STEPS and is refused. A gate pair has about 720
-steps against 1,500 uniform ones. Without pulses the rate is the constant
-max(omega_B, Gamma) and the grid uniform. An explicit IntegratorOpts.dt
-always gives the uniform grid and the StepTooLarge guard on dt times the
-peak of r.
+small. A single 2*pi pulse at eta = 1 has 206 grid steps for |Delta| up
+to 0.1, 228 at |Delta| = 1, 330 at 3, 550 at 10 and 698 at 17.1; from
+|Delta| ~ 43 every term of r is proportional to |Delta| and the grid has
+25.5*|Delta| steps, whatever RESOLUTION_TARGET. From |Delta| ~ 78,500
+the grid passes MAX_STEPS and is refused. A gate pair at the default
+spacing has 386 to 444 steps for |gamma| <= pi/2 and 1,613 at
+gamma = 3. Without pulses the rate is the constant max(omega_B, Gamma)
+and the grid uniform. An explicit IntegratorOpts.dt always gives the
+uniform grid and the StepTooLarge guard on dt times the peak of the
+unweighted rate (see _frequency_scale).
 
 Even schedules, one pulse whose center c splits the window into two
 bitwise-equal halves (every numeric phase decomposition), get a mirrored
 grid: the half [c, t_end] by the rule above, reflected about c. With
 decay off and no explicit dt, propagate integrates only that half, so a
-pulse's 410 grid steps take 205 integrated ones: in the lab frame
-H(c - s) = H(c + s)^T, so with V(s) = U(c + s, c) and T = t_end - c,
-psi(c) = V(T)^T psi0 and psi(c - s) = (V(s)^-1)^T psi(c), which equals
-conj(V(s) conj(psi(c))) for unitary V. Magnus-6 steps are time-symmetric,
-so this holds step by step, and the states match a forward scan on the
-same grid to rounding (4e-14 up to |Delta| = 1e3).
+pulse's 228 grid steps at |Delta| = 1 take 114 integrated ones: in the
+lab frame H(c - s) = H(c + s)^T, so with V(s) = U(c + s, c) and
+T = t_end - c, psi(c) = V(T)^T psi0 and psi(c - s) = (V(s)^-1)^T psi(c),
+which equals conj(V(s) conj(psi(c))) for unitary V. Magnus-6 steps are
+time-symmetric, so this holds step by step, and the states match a
+forward scan on the same grid to rounding (4e-14 up to |Delta| = 1e3).
 
 Step matrices are built vectorized over chunks of the grid, in a
 component-major (3, 3, n) layout so each entry is one contiguous vector,
@@ -89,10 +101,14 @@ from .model import (
     warn_if_fast_precession,
 )
 
-# graded steps are RESOLUTION_TARGET/r(t) long; the hard guard rejects an
-# explicit dt with dt*fmax >= RESOLUTION_GUARD, fmax the peak of r
-RESOLUTION_TARGET = 0.035
+# graded steps are RESOLUTION_TARGET/r(t) long
+RESOLUTION_TARGET = 0.07
+# the hard guard rejects an explicit dt with dt*fmax >= RESOLUTION_GUARD,
+# fmax the peak of the unweighted rate with the frame term at GUARD_TARGET
+# (see _frequency_scale): dt may turn the frame detuning by up to
+# MAX_FRAME_PHASE*RESOLUTION_GUARD/GUARD_TARGET = 1.71 rad per step
 RESOLUTION_GUARD = 0.1
+GUARD_TARGET = 0.035
 MAX_STEPS = 2_000_000
 # Magnus-6's local error from a term of relative height h varying at rate f
 # scales as h*(f*dt)^7, so a step of RESOLUTION_TARGET/(f*h**TAIL_POWER)
@@ -223,11 +239,16 @@ def _frame_spans(sched: PulseSchedule):
 def _rate(sched: PulseSchedule, s: SystemParams, delta: float, t: np.ndarray) -> np.ndarray:
     """Local rate r(t) of the Hamiltonian in a frame of detuning delta.
 
-    Pulse j counts at its fastest rate there, max(Omega_j, eta_j,
-    |Delta_j - delta|, |delta|*RESOLUTION_TARGET/MAX_FRAME_PHASE), times
-    its height h_j relative to its own peak to the TAIL_POWER: the frame
-    detuning errs only through its commutators with the couplings, so it is
-    weighted like the couplings' own rates. The floor max(omega_B, Gamma,
+    Each term counts at the rate at which a step of RESOLUTION_TARGET/r
+    leaves the same leading Magnus-6 error. With S_j = max(Omega_j, eta_j),
+    pulse j counts at the largest of S_j*(1 + (|delta|/S_j)**3)**(1/7)
+    (its coupling's own rates and the frame diagonal's commutators with
+    it, which err as S_j**4*|delta|**3*dt**7), S_j**(1/7)*|Delta_j -
+    delta|**(6/7) (its carrier in this frame, which the Gauss nodes
+    integrate with an error of S_j*dt*(f*dt)**6) and
+    |delta|*RESOLUTION_TARGET/MAX_FRAME_PHASE (the frame cap), times its
+    height h_j relative to its own peak to the TAIL_POWER: each of these
+    errs through the coupling. The floor max(omega_B, Gamma,
     |delta|*RESOLUTION_TARGET/MAGNUS_RADIUS) covers the constant terms'
     commutators with the couplings and keeps every step inside the Magnus
     radius.
@@ -235,21 +256,39 @@ def _rate(sched: PulseSchedule, s: SystemParams, delta: float, t: np.ndarray) ->
     frame = abs(delta) * RESOLUTION_TARGET
     r = np.full(np.shape(t), max(s.omega_B, s.decay_rate, frame / MAGNUS_RADIUS))
     for p in sched.pulses:
-        fastest = max(p.rabi_peak, p.bandwidth, abs(p.detuning - delta), frame / MAX_FRAME_PHASE)
+        core = max(p.rabi_peak, p.bandwidth)
+        fastest = max(_commutator_rate(core, abs(delta)),
+                      core ** TAIL_POWER * abs(p.detuning - delta) ** (1.0 - TAIL_POWER),
+                      frame / MAX_FRAME_PHASE)
         np.maximum(r, fastest * sech(p.bandwidth * (t - p.center)) ** TAIL_POWER, out=r)
     return r
 
 
+def _commutator_rate(core: float, d: float) -> float:
+    """core*(1 + (d/core)**3)**TAIL_POWER, scaled by max(core, d) so that
+    no power overflows."""
+    m = max(core, d)
+    return core ** (1.0 - 3.0 * TAIL_POWER) * m ** (3.0 * TAIL_POWER) * (
+        (core / m) ** 3 + (d / m) ** 3) ** TAIL_POWER
+
+
 def _frequency_scale(sched: PulseSchedule, s: SystemParams) -> float:
-    """Maximum of the local rate over the window, the scale an explicit dt
-    is guarded against. In closed form: inside pulse k's frame each
-    pulse's share peaks at the point nearest its own center. For a single
-    pulse this is max(Omega, eta, omega_B, Gamma,
-    |Delta|*RESOLUTION_TARGET/MAX_FRAME_PHASE)."""
+    """Scale an explicit dt is guarded against: the peak over the window of
+    the unweighted rate, in which pulse j counts in frame k at
+    max(Omega_j, eta_j, |Delta_j - Delta_k|,
+    |Delta_k|*GUARD_TARGET/MAX_FRAME_PHASE) times h_j**TAIL_POWER, with a
+    floor of max(omega_B, Gamma). In closed form: inside pulse k's frame
+    each pulse's share peaks at the point nearest its own center. For a
+    single pulse this is max(Omega, eta, omega_B, Gamma,
+    |Delta|*GUARD_TARGET/MAX_FRAME_PHASE)."""
     f = max(s.omega_B, s.decay_rate)
     centers = [p.center for p in sched.pulses]
     for pk, a, b in _frame_spans(sched):
-        f = max(f, float(_rate(sched, s, pk.detuning, np.clip(centers, a, b)).max()))
+        t = np.clip(centers, a, b)
+        frame = abs(pk.detuning) * GUARD_TARGET / MAX_FRAME_PHASE
+        for p in sched.pulses:
+            fastest = max(p.rabi_peak, p.bandwidth, abs(p.detuning - pk.detuning), frame)
+            f = max(f, float((fastest * sech(p.bandwidth * (t - p.center)) ** TAIL_POWER).max()))
     return f
 
 
@@ -652,8 +691,9 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     H sums every pulse coupling (each with its detuning phase anchored at
     its own center) plus the precession and optional decay terms. Magnus-6
     steps in per-pulse detuning frames on the graded grid, or on the
-    uniform one for an explicit opts.dt; a pulse's own detuning sets the
-    step count only where a step would turn it by more than
+    uniform one for an explicit opts.dt; a pulse's own detuning adds
+    steps through its commutators with the coupling from |Delta| ~ eta
+    on, and sets them alone where a step would turn it by more than
     MAX_FRAME_PHASE, relaxed by the envelope in the tails up to
     MAGNUS_RADIUS. States are returned in the lab frame. An even
     schedule with decay off and no explicit dt steps only the half after

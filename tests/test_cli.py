@@ -167,6 +167,28 @@ def test_analytic_refuses_detuning_whose_carrier_phase_overflows():
     assert "RuntimeWarning" not in res.stderr
 
 
+@pytest.mark.parametrize("ratio, omega", [(1e-3, 1e152), (1.0, 1e155)])
+def test_analytic_alpha_where_prefactor_squares_overflow(ratio, omega):
+    # alpha depends on r alone; Delta**2 (r = 1e-3, Omega = 1e152) or
+    # Omega**2 (Omega = 1e155) overflows, so the prefactor is taken as
+    # 1/(1 + (Delta/Omega)**2) there, with no numpy warning
+    res = run("phases", "--ratios", repr(ratio), "--omega", repr(omega), "--method", "analytic")
+    assert res.returncode == 0
+    assert res.stderr == ""
+    alpha = float(res.stdout.strip().split("\n")[1].split(",")[2])
+    assert alpha == pytest.approx(4.0 * ratio / (1.0 + ratio ** 2), rel=1e-9)
+
+
+def test_analytic_refuses_detuning_whose_integrand_overflows():
+    # |Delta|*L = 2e307 is finite, but the integrand, up to 2*(|Delta| +
+    # Omega), and its panel sums are not: refused by name, exit 2
+    res = run("phases", "--ratios", "1e-306", "--omega", "100", "--method", "analytic")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "|detuning| + omega must be below 1.12e+307" in res.stderr
+    assert "RuntimeWarning" not in res.stderr
+
+
 def test_simulate_far_detuned_refused():
     # a step may turn the frame detuning by at most 0.6 rad at the pulse
     # center and pi in the tails, so 1e6 rad/ps over the 38 ps window needs

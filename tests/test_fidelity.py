@@ -14,7 +14,8 @@ from sechspin.fidelity import (
     gate_report,
     ideal_rotation,
 )
-from sechspin.model import SystemParams, bandwidth_from_duration
+from sechspin.model import SystemParams, bandwidth_from_duration, larmor_from_field
+from sechspin.propagator import IntegratorOpts, _frequency_scale, schedule_for_pulses
 from sechspin.pulsedesign import design_for_angle
 
 ANGLES = [np.pi / 4, np.pi / 2, 3 * np.pi / 4]
@@ -130,6 +131,24 @@ def test_decay_matches_closed_form_at_zero_field():
         c = [(1.0 + rate / eta + 1j * p.detuning / eta) / 2.0 for p in (pair.pulse1, pair.pulse2)]
         zz = np.prod([1.0 - 1.0 / ck for ck in c])
         assert abs(rep.fidelity - average_fidelity(np.diag([1.0, zz]), rep.u_ideal)) <= 5e-9
+
+
+@pytest.mark.filterwarnings("ignore:omega_B/eta")   # 2.7 T gives omega_B/eta = 0.102
+@pytest.mark.parametrize("field", [0.27, 2.7])
+def test_readme_gate_sweep_within_budget(field):
+    # the README angles with decay on: against a uniform run at a quarter
+    # of the step 0.035 over the peak rate, the qubit block errs by at most
+    # 1e-10 (measured 3.5e-11 at 0.27 T and 6.1e-11 at 2.7 T, both at
+    # gamma = 3; the previous step rule reached 2.0e-11)
+    tau_d = 1.5
+    eta = bandwidth_from_duration(tau_d)
+    s = SystemParams(omega_B=larmor_from_field(field), trion_lifetime=900.0)
+    for gamma in np.linspace(-3.0, 3.0, 25):
+        pair = design_for_angle(float(gamma), eta, 14.0 * tau_d)
+        sched = schedule_for_pulses([pair.pulse1, pair.pulse2])
+        ref_opts = IntegratorOpts(dt=0.035 / _frequency_scale(sched, s) / 4)
+        ref = gate_report(float(gamma), field, opts=ref_opts).u_actual
+        assert np.max(np.abs(gate_report(float(gamma), field).u_actual - ref)) <= 1e-10
 
 
 def test_decay_costs_fidelity():

@@ -28,7 +28,6 @@ from sechspin.phases import (
     sweep_ratio,
 )
 from sechspin.propagator import (
-    RESOLUTION_TARGET,
     IntegratorOpts,
     PulseSchedule,
     Trajectory,
@@ -37,6 +36,10 @@ from sechspin.propagator import (
     propagate,
 )
 from sechspin.special import overall_phase
+
+# uniform references step at a quarter of REFERENCE_TARGET over the guard's
+# rate scale, finer than the graded grid's RESOLUTION_TARGET
+REFERENCE_TARGET = 0.035
 
 
 def alpha_closed(omega, delta):
@@ -165,7 +168,7 @@ def test_numeric_decomposition_is_window_independent():
 
 def test_numeric_alpha_is_sixth_order_on_graded_times():
     # A fine uniform trajectory, read only at the fine times nearest the
-    # graded grid (steps from 0.035 at the center to 0.53 in the tails):
+    # graded grid (steps from 0.063 at the center to 0.93 in the tails):
     # the Hermite rule with exact E' and E'' keeps alpha within 1e-11 of
     # the full-grid value (measured 9.2e-14; 2.4e-10 with E' alone), the
     # plain trapezoid misses by 4.7e-5
@@ -183,26 +186,48 @@ def test_numeric_alpha_is_sixth_order_on_graded_times():
     assert abs(-np.trapezoid(energy, sub.times) - ref) > 1e-5
 
 
+def _quarter_step_reference(delta, s):
+    sched = PulseSchedule([two_pi_pulse(1.0, delta)], (-20.0, 20.0))
+    dt = REFERENCE_TARGET / _frequency_scale(sched, s) / 4
+    return decompose(1.0, delta, "numeric", s, opts=IntegratorOpts(dt=dt))
+
+
 @pytest.mark.parametrize("delta", [15.0, 17.1, 21.5, 25.1])
 def test_numeric_phases_where_frame_phase_cap_sets_steps(delta):
-    # from |Delta| ~ 15 the frame-phase cap, not eta or Omega, sets the steps
-    # on the pulse shoulders, where the coupling is still large. Against a
-    # run at a quarter of the uniform step, phi and alpha stay within the
-    # uniform grid's worst on the README grid, 1.6e-9 and 3.5e-9 (measured
-    # at most 7.3e-10 and 9.2e-10, at 17.1; a cap of 1 rad at every height
-    # reached 1.9e-9 in phi at 25.1)
+    # from |Delta| ~ 15 the frame commutators, and from ~43 the frame-phase
+    # cap, set the steps on the pulse shoulders, where the coupling is still
+    # large. Against a run at a quarter of the uniform step, phi and alpha
+    # stay within the uniform grid's worst on the README grid, 1.6e-9 and
+    # 3.5e-9 (measured at most 3.7e-11 and 4.7e-11, at 25.1; a cap of 1 rad
+    # at every height reached 1.9e-9 in phi at 25.1)
     s = SystemParams(omega_B=larmor_from_field(0.29))
-    sched = PulseSchedule([two_pi_pulse(1.0, delta)], (-20.0, 20.0))
-    dt = RESOLUTION_TARGET / _frequency_scale(sched, s) / 4
-    ref = decompose(1.0, delta, "numeric", s, opts=IntegratorOpts(dt=dt))
+    ref = _quarter_step_reference(delta, s)
     num = decompose(1.0, delta, "numeric", s)
     assert abs(num.overall - ref.overall) <= 1.6e-9
     assert abs(num.dynamic - ref.dynamic) <= 3.5e-9
 
 
+def test_numeric_phases_on_readme_grid_within_budget():
+    # every other README ratio from 0.01 to 1, plus |Delta| = 17.1, where
+    # the previous step rule erred most: against a run at a quarter of the
+    # uniform step, phi and alpha stay within 5.9e-10 and 7.4e-10 (measured
+    # 4.6e-11 and 5.7e-11, at r = 0.0251; the previous rule reached 5.8e-10
+    # and 7.4e-10)
+    s = SystemParams(omega_B=larmor_from_field(0.29))
+    ratios = np.append(np.logspace(-2.0, 2.0, 61)[:31:2], 1.0 / 17.1)
+    worst_phi = worst_alpha = 0.0
+    for r in ratios:
+        ref = _quarter_step_reference(1.0 / r, s)
+        num = decompose(1.0, 1.0 / r, "numeric", s)
+        worst_phi = max(worst_phi, abs(num.overall - ref.overall))
+        worst_alpha = max(worst_alpha, abs(num.dynamic - ref.dynamic))
+    assert worst_phi <= 5.9e-10
+    assert worst_alpha <= 7.4e-10
+
+
 def test_numeric_decomposition_steps_on_graded_grid(monkeypatch):
-    # one pulse at r = 1 over +-20/Omega: 414 graded steps, 207 of them
-    # integrated (1,143 uniform)
+    # one pulse at r = 1 over +-20/Omega: 228 graded steps, 114 of them
+    # integrated (1,143 uniform at the guard's scale)
     steps = []
 
     def counting(*args, **kwargs):
@@ -212,7 +237,7 @@ def test_numeric_decomposition_steps_on_graded_grid(monkeypatch):
 
     monkeypatch.setattr(phases, "propagate", counting)
     decompose(1.0, 1.0, "numeric", SystemParams(omega_B=larmor_from_field(0.29)))
-    assert len(steps) == 1 and steps[0] <= 450
+    assert len(steps) == 1 and steps[0] <= 240
 
 
 def test_decay_rejected():
@@ -255,10 +280,14 @@ def test_detuning_whose_carrier_phase_overflows_refused():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_quadrature_sum_fails_at_large_omega():
+def test_non_finite_quadrature_sum_fails_at_large_omega(monkeypatch):
     # Delta*t stays finite (2e307) but the integrand, up to 2*|Delta|,
-    # overflows: an infinite sum must fail the check even where its error
-    # bound, 1e-7*|sum|, is infinite too (it printed NaN with exit 0)
+    # overflows: refused by name before the quadrature. Without that
+    # refusal, an infinite sum must still fail the check even where its
+    # error bound, 1e-7*|sum|, is infinite too (it printed NaN with exit 0)
+    with pytest.raises(ValueError, match="must be below"):
+        dynamic_phase_analytic(100.0, 1e308)
+    monkeypatch.setattr(phases, "INTEGRAND_LIMIT", np.inf)
     with pytest.raises(QuadratureFailure):
         dynamic_phase_analytic(100.0, 1e308)
 

@@ -21,7 +21,6 @@ from sechspin.propagator import (
     MAX_FRAME_PHASE,
     MAX_STEPS,
     OVERLAP_FRACTION,
-    RESOLUTION_TARGET,
     TAIL_POWER,
     IntegratorOpts,
     NormBlowup,
@@ -45,11 +44,16 @@ from sechspin.pulsedesign import design_for_angle
 from sechspin.special import overall_phase, rz_state
 
 
+# uniform references step at REFERENCE_TARGET over the guard's rate scale,
+# finer than the graded grid's RESOLUTION_TARGET
+REFERENCE_TARGET = 0.035
+
+
 def _uniform_dt(sched, s):
-    """The uniform step at RESOLUTION_TARGET over the peak rate, the
+    """The uniform step at REFERENCE_TARGET over the peak rate, the
     reference the graded grid is held against."""
     span = sched.duration
-    return span / np.ceil(span * _frequency_scale(sched, s) / RESOLUTION_TARGET)
+    return span / np.ceil(span * _frequency_scale(sched, s) / REFERENCE_TARGET)
 
 
 def test_free_precession_cosine():
@@ -84,14 +88,12 @@ def test_matches_closed_form_without_precession(delta):
     assert worst < 1e-6
 
 
-def test_step_count_follows_detuning_only_past_frame_phase_cap():
-    # in the pulse's detuning frame Delta is a constant diagonal that the
-    # exponential takes exactly, but it is part of the Magnus generator, so
-    # where the pulse is at full height a step may turn it by at most
-    # MAX_FRAME_PHASE; below that cap only eta, Omega and omega_B set the
-    # peak rate. In the tails the cap grows with the envelope, up to
-    # MAGNUS_RADIUS, so the count grows slowly with |Delta| from about 6.5
-    # (410 steps at 0.1, 428 at 15)
+def test_step_count_balances_frame_commutator_error():
+    # Magnus-6 errs through the frame diagonal's commutators with the
+    # coupling as S**4*|Delta|**3*dt**7, so below the frame-phase cap a
+    # pulse counts at S*(1 + (|Delta|/S)**3)**(1/7), S = max(Omega, eta):
+    # the count grows from |Delta| ~ 1 (206 steps at 0.1, 228 at 1, 330
+    # at 3). The explicit-dt guard keeps the unweighted scale.
     def sched(delta):
         return schedule_for_pulses([two_pi_pulse(1.0, delta)])
 
@@ -100,13 +102,19 @@ def test_step_count_follows_detuning_only_past_frame_phase_cap():
 
     s = SystemParams()
     assert _frequency_scale(sched(0.1), s) == _frequency_scale(sched(17.0), s) == 1.0
-    assert count(0.1) == count(3.0) < count(15.0) < count(100.0) < count(-1000.0)
-    # past the cap every term of the rate is |Delta| times a fixed profile,
-    # max(sech**TAIL_POWER/MAX_FRAME_PHASE, 1/MAGNUS_RADIUS), so the count
-    # is |Delta| times its integral over the window
+    assert count(0.0) == count(0.1) < count(1.0) < count(3.0) < count(17.1) < count(100.0)
+    for delta in (1.0, -3.0, 10.0, 17.1):
+        assert count(delta) == pytest.approx(count(0.0) * (1.0 + abs(delta) ** 3) ** TAIL_POWER,
+                                             rel=1e-2)
+    # past the cap (|Delta| ~ 43) every term of the rate is |Delta| times
+    # a fixed profile, max(sech**TAIL_POWER/MAX_FRAME_PHASE, 1/MAGNUS_RADIUS),
+    # so the count is |Delta| times its integral over the window, whatever
+    # RESOLUTION_TARGET
     t = np.linspace(-ENVELOPE_TAIL_ARG, ENVELOPE_TAIL_ARG, 400_001)
     profile = np.maximum(sech(t) ** TAIL_POWER / MAX_FRAME_PHASE, 1.0 / MAGNUS_RADIUS)
     assert count(-1000.0) == pytest.approx(1000.0 * np.trapezoid(profile, t), rel=1e-4)
+    # at the cap's edge too, to the rounding of an even count
+    assert count(50.0) == pytest.approx(50.0 * np.trapezoid(profile, t), abs=2.0)
     assert 2 * count(-1000.0) - 1 <= count(2000.0) <= 2 * count(-1000.0)
 
 
@@ -175,13 +183,19 @@ def test_near_pi_gate_resolves_neighbour_tail(gamma):
     # Delta1 - Delta2 ~ 607*eta: in each pulse's frame the other's tail (1.8e-3
     # of peak at the frame edge) turns ~2*pi per step of 0.01/eta, where
     # Gauss nodes alias it (trion entries off by 1.7e-3). The step rule
-    # counts that tail, so halving dt moves nothing.
+    # counts that tail at S**(1/7)*|Delta1 - Delta2|**(6/7)*h**(1/7), so a
+    # graded step turns it by under 0.5 rad at the frame edge (measured
+    # 0.434), and halving the reference's dt moves nothing
     pair = design_for_angle(gamma, 1.0)
     pulses = [pair.pulse1, pair.pulse2]
     sched = schedule_for_pulses(pulses)
     s = SystemParams()
     dt = _uniform_dt(sched, s)
-    assert abs(pulses[0].detuning - pulses[1].detuning) * dt < 0.1
+    turn = abs(pulses[0].detuning - pulses[1].detuning)
+    assert turn * dt < 0.1
+    times = _graded_grid(sched, s)
+    edge = np.searchsorted(times, 0.5 * (pulses[0].center + pulses[1].center))
+    assert turn * (times[edge] - times[edge - 1]) < 0.5
     u = evolve_operator(sched, s)
     assert np.max(np.abs(u - evolve_operator(sched, s, IntegratorOpts(dt=dt / 2)))) <= 1e-8
     phase = sum(overall_phase(1.0, p.detuning) for p in pulses)
@@ -249,7 +263,7 @@ def test_single_pulse_propagate_grid():
     traj = propagate(StateVector.ket_z(), sched, s)
     assert np.array_equal(traj.times, _graded_grid(sched, s))
     t0, t1 = sched.window
-    dt = RESOLUTION_TARGET / 1.7
+    dt = REFERENCE_TARGET / 1.7
     n = int(np.ceil((t1 - t0) / dt))
     traj = propagate(StateVector.ket_z(), sched, s, IntegratorOpts(dt=dt))
     assert np.array_equal(traj.times, np.linspace(t0, t1, n + 1))

@@ -98,11 +98,14 @@ class SystemParams:
 
 
 def warn_if_fast_precession(s: SystemParams, bandwidth: float) -> None:
+    """Warn when omega_B/eta >= 0.1. Called from propagator's grid
+    builder, so the warning points three frames up: at the line that
+    called propagate or evolve_operator."""
     if not s.slow_precession(bandwidth):
         warnings.warn(
             "omega_B/eta = %.3g >= 0.1: outside the slow-precession regime, "
             "analytic single-pulse results degrade" % (s.omega_B / bandwidth),
-            stacklevel=3,
+            stacklevel=4,
         )
 
 

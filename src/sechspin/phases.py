@@ -12,11 +12,13 @@ Two routes, kept structurally independent on purpose:
   Hamiltonian expectation value by a two-point Hermite rule with exact
   first and second derivatives on the trajectory times, the overall phase
   read off the final state. The window is symmetric about the pulse
-  center c, so the grid is mirrored about c and propagate integrates
-  only [c, t_end]; the earlier half follows by time reversal,
-  psi(c - s) = conj(V(s) conj(psi(c))) with V(s) = U(c + s, c) and
-  psi(c) = V(t_end - c)^T psi(t_start) (see propagator). A run with an
-  explicit IntegratorOpts.dt steps forward over the whole window.
+  center c, so the grid is mirrored about c and, while the half fits
+  one chunk, propagate integrates only [c, t_end]; the earlier half
+  follows by time reversal, psi(c - s) = (V(s)^-1)^T psi(c) through
+  cofactors, with V(s) = U(c + s, c) and
+  psi(c) = V(t_end - c)^T psi(t_start) (see propagator). A longer half,
+  or a run with an explicit IntegratorOpts.dt, steps forward over the
+  whole window.
 
 The geometric part is the difference in both cases.
 """

@@ -72,16 +72,19 @@ decay off and no explicit dt, propagate integrates only that half, so a
 pulse's 228 grid steps at |Delta| = 1 take 114 integrated ones: in the
 lab frame H(c - s) = H(c + s)^T, so with V(s) = U(c + s, c) and
 T = t_end - c, psi(c) = V(T)^T psi0 and psi(c - s) = (V(s)^-1)^T psi(c),
-which equals conj(V(s) conj(psi(c))) for unitary V. Magnus-6 steps are
+the inverse transpose taken through cofactors. Magnus-6 steps are
 time-symmetric, so this holds step by step, and the states match a
-forward scan on the same grid to rounding (4e-14 up to |Delta| = 1e3).
+forward run on the same grid to rounding. Only a half that fits one
+chunk (CHUNK_STEPS = 8,192 steps, |Delta| up to about 640 at eta = 1)
+is mirrored: a longer one needs a second pass after V(T), which
+measured no faster than stepping forward over the whole grid.
 
 Step matrices are built vectorized over chunks of the grid, in a
 component-major (3, 3, n) layout so each entry is one contiguous vector,
 and exponentiated by batched scaling and squaring of a Taylor polynomial.
-They are consumed by a blocked scan (full trajectory) or a pairwise fold
-(final operator only). Grids depend only on the inputs, so runs are
-bit-reproducible.
+Every trajectory reads its states off the running products of its step
+matrices, chunk by chunk; the final operator alone comes from a pairwise
+fold. Grids depend only on the inputs, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -133,10 +136,10 @@ GAUSS_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 1
 # degree-8 Taylor: the dropped tail is below 2^-53 relative for norm <= 1/16
 TAYLOR_THETA = 1.0 / 16.0
 TAYLOR_COEFS = tuple(1.0 / math.factorial(k) for k in range(9))
-# steps built at once, and block length of the trajectory scan (a power of 2)
+# steps built at once, and block length of the running products (a power of 2)
 CHUNK_STEPS = 8192
 SCAN_BLOCK = 16
-# the scan doubles its in-block prefixes up to this many blocks, where
+# the running products double in-block prefixes up to this many blocks, where
 # fewer, larger products beat the per-call overhead of sequential ones
 # (doubling against sequential on a 2-core Xeon: 0.23 against 0.42 ms at
 # 413 steps, even near 2,048, 2.6 against 1.6 ms at 8,192)
@@ -212,8 +215,8 @@ class IntegratorOpts:
     def __post_init__(self):
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        if not isinstance(self.sample_stride, (int, np.integer)) or self.sample_stride < 1:
+            raise ValueError("sample_stride must be an integer >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,10 +224,6 @@ class Trajectory:
     times: np.ndarray    # (n,) strictly increasing
     states: np.ndarray   # (n, 3) complex amplitudes
     norms: np.ndarray    # (n,) sum of |amplitude|^2
-
-    @property
-    def final_state(self) -> StateVector:
-        return StateVector(self.states[-1])
 
 
 def _frame_spans(sched: PulseSchedule):
@@ -353,7 +352,10 @@ def _graded_grid(sched: PulseSchedule, s: SystemParams) -> np.ndarray:
 
 def _times(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts) -> np.ndarray:
     """Step grid: uniform for an explicit opts.dt, which must pass the
-    resolution guard at the peak rate; otherwise graded."""
+    resolution guard at the peak rate; otherwise graded. Warns at the
+    caller of propagate or evolve_operator if precession is fast."""
+    if sched.pulses:
+        warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses))
     if opts.dt is None:
         return _graded_grid(sched, s)
     fmax = _frequency_scale(sched, s)
@@ -559,26 +561,6 @@ def _block_prefixes(m: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _scan(m: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """States after each step, m[..., k] @ ... @ m[..., 0] @ psi, as (n, 3).
-
-    Blocked: _block_prefixes, then the block totals carry psi from block to
-    block (the same scan one level up). m is overwritten.
-    """
-    n = m.shape[-1]
-    if n <= SCAN_BLOCK:
-        out = np.empty((n, 3), dtype=complex)
-        for k in range(n):
-            psi = m[..., k] @ psi
-            out[k] = psi
-        return out
-    blocks = _block_prefixes(m)
-    carried = _scan(np.ascontiguousarray(blocks[..., -1]), psi)
-    starts = np.concatenate([psi[None], carried[:-1]])
-    states = np.einsum("ijbk,bj->bki", blocks, starts)
-    return states.reshape(-1, 3)[:n]
-
-
 def _running_products(m: np.ndarray) -> np.ndarray:
     """m[..., k] @ ... @ m[..., 0] for every k, as (3, 3, n): in sequence up
     to SCAN_BLOCK matrices, else block prefixes with the running products
@@ -625,10 +607,12 @@ def _norms(states: np.ndarray) -> np.ndarray:
 
 def _forward(psi0: np.ndarray, times: np.ndarray, sched: PulseSchedule, s: SystemParams,
              store) -> None:
-    """States at every grid time after the first, stepped from psi0."""
+    """States at every grid time after the first, stepped from psi0 by each
+    chunk's running products."""
     psi = psi0
     for a, piece in _chunks(times):
-        chunk = _scan(_step_matrices(piece, np.diff(piece), sched, s), psi)
+        v = _running_products(_step_matrices(piece, np.diff(piece), sched, s))
+        chunk = np.einsum("ijk,j->ki", v, psi)
         store(chunk, a + 1)
         psi = chunk[-1]
 
@@ -636,52 +620,24 @@ def _forward(psi0: np.ndarray, times: np.ndarray, sched: PulseSchedule, s: Syste
 def _mirrored(psi0: np.ndarray, times: np.ndarray, sched: PulseSchedule, s: SystemParams,
               store) -> None:
     """States at every grid time after the first on the mirrored grid of an
-    even schedule, stepping only its second half [c, t_end].
+    even schedule whose half [c, t_end] fits one chunk, stepping only that
+    half (see the module docstring): the step from c - s_{k+1} to c - s_k
+    is the transpose of the one from c + s_k to c + s_{k+1}.
 
-    With V(s) = U(c + s, c) and T = t_end - c, H(c - s) = H(c + s)^T gives
-    psi(c) = V(T)^T psi0 and psi(c - s) = (V(s)^-1)^T psi(c), and Magnus-6
-    steps are time-symmetric, so both hold step by step: the step from
-    c - s_{k+1} to c - s_k is the transpose of the one from c + s_k to
-    c + s_{k+1}. With decay off V is unitary, (V^-1)^T = conj(V), and the
-    cofactor inverse below is perfectly conditioned; it is used instead of
-    conj(V) because the steps' unitarity defect, rounding that grows with
-    the squarings of _expm, would add up along the carried products.
-    One block scan gives both halves: the running products, applied to
-    psi(c), and their inverse transposes, applied to psi(c) again. In one
-    chunk V(T) is the product of the block totals; over several, a first
-    pass folds it chunk by chunk and a second rebuilds each chunk's steps.
+    The running products of the half's steps are V(s_k) for every k; the
+    last is V(T). Applied to psi(c) they give the half after c, and their
+    inverse transposes, in reverse, the half before it. With decay off V
+    is unitary, so (V^-1)^T = conj(V) and the cofactor inverse is
+    perfectly conditioned; conj(V) itself would carry the steps' unitarity
+    defect, rounding that grows with the squarings of _expm, along the
+    products.
     """
     n = (times.shape[0] - 1) // 2
     half = times[n:]
-
-    def pieces():
-        # per chunk: its offset, its block prefixes, and the running
-        # products of its block totals
-        for a, piece in _chunks(half):
-            blocks = _block_prefixes(_step_matrices(piece, np.diff(piece), sched, s))
-            yield a, blocks, _running_products(np.ascontiguousarray(blocks[..., -1]))
-
-    chunks = pieces()
-    if n <= CHUNK_STEPS:
-        chunks = [next(chunks)]
-        total = chunks[0][2][..., -1]
-    else:
-        total = np.eye(3, dtype=complex)
-        for _, piece in _chunks(half):
-            total = _fold(_step_matrices(piece, np.diff(piece), sched, s)) @ total
-    # the states at c + s_a and c - s_a, s_a where the chunk starts
-    right = left = total.T @ psi0
-    eye = np.eye(3, dtype=complex)[..., None]
-    for a, blocks, upto in chunks:
-        k = min(CHUNK_STEPS, n - a)
-        before = np.concatenate([eye, upto[..., :-1]], axis=-1)
-        rows = np.einsum("ijbk,bj->bki", blocks, np.einsum("ijb,j->bi", before, right))
-        store(np.concatenate([right[None], rows.reshape(-1, 3)[:k]]), n + a)
-        rows = np.einsum("ijbk,bj->bki", _inverse_transpose(blocks),
-                         np.einsum("ijb,j->bi", _inverse_transpose(before), left))
-        store(rows.reshape(-1, 3)[k - 1::-1], n - a - k)
-        if a + k < n:
-            right, left = upto[..., -1] @ right, _inverse_transpose(upto[..., -1]) @ left
+    v = _running_products(_step_matrices(half, np.diff(half), sched, s))
+    psi_c = v[..., -1].T @ psi0
+    store(np.concatenate([psi_c[None], np.einsum("ijk,j->ki", v, psi_c)]), n)
+    store(np.einsum("ijk,j->ki", _inverse_transpose(v), psi_c)[::-1], 0)
 
 
 def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
@@ -696,10 +652,10 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     on, and sets them alone where a step would turn it by more than
     MAX_FRAME_PHASE, relaxed by the envelope in the tails up to
     MAGNUS_RADIUS. States are returned in the lab frame. An even
-    schedule with decay off and no explicit dt steps only the half after
-    the pulse center and gets the half before it by time reversal,
-    psi(c - s) = conj(V(s) conj(psi(c))) with V(s) = U(c + s, c) and
-    psi(c) = V(t_end - c)^T psi0 (see the module docstring).
+    schedule with decay off, no explicit dt and halves of at most
+    CHUNK_STEPS steps integrates only the half after the pulse center c;
+    the half before it follows by time reversal, psi(c - s) =
+    (V(s)^-1)^T psi(c) with V(s) = U(c + s, c), through cofactors.
     Raises StepTooLarge if the grid cannot resolve the fastest envelope,
     Rabi, precession, decay, frame or neighbour-tail rate within MAX_STEPS
     (or an explicit dt breaks the resolution guard), NormBlowup if the
@@ -708,8 +664,6 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     opts = opts or IntegratorOpts()
     if abs(psi0.norm_sq - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalized")
-    if sched.pulses:
-        warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses))
     times = _times(sched, s, opts)
     n = times.shape[0] - 1
     idx = np.arange(0, n + 1, opts.sample_stride)
@@ -730,11 +684,10 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
         states[lo:hi] = rows[sel]
         norms[lo:hi] = row_norms[sel]
 
-    mirror = opts.dt is None and s.decay_rate == 0 and _even_center(sched) is not None
+    mirror = (opts.dt is None and s.decay_rate == 0 and _even_center(sched) is not None
+              and n // 2 <= CHUNK_STEPS)
     (_mirrored if mirror else _forward)(psi0.amplitudes, times, sched, s, store)
-    states[0] = psi0.amplitudes
-    norms[0] = _norms(states[:1])[0]
-    peak = np.maximum(peak, norms[0])
+    store(psi0.amplitudes[None], 0)
     if not peak <= 1.0 + 1e-6:
         raise NormBlowup("norm reached %.9f" % peak)
     return Trajectory(times[idx], states, norms)
@@ -749,8 +702,6 @@ def evolve_operator(sched: PulseSchedule, s: SystemParams,
     uniform if opts.dt is given. Unitary to rounding without decay, a
     contraction with decay on.
     """
-    if sched.pulses:
-        warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses))
     u = np.eye(3, dtype=complex)
     for _, piece in _chunks(_times(sched, s, opts or IntegratorOpts())):
         u = _fold(_step_matrices(piece, np.diff(piece), sched, s)) @ u

@@ -37,7 +37,7 @@ from sechspin.propagator import (
     _frequency_scale,
     _graded_grid,
     _magnus6,
-    _scan,
+    _running_products,
     _step_matrices,
 )
 from sechspin.pulsedesign import design_for_angle
@@ -347,12 +347,32 @@ def test_mirrored_schedule_gives_transposed_operator(eta, ratios, field, amps, d
     assert np.max(np.abs(evolve_operator(mirror, s) - u.T)) <= 1e-12
 
 
+def _step_by_step(m, psi):
+    """States after each step, m[..., k] @ ... @ m[..., 0] @ psi as (n, 3),
+    one matrix-vector product at a time: the exact reference."""
+    out = np.empty((m.shape[-1], 3), dtype=complex)
+    for k in range(m.shape[-1]):
+        psi = m[..., k] @ psi
+        out[k] = psi
+    return out
+
+
+def _assert_sampled_rows_match(traj, sched, s, psi0, stride=7):
+    """A run keeping every stride-th row (and the last) returns exactly
+    those rows of the full run traj."""
+    sampled = propagate(StateVector(psi0), sched, s, IntegratorOpts(sample_stride=stride))
+    idx = np.unique(np.append(np.arange(0, len(traj.times), stride), len(traj.times) - 1))
+    assert np.array_equal(sampled.times, traj.times[idx])
+    assert np.array_equal(sampled.states, traj.states[idx])
+    assert np.array_equal(sampled.norms, traj.norms[idx])
+
+
 @pytest.mark.parametrize("field", [0.0, 0.29, 2.7])
 @pytest.mark.parametrize("ratio", [0.01, -0.01, 1.0, -1.0, 100.0, -100.0])
 def test_mirrored_propagate_matches_forward_scan(field, ratio):
     # an even schedule steps only [c, t_end] and gets [t_start, c] by time
-    # reversal; on the same grid a forward scan over every step agrees to
-    # rounding (measured at most 1.1e-14)
+    # reversal; on the same grid stepping forward over every step agrees to
+    # rounding (measured at most 5.5e-15)
     sched = PulseSchedule([two_pi_pulse(1.0, 1.0 / ratio)], (-20.0, 20.0))
     s = SystemParams(omega_B=larmor_from_field(field))
     psi0 = np.array([0.6, 0.48j, 0.64])
@@ -360,32 +380,38 @@ def test_mirrored_propagate_matches_forward_scan(field, ratio):
     times = _graded_grid(sched, s)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(times, -times[::-1])
-    ref = _scan(_step_matrices(times, np.diff(times), sched, s), psi0)
+    ref = _step_by_step(_step_matrices(times, np.diff(times), sched, s), psi0)
     assert np.array_equal(traj.states[0], psi0)
     assert np.max(np.abs(traj.states[1:] - ref)) <= 1e-13
 
 
-def test_mirrored_propagate_matches_forward_scan_over_chunks():
-    # |Delta| = 1e3: 13,012 steps per half, so both passes span two chunks
-    # (measured 2.8e-14)
+def test_mirrored_sampled_rows_match_full_run():
+    # |Delta| = 100: 1,302 steps per half, one chunk, so the run is
+    # mirrored; the sampled rows on both sides of the center are the full
+    # run's rows, with the center row sampled (stride 7) and not (stride 5)
+    sched = PulseSchedule([two_pi_pulse(1.0, 100.0)], (-20.0, 20.0))
+    s = SystemParams(omega_B=larmor_from_field(0.29))
+    psi0 = np.array([0.6, 0.48j, 0.64])
+    traj = propagate(StateVector(psi0), sched, s)
+    assert (len(traj.times) - 1) // 2 == 1302 <= propagator.CHUNK_STEPS
+    for stride in (7, 5):
+        _assert_sampled_rows_match(traj, sched, s, psi0, stride)
+
+
+def test_long_even_schedule_steps_forward_over_chunks():
+    # |Delta| = 1e3: 13,012 steps per half, more than one chunk, so the
+    # even schedule steps forward over the whole grid, in four chunks
+    # (measured 5.0e-14 against step by step)
     sched = PulseSchedule([two_pi_pulse(1.0, -1e3)], (-20.0, 20.0))
     s = SystemParams(omega_B=larmor_from_field(0.29))
     psi0 = np.array([0.6, 0.48j, 0.64])
     traj = propagate(StateVector(psi0), sched, s)
     times = traj.times
     assert (len(times) - 1) // 2 > propagator.CHUNK_STEPS
-    psi, worst = psi0, 0.0
-    for a, piece in propagator._chunks(times):
-        ref = _scan(_step_matrices(piece, np.diff(piece), sched, s), psi)
-        worst = max(worst, np.max(np.abs(traj.states[a + 1:a + piece.shape[0]] - ref)))
-        psi = ref[-1]
-    assert worst <= 1e-13
+    ref = _step_by_step(_step_matrices(times, np.diff(times), sched, s), psi0)
+    assert np.max(np.abs(traj.states[1:] - ref)) <= 1e-13
     # sampled rows on both sides of the center are the full run's rows
-    sampled = propagate(StateVector(psi0), sched, s, IntegratorOpts(sample_stride=7))
-    idx = np.append(np.arange(0, len(times), 7), len(times) - 1)
-    assert np.array_equal(sampled.times, times[idx])
-    assert np.array_equal(sampled.states, traj.states[idx])
-    assert np.array_equal(sampled.norms, traj.norms[idx])
+    _assert_sampled_rows_match(traj, sched, s, psi0)
 
 
 def _random_generators(n, rng, scales):
@@ -407,20 +433,19 @@ def test_batched_exponential_matches_scipy():
         assert np.max(np.abs(got[..., k] - expm(x[..., k]))) <= 1e-14 * max(1.0, norm)
 
 
-def test_scan_and_fold_match_step_by_step_products():
-    # 1000 steps take the blocked scan through two levels of block carries,
-    # doubling its in-block prefixes; 2100 steps (132 blocks) run the top
-    # level's products in sequence
+def test_running_products_and_fold_match_step_by_step_products():
+    # 1000 steps take the running products through two levels of block
+    # totals, doubling their in-block prefixes; 2100 steps (132 blocks) run
+    # the top level's products in sequence
     for n in (1000, 2100):
         m = _expm(_random_generators(n, np.random.default_rng(5), np.full(n, 0.05)))
-        psi0 = np.array([0.6, 0.8j, 0.0])
-        psi, states, u = psi0, [], np.eye(3)
+        u = np.eye(3, dtype=complex)
+        products = np.empty_like(m)
         for k in range(m.shape[-1]):
-            psi = m[..., k] @ psi
-            states.append(psi)
             u = m[..., k] @ u
+            products[..., k] = u
         assert np.max(np.abs(_fold(m) - u)) < 1e-13
-        assert np.max(np.abs(_scan(m.copy(), psi0) - states)) < 1e-13
+        assert np.max(np.abs(_running_products(m.copy()) - products)) < 1e-13
 
 
 def test_grid_halving_convergence():
@@ -587,7 +612,18 @@ def test_integrator_opts_validation():
         IntegratorOpts(sample_stride=0)
 
 
+@pytest.mark.parametrize("stride", [2.5, 3.0, np.float64(3.0), "3"])
+def test_integrator_opts_refuses_non_integer_stride(stride):
+    # a float stride used to pass and end in numpy's IndexError in propagate
+    with pytest.raises(ValueError, match="sample_stride"):
+        IntegratorOpts(sample_stride=stride)
+
+
 def test_fast_precession_warns():
+    # the warning points at the line that called propagate or evolve_operator
     sched = schedule_for_pulses([two_pi_pulse(1.0, 0.0)])
-    with pytest.warns(UserWarning):
-        propagate(StateVector.ket_z(), sched, SystemParams(omega_B=0.5))
+    s = SystemParams(omega_B=0.5)
+    with pytest.warns(UserWarning) as record:
+        propagate(StateVector.ket_z(), sched, s)
+        evolve_operator(sched, s)
+    assert [w.filename for w in record] == [__file__] * 2

@@ -31,7 +31,6 @@ USAGE_ERRORS = (
     ValueError,
 )
 NUMERIC_ERRORS = (
-    phases.QuadratureFailure,
     propagator.NormBlowup,
     propagator.StepTooLarge,
     ArithmeticError,

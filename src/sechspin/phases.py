@@ -2,10 +2,10 @@
 
 Two routes, kept structurally independent on purpose:
 
-* method I ("analytic"): the closed-form integrand for the dynamic phase,
-  valid in the slow-precession limit, summed by a fixed composite
-  Gauss-Legendre rule (16 nodes per panel, panels 1/Omega wide, checked
-  against panels twice as wide); the overall phase comes from the arctan
+* method I ("analytic"): the dynamic phase of the closed-form
+  (Rosen-Zener) state, valid in the slow-precession limit. Its integrand
+  is elementary, so alpha = 4r/(1+r^2)*tanh(window) exactly (see
+  dynamic_phase_analytic); the overall phase comes from the arctan
   formula.
 * method II ("numeric"): full propagation of the three-level system on
   the graded grid, the dynamic phase as minus the time integral of the
@@ -31,14 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import SystemParams, sech, two_pi_pulse
-from .propagator import (
-    IntegratorOpts,
-    PulseSchedule,
-    Trajectory,
-    propagate,
-    schedule_for_pulses,
-)
+from .model import SystemParams, two_pi_pulse
+from .propagator import IntegratorOpts, PulseSchedule, Trajectory, propagate
 from .special import overall_phase
 from . import model
 
@@ -49,25 +43,6 @@ from . import model
 # r = 10, 4.9e-9 at r = +-100 and 2.6e-9 at r = 1 (<= 6.8e-13 at these r
 # with window 30).
 DEFAULT_WINDOW = 20.0
-# beyond this x, sech(x)**2 ~ 4*exp(-2x) is below half the smallest
-# subnormal and rounds to exactly 0 (x ~ 373.3)
-SECH2_UNDERFLOW = 0.5 * float(np.log(8.0) - np.log(np.finfo(float).smallest_subnormal))
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# the integrand is bounded by 2*(|Delta| + Omega) and its fine panel sums,
-# before they are scaled by the panel width, reach about 8*(|Delta| + Omega),
-# so both stay finite below this
-INTEGRAND_LIMIT = float(np.finfo(float).max) / 16.0
-# with Omega and every |Delta| of a call between 1/PLAIN_SQUARES and
-# PLAIN_SQUARES, the prefactor's squares are normal floats with a finite sum
-PLAIN_SQUARES = 1e150
-# detunings per quadrature pass: at the default window one detuning takes
-# ~40 KB of temporaries, so a block stays under 1 MB however long the grid
-# (16 ran a 60- and a 2,000-detuning grid faster than 8, 32 or 64)
-QUAD_BLOCK = 16
-
-
-class QuadratureFailure(ArithmeticError):
-    """The fine and coarse quadrature sums disagree beyond tolerance."""
 
 
 class DecayForbidden(ValueError):
@@ -90,110 +65,35 @@ def _as_decomposition(phi, alpha, method, omega, delta) -> PhaseDecomposition:
                               ratio=float(ratio))
 
 
-def _panel_sums(omega: float, delta: np.ndarray, lim: float, n: int) -> np.ndarray:
-    """Integral of the raw integrand over [-lim, lim] by GL_NODES on n
-    equal panels, for a column of detunings. The panel centers are counted
-    from 0, so nodes near the center, where the integrand peaks, carry no
-    rounding from lim. Each row is reduced as a lone detuning would be
-    (per panel @ GL_WEIGHTS, then np.sum), so its bits do not depend on
-    the block it sits in."""
-    h = 2.0 * lim / n
-    mid = h * (np.arange(n) - 0.5 * (n - 1))
-    t = (mid[:, None] + 0.5 * h * GL_NODES).ravel()
-    x = omega * t
-    # log(1 -+ tanh x) without cancellation: ln 2 - ln(1 + e^(+-2x))
-    log_1m = np.log(2.0) - np.logaddexp(0.0, 2.0 * x)
-    log_1p = np.log(2.0) - np.logaddexp(0.0, -2.0 * x)
-    half = delta / (2.0 * omega)
-    # arg of e^(-i*Delta*t) * (1-th)^(-i*half) * (1+th)^(i*half)
-    theta = -delta * t - half * log_1m + half * log_1p
-    re_part = delta * np.cos(theta) + omega * np.tanh(x) * np.sin(theta)
-    values = sech(x) ** 2 * 2.0 * re_part
-    return 0.5 * h * np.sum(values.reshape(len(delta), n, -1) @ GL_WEIGHTS, axis=-1)
-
-
-def _prefactor_times(omega: float, delta: np.ndarray, value: np.ndarray) -> np.ndarray:
-    """Omega**2/(Delta**2 + Omega**2)*value where a square may leave the
-    normal range: as written where Omega**2 is a normal float and
-    Delta**2 + Omega**2 finite, else value/(1 + q**2) with q = Delta/Omega,
-    or value/q/q where q**2 overflows too."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        w2 = np.float_power(omega, 2)
-        den = np.float_power(delta, 2) + w2
-        q = delta / omega
-        q2 = q * q
-        wide = np.where(np.isfinite(q2), value / (1.0 + q2), value / q / q)
-        return np.where(np.isfinite(den) & (w2 >= np.finfo(float).tiny), w2 / den * value, wide)
-
-
 def dynamic_phase_analytic(omega: float, delta, window: float = DEFAULT_WINDOW):
-    """Dynamic phase of one 2*pi pulse (Omega = eta) from the closed form.
+    """Dynamic phase of one 2*pi pulse (Omega = eta) over [-L, L],
+    L = window/Omega, in closed form: alpha = 4r/(1+r^2)*tanh(window),
+    r = Omega/Delta.
 
-    The integrand is assembled in its raw oscillatory-factor shape, products
-    of (1 -+ tanh)^(+-i*Delta/2/Omega) with the conjugate pair summed, not
-    in any algebraically simplified variant; the power
-    factors are evaluated through logs so the tails stay finite. It is
-    integrated over [-L, L], L = min(window, SECH2_UNDERFLOW)/Omega (the
-    integrand is exactly 0 beyond SECH2_UNDERFLOW/Omega, so the clip drops
-    nothing), by 16-node Gauss-Legendre panels at most 1/Omega wide;
-    QuadratureFailure is raised when panels twice as wide give a sum
-    further away than 1e-7*max(1, |value|), or a sum that is not finite.
-    A detuning that is not finite, whose carrier phase |Delta|*L at the
-    ends of the span is not (|Delta| above ~9e306 at the default window
-    and Omega = 1), or for which |Delta| + Omega reaches INTEGRAND_LIMIT
-    (~1.1e307, where the integrand's sums would overflow), is refused with
-    ValueError. Where Delta**2 + Omega**2 overflows or Omega**2 leaves the
-    normal range, the prefactor Omega**2/(Delta**2 + Omega**2) is taken as
-    1/(1 + q**2), q = Delta/Omega (see _prefactor_times).
+    On the Rosen-Zener state the z row couples only to the trion, so
+    V*c_tau = i*dc_z/dt and <H> = -2*Im(conj(c_z)*dc_z/dt). With
+    c_z = 1 - z/c, z = (tanh(eta*t) + 1)/2 and c = (1 + i*Delta/eta)/2
+    this is <H> = -2*(Im c/|c|^2)*dz/dt, and minus its integral over
+    [-L, L] is alpha = (Delta/eta)/|c|^2*tanh(eta*L). tanh(window) is
+    exactly 1.0 from window ~19.06 on. alpha is even under r -> 1/r, so it
+    is formed from s = min(|Delta|, Omega)/max(|Delta|, Omega) <= 1, whose
+    square cannot overflow, and is odd in Delta (0 at Delta = 0).
 
-    delta may be an array: every detuning is summed on the same nodes, in
-    blocks of QUAD_BLOCK, and each result equals that of a scalar call.
-    At Delta = 0 the limit form is the analytic zero (odd integrand).
+    delta may be an array; the result has its shape. A detuning that is
+    not finite is refused with ValueError.
     """
     if not omega > 0:
         raise ValueError("omega must be positive")
     if not window >= 10.0:
         raise ValueError("window must be >= 10 (integrand support)")
     d = np.asarray(delta, dtype=float)
-    flat = d.ravel()
-    bad = ~np.isfinite(flat)
+    bad = ~np.isfinite(d)
     if bad.any():
-        raise ValueError("detuning must be finite, got %r" % float(flat[bad][0]))
-    half_span = min(window, SECH2_UNDERFLOW)
-    n = int(np.ceil(half_span))             # coarse panels, at most 2/Omega wide
-    lim = half_span / omega
-    mag = np.abs(flat)
-    top = float(mag.max(initial=0.0))
-    # the carrier phase -Delta*t reaches |Delta|*lim at the ends of the span
-    if not math.isfinite(top * lim):
-        with np.errstate(over="ignore"):
-            first = flat[~np.isfinite(mag * lim)][0]
-        raise ValueError(
-            "detuning %r too large: |detuning|*min(window, %.6g)/omega must be finite"
-            % (float(first), SECH2_UNDERFLOW))
-    if not top + omega < INTEGRAND_LIMIT:
-        first = flat[~(mag + omega < INTEGRAND_LIMIT)][0]
-        raise ValueError("detuning %r too large: |detuning| + omega must be below %.3g"
-                         % (float(first), INTEGRAND_LIMIT))
-    plain = 1.0 / PLAIN_SQUARES <= omega <= PLAIN_SQUARES and top <= PLAIN_SQUARES
-    out = np.zeros(flat.shape)               # Delta = 0 stays the analytic zero
-    live = np.flatnonzero(flat)
-    for k in range(0, live.size, QUAD_BLOCK):
-        idx = live[k:k + QUAD_BLOCK]
-        value = _panel_sums(omega, flat[idx, None], lim, 2 * n)
-        err = np.abs(value - _panel_sums(omega, flat[idx, None], lim, n))
-        failed = ~(err <= 1e-7 * np.maximum(1.0, np.abs(value))) | ~np.isfinite(value)
-        if failed.any():
-            raise QuadratureFailure(
-                "dynamic phase quadrature error %.2e too large" % err[failed][0])
-        if plain:
-            # float_power is libm's pow, as a scalar delta ** 2 is; numpy's
-            # power and square differ from it in the last bit for ~0.1 % of
-            # detunings
-            out[idx] = omega ** 2 / (np.float_power(flat[idx], 2) + omega ** 2) * value
-        else:
-            out[idx] = _prefactor_times(omega, flat[idx], value)
-    return float(out[0]) if d.ndim == 0 else out.reshape(d.shape)
+        raise ValueError("detuning must be finite, got %r" % float(d[bad][0]))
+    mag = np.abs(d)
+    s = np.minimum(mag, omega) / np.maximum(mag, omega)
+    alpha = np.sign(d) * (4.0 * math.tanh(window)) * s / (1.0 + s * s)
+    return float(alpha) if d.ndim == 0 else alpha
 
 
 def dynamic_phase_numeric(traj: Trajectory, sched: PulseSchedule,

@@ -70,22 +70,19 @@ def total_geometric_phase(r1: float) -> float:
 
 
 def design_for_angle(gamma_target: float, omega: float,
-                     spacing: Optional[float] = None,
-                     flip_sign: bool = False) -> CancelingPair:
+                     spacing: Optional[float] = None) -> CancelingPair:
     """Invert gamma_tot(r1) for a target angle in (-pi, pi).
 
     The canonical branch r1 = tan((gamma + pi)/4) is positive for every
-    target and keeps reports deterministic. flip_sign selects the mirror
-    solution r1 = tan((gamma - pi)/4) < 0, whose pulses are exactly the
-    detuning-negated, order-swapped partner sequence; it exists so the
-    +-gamma symmetry can be exercised pulse for pulse.
+    target and keeps reports deterministic. The mirror solution
+    r1 = tan((gamma - pi)/4) < 0 (cancel_pair of that r1) runs the same
+    two detunings in the other order.
     """
     if not abs(gamma_target) < np.pi:
         raise OutOfRange(
             "|gamma_target| must be < pi; a rotation by pi needs only a "
             "single resonant pulse")
-    branch = -1.0 if flip_sign else 1.0
-    r1 = float(np.tan((gamma_target + branch * np.pi) / 4.0))
+    r1 = float(np.tan((gamma_target + np.pi) / 4.0))
     return cancel_pair(r1, omega, spacing)
 
 
@@ -94,9 +91,10 @@ def verify_cancellation(pair: CancelingPair, s: Optional[SystemParams] = None,
                         window: float = DEFAULT_WINDOW) -> float:
     """Residual alpha1 + alpha2 of the pair.
 
-    Method "analytic" must cancel to quadrature accuracy. Method "numeric"
-    with omega_B > 0 reports the small precession-induced residual; it is
-    measured, not asserted to vanish.
+    Method "analytic" cancels to rounding, since its alpha is even under
+    r -> 1/r in closed form. Method "numeric" with omega_B > 0 reports the
+    small precession-induced residual; it is measured, not asserted to
+    vanish.
     """
     s = s or SystemParams()
     omega = pair.pulse1.rabi_peak

@@ -1,12 +1,11 @@
 """Phase decomposition: closed-form checks, symmetries, method agreement.
 
-The quadrature route has an exact independent oracle: the raw integrand
-collapses analytically to alpha = 4*Omega*Delta/(Omega^2 + Delta^2)
-= 2*sin(phi), derived by hand from the oscillatory-factor cancellation.
-Production code integrates the unsimplified form; tests pin it to the
-collapsed one.
+The analytic route returns the collapsed form alpha = 4r/(1+r^2)*tanh(window)
+(= 2*sin(phi) at the default window). Its independent oracle is the raw
+integrand in its oscillatory-factor shape, integrated by mpmath.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,9 +18,7 @@ from sechspin.model import (
     two_pi_pulse,
 )
 from sechspin.phases import (
-    QUAD_BLOCK,
     DecayForbidden,
-    QuadratureFailure,
     decompose,
     dynamic_phase_analytic,
     dynamic_phase_numeric,
@@ -52,6 +49,38 @@ def test_quadrature_matches_collapsed_form(delta):
     got = dynamic_phase_analytic(1.0, delta)
     assert got == pytest.approx(alpha_closed(1.0, delta), abs=1e-9)
     assert got == pytest.approx(2.0 * np.sin(overall_phase(1.0, delta)), abs=1e-9)
+
+
+def raw_integrand(omega, delta, t):
+    """The dynamic-phase integrand of one 2*pi pulse, up to the prefactor
+    Omega**2/(Delta**2 + Omega**2), in its raw shape: products of
+    (1 -+ tanh)^(-+i*Delta/2/Omega) with the conjugate pair summed, the
+    power factors through logs."""
+    x = omega * t
+    # log(1 -+ tanh x) without cancellation: ln 2 - ln(1 + e^(+-2x))
+    log_1m = mpmath.log(2) - mpmath.log1p(mpmath.exp(2 * x))
+    log_1p = mpmath.log(2) - mpmath.log1p(mpmath.exp(-2 * x))
+    half = delta / (2 * omega)
+    # arg of e^(-i*Delta*t) * (1-th)^(-i*half) * (1+th)^(i*half)
+    theta = -delta * t - half * log_1m + half * log_1p
+    re_part = delta * mpmath.cos(theta) + omega * mpmath.tanh(x) * mpmath.sin(theta)
+    return mpmath.sech(x) ** 2 * 2 * re_part
+
+
+@pytest.mark.parametrize("window", [10.0, 20.0])
+@pytest.mark.parametrize("r", [0.3, 1.0, 3.7, -2.0])
+def test_closed_form_matches_raw_integrand(r, window):
+    # the closed form against the unsimplified integrand, integrated at 30
+    # digits over [-window, window]/Omega split at the peak (the integral
+    # lies within 1e-23 of the exact 4r/(1+r^2)*tanh(window))
+    omega = 1.3
+    delta = omega / r
+    lim = window / omega
+    with mpmath.workdps(30):
+        w, d = mpmath.mpf(omega), mpmath.mpf(delta)
+        ref = w ** 2 / (d ** 2 + w ** 2) * mpmath.quad(
+            lambda t: raw_integrand(w, d, t), [-lim, -1 / w, 0, 1 / w, lim])
+    assert abs(dynamic_phase_analytic(omega, delta, window) - float(ref)) <= 2e-15
 
 
 @pytest.mark.parametrize("window", [20.0, 1e3, 1e4, 1e6])
@@ -270,33 +299,24 @@ def test_non_finite_detuning_refused():
         sweep_ratio([1.0, 1e-310], "analytic")
 
 
-def test_detuning_whose_carrier_phase_overflows_refused():
-    # Delta*t at the window edge, 2e308 at Omega = 1, is not finite: the
-    # detuning is refused, naming the limit, before the quadrature
-    with pytest.raises(ValueError, match=r"\|detuning\|\*min\(window, 373.26\)/omega"):
-        dynamic_phase_analytic(1.0, 1e307)
-    with pytest.raises(ValueError, match="too large"):
-        dynamic_phase_analytic(1.0, [1.0, -1e307])
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_quadrature_sum_fails_at_large_omega(monkeypatch):
-    # Delta*t stays finite (2e307) but the integrand, up to 2*|Delta|,
-    # overflows: refused by name before the quadrature. Without that
-    # refusal, an infinite sum must still fail the check even where its
-    # error bound, 1e-7*|sum|, is infinite too (it printed NaN with exit 0)
-    with pytest.raises(ValueError, match="must be below"):
-        dynamic_phase_analytic(100.0, 1e308)
-    monkeypatch.setattr(phases, "INTEGRAND_LIMIT", np.inf)
-    with pytest.raises(QuadratureFailure):
-        dynamic_phase_analytic(100.0, 1e308)
+@pytest.mark.filterwarnings("error")
+def test_analytic_alpha_at_detunings_near_float_max():
+    # every finite detuning has a value, with no numpy warning: Delta*t at
+    # the window edge (2e308 at Omega = 1) and Delta**2 would overflow, but
+    # the closed form needs neither
+    for omega, delta in ((1.0, 1e307), (100.0, 1e308), (1.0, -1e307)):
+        r = omega / delta
+        got = dynamic_phase_analytic(omega, delta)
+        assert got == pytest.approx(4.0 * r / (1.0 + r * r), rel=1e-15)
+    got = dynamic_phase_analytic(1.0, [1.0, -1e307])
+    assert got[0] == 2.0 and got[1] == pytest.approx(-4e-307, rel=1e-15)
 
 
 def test_array_detunings_equal_scalar_calls():
-    # more detunings than one block, both signs, zeros mixed in, and a
-    # non-default omega and window: every element is bit-identical
+    # both signs, zeros mixed in, and a non-default omega and window:
+    # every element is bit-identical
     omega, window = 1.7, 27.0
-    half = omega * np.geomspace(1e-3, 1e3, 2 * QUAD_BLOCK + 5)
+    half = omega * np.geomspace(1e-3, 1e3, 37)
     deltas = np.concatenate([-half[::-1], [0.0], half])
     deltas[[7, 60]] = 0.0
     got = dynamic_phase_analytic(omega, deltas, window)

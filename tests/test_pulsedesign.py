@@ -26,7 +26,7 @@ def test_round_trip(gamma):
     pair = design_for_angle(gamma, 1.0)
     assert abs(total_geometric_phase(pair.r1) - gamma) < 1e-12
     assert pair.r1 > 0                        # canonical branch
-    flipped = design_for_angle(gamma, 1.0, flip_sign=True)
+    flipped = cancel_pair(np.tan((gamma - np.pi) / 4.0), 1.0)
     assert abs(total_geometric_phase(flipped.r1) - gamma) < 1e-12
     assert flipped.r1 < 0
 
@@ -34,7 +34,7 @@ def test_round_trip(gamma):
 def test_flipped_pair_is_detuning_swap():
     # the mirror branch runs the same two detunings in the other order
     pair = design_for_angle(1.1, 1.0)
-    flip = design_for_angle(1.1, 1.0, flip_sign=True)
+    flip = cancel_pair(np.tan((1.1 - np.pi) / 4.0), 1.0)
     assert flip.pulse1.detuning == pytest.approx(pair.pulse2.detuning, rel=1e-12)
     assert flip.pulse2.detuning == pytest.approx(pair.pulse1.detuning, rel=1e-12)
 

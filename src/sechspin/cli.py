@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -24,6 +25,8 @@ from . import fidelity as fid
 from . import model, phases, propagator, pulsedesign
 
 FLOAT_FMT = "%.16e"
+# flags whose values may be negative numbers or lists starting with one
+SIGNED_VALUE_FLAGS = ("--ratios", "--delta", "--centers", "--angle", "--angles", "--t0", "--t1")
 
 USAGE_ERRORS = (
     pulsedesign.OutOfRange,
@@ -285,8 +288,23 @@ def _config_flags(parser: argparse.ArgumentParser, path: str) -> list:
     return flags
 
 
+def _attach_signed_values(argv: list) -> list:
+    """--flag <value> as --flag=<value> where the flag is one of
+    SIGNED_VALUE_FLAGS and the value starts like a negative number.
+    argparse reads a value that starts with "-" as an option unless it
+    matches its negative-number pattern, which has no exponent and no
+    list: -0.5 passes, -1e-3 and -1,2 do not."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in SIGNED_VALUE_FLAGS and re.match(r"-[0-9.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _attach_signed_values(list(sys.argv[1:] if argv is None else argv))
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is not None:

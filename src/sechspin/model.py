@@ -97,15 +97,16 @@ class SystemParams:
         return self.omega_B < 0.1 * bandwidth
 
 
-def warn_if_fast_precession(s: SystemParams, bandwidth: float) -> None:
-    """Warn when omega_B/eta >= 0.1. Called from propagator's grid
-    builder, so the warning points three frames up: at the line that
-    called propagate or evolve_operator."""
+def warn_if_fast_precession(s: SystemParams, bandwidth: float, stacklevel: int = 2) -> None:
+    """Warn when omega_B/eta >= 0.1, at the frame stacklevel - 1 above
+    the caller (as for warnings.warn; by default the caller's line). The
+    propagator's grid builder points it at the line that called
+    propagate, propagate_many or evolve_operator."""
     if not s.slow_precession(bandwidth):
         warnings.warn(
             "omega_B/eta = %.3g >= 0.1: outside the slow-precession regime, "
             "analytic single-pulse results degrade" % (s.omega_B / bandwidth),
-            stacklevel=4,
+            stacklevel=stacklevel,
         )
 
 

@@ -13,12 +13,14 @@ Two routes, kept structurally independent on purpose:
   first and second derivatives on the trajectory times, the overall phase
   read off the final state. The window is symmetric about the pulse
   center c, so the grid is mirrored about c and, while the half fits
-  one chunk, propagate integrates only [c, t_end]; the earlier half
-  follows by time reversal, psi(c - s) = (V(s)^-1)^T psi(c) through
-  cofactors, with V(s) = U(c + s, c) and
-  psi(c) = V(t_end - c)^T psi(t_start) (see propagator). A longer half,
-  or a run with an explicit IntegratorOpts.dt, steps forward over the
-  whole window.
+  one chunk, only [c, t_end] is integrated; the earlier half follows by
+  time reversal, psi(c - s) = (V(s)^-1)^T psi(c) through cofactors,
+  with V(s) = U(c + s, c) and psi(c) = V(t_end - c)^T psi(t_start) (see
+  propagator). A longer half, or a run with an explicit
+  IntegratorOpts.dt, steps forward over the whole window. All the
+  detunings of a sweep (or of one decomposition) go to one
+  propagate_many call, whose packs build the steps and running products
+  of many halves at once.
 
 The geometric part is the difference in both cases.
 """
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import SystemParams, two_pi_pulse
-from .propagator import IntegratorOpts, PulseSchedule, Trajectory, propagate
+from .propagator import IntegratorOpts, PulseSchedule, Trajectory, propagate_many
 from .special import overall_phase
 from . import model
 
@@ -135,27 +137,48 @@ def dynamic_phase_numeric(traj: Trajectory, sched: PulseSchedule,
                               + h * h / 120.0 * (dde[:-1] + dde[1:]))))
 
 
-def _numeric_raw(omega, delta, s, window, opts):
-    """(arg of the z amplitude, alpha) for one pulse centered at t = 0.
+def _numeric_start(omega, deltas, s, window):
+    """(start state, undo, schedules) for one pulse per detuning, centered
+    at t = 0.
 
     The pulse is measured in the frame of the interleaved fidelity target:
     it acts at its center, with exact free precession around it. The spin
     starts at -window/Omega in the state that free precession carries into
     |z> at the center, and the z amplitude is read after undoing free
-    precession from the center to window/Omega. Free precession then adds
-    nothing to <H> outside the pulse, so alpha and phi describe the pulse
-    and not the window. At omega_B = 0 this is the plain |z> start and
-    <z|psi(t_end)> readout.
+    precession from the center to window/Omega (undo, see _numeric_readout).
+    Free precession then adds nothing to <H> outside the pulse, so alpha
+    and phi describe the pulse and not the window. At omega_B = 0 this is
+    the plain |z> start and <z|psi(t_end)> readout.
     """
     half = window / omega
-    pulse = two_pi_pulse(bandwidth=omega, detuning=delta, center=0.0)
-    sched = PulseSchedule([pulse], (-half, half))
     undo = model.free_precession(s.omega_B, -half)    # back over half the window
     psi0 = model.StateVector(np.append(undo[:, 1], 0.0))
-    traj = propagate(psi0, sched, s, opts)
+    scheds = [PulseSchedule([two_pi_pulse(bandwidth=omega, detuning=d, center=0.0)],
+                            (-half, half)) for d in deltas]
+    return psi0, undo, scheds
+
+
+def _numeric_readout(traj, sched, undo, s):
+    """(arg of the z amplitude, alpha) of one trajectory from _numeric_start."""
     alpha = dynamic_phase_numeric(traj, sched, s)
     phi_raw = float(np.angle((undo @ traj.states[-1, :2])[1]))
     return phi_raw, alpha
+
+
+def _numeric_decompositions(omega, deltas, s, window, opts):
+    """decompose(omega, delta, "numeric", s, window, opts) for each delta,
+    in order, from one propagate_many call: the pulses' trajectories share
+    packs, each keeps the bits it would get alone, and each is let go once
+    read."""
+    anchors = [overall_phase(omega, d) for d in deltas]
+    psi0, undo, scheds = _numeric_start(omega, deltas, s, window)
+    trajs = propagate_many([psi0] * len(scheds), scheds, s, opts)
+    out = []
+    for d, anchor, sched, traj in zip(deltas, anchors, scheds, trajs):
+        phi_raw, alpha = _numeric_readout(traj, sched, undo, s)
+        out.append(_as_decomposition(_nearest_branch(phi_raw, anchor), alpha,
+                                     "numeric", omega, d))
+    return out
 
 
 def _nearest_branch(phi_raw: float, anchor: float) -> float:
@@ -178,15 +201,11 @@ def decompose(omega: float, delta: float, method: str,
     branch nearest the analytic value (arg alone is defined mod 2*pi). At
     omega_B = 0 this is the plain |z> start and arg<z|psi(t_end)> readout.
     """
-    s = s or SystemParams()
-    phi_a = overall_phase(omega, delta)
     if method == "analytic":
         alpha = dynamic_phase_analytic(omega, delta, window)
-        return _as_decomposition(phi_a, alpha, "analytic", omega, delta)
+        return _as_decomposition(overall_phase(omega, delta), alpha, "analytic", omega, delta)
     if method == "numeric":
-        phi_raw, alpha = _numeric_raw(omega, delta, s, window, opts)
-        phi = _nearest_branch(phi_raw, phi_a)
-        return _as_decomposition(phi, alpha, "numeric", omega, delta)
+        return _numeric_decompositions(omega, [delta], s or SystemParams(), window, opts)[0]
     raise ValueError("method must be 'analytic' or 'numeric'")
 
 
@@ -199,9 +218,12 @@ def sweep_ratio(r_values: Sequence[float], method: str,
 
     Method "analytic" takes every dynamic phase from one
     dynamic_phase_analytic call over the grid's detunings. Method "numeric"
-    propagates each entry independently (the phase branch is anchored to
-    the analytic curve pointwise rather than chained along the grid, which
-    keeps entries order-independent and parallel-safe).
+    propagates every entry in one propagate_many call, whose packs share
+    the step build and the running products of consecutive entries; the
+    entries stay numerically independent (each has the bits of its
+    decompose call, and the phase branch is anchored to the analytic
+    curve pointwise rather than chained along the grid), so they do not
+    depend on order or on their neighbours.
     """
     r = np.asarray(r_values, dtype=float)
     if not np.all(np.isfinite(r)) or np.any(r == 0.0):
@@ -212,4 +234,6 @@ def sweep_ratio(r_values: Sequence[float], method: str,
         alphas = dynamic_phase_analytic(omega, deltas, window)
         return [_as_decomposition(overall_phase(omega, d), a, "analytic", omega, d)
                 for d, a in zip(deltas, alphas)]
-    return [decompose(omega, d, method, s, window, opts) for d in deltas]
+    if method == "numeric":
+        return _numeric_decompositions(omega, deltas, s or SystemParams(), window, opts)
+    raise ValueError("method must be 'analytic' or 'numeric'")

@@ -79,19 +79,31 @@ chunk (CHUNK_STEPS = 8,192 steps, |Delta| up to about 640 at eta = 1)
 is mirrored: a longer one needs a second pass after V(T), which
 measured no faster than stepping forward over the whole grid.
 
-Step matrices are built vectorized over chunks of the grid, in a
-component-major (3, 3, n) layout so each entry is one contiguous vector,
-and exponentiated by batched scaling and squaring of a Taylor polynomial.
-Every trajectory reads its states off the running products of its step
-matrices, chunk by chunk; the final operator alone comes from a pairwise
-fold. Grids depend only on the inputs, so runs are bit-reproducible.
+propagate_many runs many such halves at once, which is where a sweep of
+short halves spends its time: a half of 114 steps costs about as much in
+per-call overhead as in arithmetic. Consecutive mirrored halves, up to
+PACK_STEPS steps together, are laid end to end as one pack. One pass
+builds the pack's Magnus-6 steps, and one block scan, padded to whole
+blocks per half and restarting at each, takes their running products and
+the inverse transposes. Every step and every product is the one the half
+would get alone, so a trajectory's bits do not depend on its pack;
+propagate is a pack of one.
+
+Step matrices are built vectorized over chunks of the grid or over a
+pack, in a component-major (3, 3, n) layout so each entry is one
+contiguous vector, and exponentiated by batched scaling and squaring of
+a Taylor polynomial. Every trajectory reads its states off the running
+products of its step matrices, chunk by chunk or from its pack; the
+final operator alone comes from a pairwise fold. Grids depend only on
+the inputs, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -144,6 +156,13 @@ SCAN_BLOCK = 16
 # (doubling against sequential on a 2-core Xeon: 0.23 against 0.42 ms at
 # 413 steps, even near 2,048, 2.6 against 1.6 ms at 8,192)
 SCAN_DOUBLING_BLOCKS = 128
+# half steps in one pack of mirrored trajectories (see propagate_many). The
+# pack's arrays set the peak memory: a process running the README phase
+# sweep reads +0.5 % peak RSS at 1,024 steps, +5 % at 2,048 and +30 % at
+# 8,192, against one trajectory at a time. A pack of at most PACK_STEPS half
+# steps has at most SCAN_DOUBLING_BLOCKS blocks, since every half has at
+# least 8 steps
+PACK_STEPS = 1024
 
 
 class StepTooLarge(ValueError):
@@ -353,9 +372,14 @@ def _graded_grid(sched: PulseSchedule, s: SystemParams) -> np.ndarray:
 def _times(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts) -> np.ndarray:
     """Step grid: uniform for an explicit opts.dt, which must pass the
     resolution guard at the peak rate; otherwise graded. Warns at the
-    caller of propagate or evolve_operator if precession is fast."""
+    caller of propagate, propagate_many or evolve_operator if precession
+    is fast."""
     if sched.pulses:
-        warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses))
+        # the warning names the nearest frame outside this module
+        level, frame = 2, sys._getframe()
+        while frame.f_globals.get("__name__") == __name__:
+            level, frame = level + 1, frame.f_back
+        warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses), level)
     if opts.dt is None:
         return _graded_grid(sched, s)
     fmax = _frequency_scale(sched, s)
@@ -506,26 +530,36 @@ def _expm(x: np.ndarray) -> np.ndarray:
     return e
 
 
-def _step_matrices(times: np.ndarray, dt: np.ndarray, sched: PulseSchedule,
+def _step_matrices(grids: Sequence[Tuple[np.ndarray, PulseSchedule]],
                    s: SystemParams) -> np.ndarray:
-    """Lab-frame Magnus-6 step matrices, (3, 3, len(times) - 1); slice k maps
-    psi(times[k]) to psi(times[k + 1]), dt[k] later."""
-    t = times[:-1]
+    """Lab-frame Magnus-6 step matrices of grids laid end to end, as
+    (3, 3, total steps). grids holds (times, schedule) pairs; in each grid's
+    segment, slice k maps psi(times[k]) to psi(times[k + 1]) under its
+    schedule. Every step is built as it would be alone."""
+    t = np.concatenate([times[:-1] for times, _ in grids])
+    t_next = np.concatenate([times[1:] for times, _ in grids])
+    dt = t_next - t
     nodes = t + GAUSS_NODES[:, None] * dt
+    mid = t + 0.5 * dt
     u = np.zeros(nodes.shape, dtype=complex)
     delta = np.zeros(t.shape)
     center = np.zeros(t.shape)
-    for k, a, b in _frame_runs(sched, t + 0.5 * dt):
-        delta[a:b] = sched.pulses[k].detuning
-        center[a:b] = sched.pulses[k].center
-        u[:, a:b] = _frame_coupling(nodes[:, a:b], sched.pulses, k)
+    start = 0
+    for times, sched in grids:
+        stop = start + times.shape[0] - 1
+        for k, a, b in _frame_runs(sched, mid[start:stop]):
+            run = slice(start + a, start + b)
+            delta[run] = sched.pulses[k].detuning
+            center[run] = sched.pulses[k].center
+            u[:, run] = _frame_coupling(nodes[:, run], sched.pulses, k)
+        start = stop
     omega = _magnus6(u, dt, s.omega_B, delta - 1j * s.decay_rate)
     del nodes, u                         # not held through the exponential's peak
     m = _expm(omega)
     # to the lab frame, D(t + dt)^dagger exp(Omega_6) D(t), where D(t)
     # multiplies the trion amplitude by exp(-i*Delta_k*(t - c_k))
     m[:, 2] *= np.exp(-1j * delta * (t - center))
-    m[2] *= np.exp(1j * delta * (times[1:] - center))
+    m[2] *= np.exp(1j * delta * (t_next - center))
     return m
 
 
@@ -536,21 +570,34 @@ def _chunks(times: np.ndarray):
         yield a, times[a:min(a + CHUNK_STEPS, n) + 1]
 
 
-def _block_prefixes(m: np.ndarray) -> np.ndarray:
+def _block_counts(lengths: Sequence[int]) -> list:
+    """Whole SCAN_BLOCK blocks that segments of these lengths fill."""
+    return [-(-n // SCAN_BLOCK) for n in lengths]
+
+
+def _block_prefixes(m: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
     """Prefix products of m inside blocks of SCAN_BLOCK steps, vectorized
-    across blocks, as (3, 3, blocks, SCAN_BLOCK); the last block is padded
-    with identities. Up to SCAN_DOUBLING_BLOCKS blocks the prefixes
-    double: after the pass with offset d, slot j holds the product of steps
-    j - 2d + 1..j, so log2(SCAN_BLOCK) batched products replace
-    SCAN_BLOCK - 1 sequential ones at about 3x the arithmetic. Past that
-    the products run in sequence. m is overwritten."""
-    n = m.shape[-1]
-    nb = -(-n // SCAN_BLOCK)
-    if nb * SCAN_BLOCK > n:
-        eye = np.eye(3, dtype=complex)[..., None]
-        m = np.concatenate([m, np.broadcast_to(eye, (3, 3, nb * SCAN_BLOCK - n))], axis=-1)
-    blocks = m.reshape(3, 3, nb, SCAN_BLOCK)
-    if nb <= SCAN_DOUBLING_BLOCKS:
+    across blocks, as (3, 3, blocks, SCAN_BLOCK). m holds segments of the
+    given lengths end to end, and each is padded with identities to whole
+    blocks, so no block straddles two segments. While no segment has more
+    than SCAN_DOUBLING_BLOCKS blocks the prefixes double: after the pass
+    with offset d, slot j holds the product of steps j - 2d + 1..j, so
+    log2(SCAN_BLOCK) batched products replace SCAN_BLOCK - 1 sequential
+    ones at about 3x the arithmetic. Past that the products run in
+    sequence. m is overwritten."""
+    counts = _block_counts(lengths)
+    width = sum(counts) * SCAN_BLOCK
+    if width > m.shape[-1]:
+        padded = np.zeros((3, 3, width), dtype=complex)
+        for i in range(3):
+            padded[i, i] = 1.0
+        a = b = 0
+        for n, nb in zip(lengths, counts):
+            padded[..., b:b + n] = m[..., a:a + n]
+            a, b = a + n, b + nb * SCAN_BLOCK
+        m = padded
+    blocks = m.reshape(3, 3, -1, SCAN_BLOCK)
+    if max(counts) <= SCAN_DOUBLING_BLOCKS:
         d = 1
         while d < SCAN_BLOCK:
             blocks[..., d:] = _mul(blocks[..., d:], blocks[..., :-d])
@@ -561,20 +608,36 @@ def _block_prefixes(m: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _running_products(m: np.ndarray) -> np.ndarray:
-    """m[..., k] @ ... @ m[..., 0] for every k, as (3, 3, n): in sequence up
-    to SCAN_BLOCK matrices, else block prefixes with the running products
-    of the block totals (the same scan one level up) applied to each block.
-    m is overwritten."""
+def _running_products(m: np.ndarray, lengths: Optional[Sequence[int]] = None) -> np.ndarray:
+    """m[..., a + k] @ ... @ m[..., a] for every step k of every segment,
+    as (3, 3, n): m holds segments of the given lengths end to end (by
+    default one, all of m), and the products restart at each segment's
+    first step a. A lone segment of up to SCAN_BLOCK matrices runs in
+    sequence; otherwise block prefixes, with the running products of the
+    segment's earlier block totals (the same scan one level up, segment by
+    segment) applied to each block after a segment's first. So each
+    segment gets the bits it would get alone. m is overwritten."""
     n = m.shape[-1]
-    if n <= SCAN_BLOCK:
-        for k in range(1, n):
-            m[..., k] = m[..., k] @ m[..., k - 1]
-        return m
-    blocks = _block_prefixes(m)
-    upto = _running_products(np.ascontiguousarray(blocks[:, :, :-1, -1]))
-    blocks[:, :, 1:] = _mul(blocks[:, :, 1:], upto[..., None])
-    return blocks.reshape(3, 3, -1)[..., :n]
+    if lengths is None:
+        if n <= SCAN_BLOCK:
+            for k in range(1, n):
+                m[..., k] = m[..., k] @ m[..., k - 1]
+            return m
+        lengths = [n]
+    blocks = _block_prefixes(m, lengths)
+    counts = _block_counts(lengths)
+    firsts = np.cumsum([0] + counts[:-1])
+    upto = np.concatenate(
+        [_running_products(np.ascontiguousarray(blocks[:, :, a:a + nb - 1, -1]))
+         for a, nb in zip(firsts, counts)], axis=-1)
+    later = np.ones(blocks.shape[2], dtype=bool)
+    later[firsts] = False
+    blocks[:, :, later] = _mul(blocks[:, :, later], upto[..., None])
+    flat = blocks.reshape(3, 3, -1)
+    if len(lengths) == 1:
+        return flat[..., :n]
+    return np.concatenate([flat[..., a * SCAN_BLOCK:a * SCAN_BLOCK + k]
+                           for a, k in zip(firsts, lengths)], axis=-1)
 
 
 def _inverse_transpose(a: np.ndarray) -> np.ndarray:
@@ -605,39 +668,122 @@ def _norms(states: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", states, states.conj()).real
 
 
-def _forward(psi0: np.ndarray, times: np.ndarray, sched: PulseSchedule, s: SystemParams,
-             store) -> None:
+class _Rows:
+    """One trajectory's sampled rows, every sample_stride-th grid row and
+    the last, stored in any order; the norm check covers every row stored,
+    sampled or not."""
+
+    def __init__(self, psi0: np.ndarray, times: np.ndarray, stride: int):
+        n = times.shape[0] - 1
+        idx = np.arange(0, n + 1, stride)
+        if idx[-1] != n:
+            idx = np.append(idx, n)
+        self.psi0, self.times, self.idx = psi0, times, idx
+        self.states = np.empty((idx.shape[0], 3), dtype=complex)
+        self.norms = np.empty(idx.shape[0])
+        self.peak = 0.0
+
+    def store(self, rows: np.ndarray, start: int) -> None:
+        """Keep the sampled ones of rows, grid rows start.. in order."""
+        row_norms = _norms(rows)
+        self.peak = np.maximum(self.peak, row_norms.max())
+        lo, hi = np.searchsorted(self.idx, [start, start + rows.shape[0]])
+        sel = self.idx[lo:hi] - start
+        self.states[lo:hi] = rows[sel]
+        self.norms[lo:hi] = row_norms[sel]
+
+    def trajectory(self) -> Trajectory:
+        """The trajectory, once every row after the first is stored; the
+        first is psi0 itself."""
+        self.store(self.psi0[None], 0)
+        if not self.peak <= 1.0 + 1e-6:
+            raise NormBlowup("norm reached %.9f" % self.peak)
+        return Trajectory(self.times[self.idx], self.states, self.norms)
+
+
+def _forward(sched: PulseSchedule, s: SystemParams, rows: _Rows) -> None:
     """States at every grid time after the first, stepped from psi0 by each
     chunk's running products."""
-    psi = psi0
-    for a, piece in _chunks(times):
-        v = _running_products(_step_matrices(piece, np.diff(piece), sched, s))
+    psi = rows.psi0
+    for a, piece in _chunks(rows.times):
+        v = _running_products(_step_matrices([(piece, sched)], s))
         chunk = np.einsum("ijk,j->ki", v, psi)
-        store(chunk, a + 1)
+        rows.store(chunk, a + 1)
         psi = chunk[-1]
 
 
-def _mirrored(psi0: np.ndarray, times: np.ndarray, sched: PulseSchedule, s: SystemParams,
-              store) -> None:
-    """States at every grid time after the first on the mirrored grid of an
-    even schedule whose half [c, t_end] fits one chunk, stepping only that
-    half (see the module docstring): the step from c - s_{k+1} to c - s_k
-    is the transpose of the one from c + s_k to c + s_{k+1}.
+def _mirrored(pack, s: SystemParams) -> None:
+    """States at every grid time after the first for a pack of even
+    schedules, (schedule, rows) each, whose mirrored grids have halves
+    [c, t_end] of at most CHUNK_STEPS steps, stepping only those halves
+    (see the module docstring): the step from c - s_{k+1} to c - s_k is
+    the transpose of the one from c + s_k to c + s_{k+1}.
 
-    The running products of the half's steps are V(s_k) for every k; the
-    last is V(T). Applied to psi(c) they give the half after c, and their
-    inverse transposes, in reverse, the half before it. With decay off V
-    is unitary, so (V^-1)^T = conj(V) and the cofactor inverse is
-    perfectly conditioned; conj(V) itself would carry the steps' unitarity
-    defect, rounding that grows with the squarings of _expm, along the
-    products.
+    The halves are laid end to end: one _step_matrices call builds their
+    steps and one _running_products call, restarting at each half, gives
+    V(s_k) for every k of each; a half's last is its V(T). Applied to
+    psi(c) they give the half after c, and their inverse transposes, in
+    reverse, the half before it. With decay off V is unitary, so
+    (V^-1)^T = conj(V) and the cofactor inverse is perfectly conditioned;
+    conj(V) itself would carry the steps' unitarity defect, rounding that
+    grows with the squarings of _expm, along the products.
     """
-    n = (times.shape[0] - 1) // 2
-    half = times[n:]
-    v = _running_products(_step_matrices(half, np.diff(half), sched, s))
-    psi_c = v[..., -1].T @ psi0
-    store(np.concatenate([psi_c[None], np.einsum("ijk,j->ki", v, psi_c)]), n)
-    store(np.einsum("ijk,j->ki", _inverse_transpose(v), psi_c)[::-1], 0)
+    halves = [(rows.times[(rows.times.shape[0] - 1) // 2:], sched) for sched, rows in pack]
+    lengths = [half.shape[0] - 1 for half, _ in halves]
+    v = _running_products(_step_matrices(halves, s), lengths)
+    w = _inverse_transpose(v)
+    a = 0
+    for (_, rows), n in zip(pack, lengths):
+        seg = v[..., a:a + n]
+        psi_c = seg[..., -1].T @ rows.psi0
+        rows.store(np.concatenate([psi_c[None], np.einsum("ijk,j->ki", seg, psi_c)]), n)
+        rows.store(np.einsum("ijk,j->ki", w[..., a:a + n], psi_c)[::-1], 0)
+        a += n
+
+
+def propagate_many(psi0s: Sequence[StateVector], scheds: Sequence[PulseSchedule],
+                   s: SystemParams, opts: Optional[IntegratorOpts] = None) -> Iterator[Trajectory]:
+    """Trajectories for each (psi0, schedule) pair, in order, each the one
+    propagate returns for its pair.
+
+    Even schedules that propagate would mirror (decay off, no explicit dt,
+    halves of at most CHUNK_STEPS steps) share packs: consecutive ones, up
+    to PACK_STEPS half steps a pack, have their halves' steps built and
+    their running products taken in one pass each (see _mirrored), and a
+    half longer than PACK_STEPS runs alone. Every other schedule steps
+    forward on its own. Entries stay numerically independent: each gets
+    the bits it would get alone. Each trajectory is yielded once it and
+    every one before it are done, so a caller that lets each go before
+    the next holds at most one pack's.
+    """
+    opts = opts or IntegratorOpts()
+    psi0s, scheds = list(psi0s), list(scheds)
+    if len(psi0s) != len(scheds):
+        raise ValueError("need one start state per schedule")
+    if any(abs(psi0.norm_sq - 1.0) > 1e-9 for psi0 in psi0s):
+        raise ValueError("psi0 must be normalized")
+    mirror = opts.dt is None and s.decay_rate == 0
+    waiting, pack, filled = [], [], 0
+    for psi0, sched in zip(psi0s, scheds):
+        times = _times(sched, s, opts)
+        rows = _Rows(psi0.amplitudes, times, opts.sample_stride)
+        half = (times.shape[0] - 1) // 2
+        if mirror and _even_center(sched) is not None and half <= CHUNK_STEPS:
+            if pack and filled + half > PACK_STEPS:
+                _mirrored(pack, s)
+                yield from (done.trajectory() for done in waiting)
+                waiting, pack, filled = [], [], 0
+            pack.append((sched, rows))
+            filled += half
+        else:
+            _forward(sched, s, rows)
+        waiting.append(rows)
+        if not pack:
+            yield rows.trajectory()
+            waiting = []
+    if pack:
+        _mirrored(pack, s)
+    yield from (done.trajectory() for done in waiting)
 
 
 def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
@@ -659,38 +805,9 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     Raises StepTooLarge if the grid cannot resolve the fastest envelope,
     Rabi, precession, decay, frame or neighbour-tail rate within MAX_STEPS
     (or an explicit dt breaks the resolution guard), NormBlowup if the
-    norm grows.
+    norm grows. A pack of one in propagate_many.
     """
-    opts = opts or IntegratorOpts()
-    if abs(psi0.norm_sq - 1.0) > 1e-9:
-        raise ValueError("psi0 must be normalized")
-    times = _times(sched, s, opts)
-    n = times.shape[0] - 1
-    idx = np.arange(0, n + 1, opts.sample_stride)
-    if idx[-1] != n:
-        idx = np.append(idx, n)
-    # only the sampled rows are kept; every step's norm enters the maximum
-    states = np.empty((idx.shape[0], 3), dtype=complex)
-    norms = np.empty(idx.shape[0])
-    peak = 0.0
-
-    def store(rows, start):
-        """Keep the sampled ones of rows, grid rows start.. in order."""
-        nonlocal peak
-        row_norms = _norms(rows)
-        peak = np.maximum(peak, row_norms.max())
-        lo, hi = np.searchsorted(idx, [start, start + rows.shape[0]])
-        sel = idx[lo:hi] - start
-        states[lo:hi] = rows[sel]
-        norms[lo:hi] = row_norms[sel]
-
-    mirror = (opts.dt is None and s.decay_rate == 0 and _even_center(sched) is not None
-              and n // 2 <= CHUNK_STEPS)
-    (_mirrored if mirror else _forward)(psi0.amplitudes, times, sched, s, store)
-    store(psi0.amplitudes[None], 0)
-    if not peak <= 1.0 + 1e-6:
-        raise NormBlowup("norm reached %.9f" % peak)
-    return Trajectory(times[idx], states, norms)
+    return next(propagate_many([psi0], [sched], s, opts))
 
 
 def evolve_operator(sched: PulseSchedule, s: SystemParams,
@@ -704,7 +821,7 @@ def evolve_operator(sched: PulseSchedule, s: SystemParams,
     """
     u = np.eye(3, dtype=complex)
     for _, piece in _chunks(_times(sched, s, opts or IntegratorOpts())):
-        u = _fold(_step_matrices(piece, np.diff(piece), sched, s)) @ u
+        u = _fold(_step_matrices([(piece, sched)], s)) @ u
     return u
 
 

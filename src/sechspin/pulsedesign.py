@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .model import PulseParams, SystemParams, two_pi_pulse
-from .phases import DEFAULT_WINDOW, decompose, dynamic_phase_analytic
+from .phases import DEFAULT_WINDOW, _numeric_decompositions, dynamic_phase_analytic
 
 
 class ZeroRatio(ValueError):
@@ -102,8 +102,10 @@ def verify_cancellation(pair: CancelingPair, s: Optional[SystemParams] = None,
         a1, a2 = dynamic_phase_analytic(
             omega, [pair.pulse1.detuning, pair.pulse2.detuning], window)
     elif method == "numeric":
-        a1 = decompose(omega, pair.pulse1.detuning, "numeric", s, window).dynamic
-        a2 = decompose(omega, pair.pulse2.detuning, "numeric", s, window).dynamic
+        # one pack for the pair; a sweep over ratios would not give back
+        # Delta2 = -Omega*r1 to the bit
+        a1, a2 = (d.dynamic for d in _numeric_decompositions(
+            omega, [pair.pulse1.detuning, pair.pulse2.detuning], s, window, None))
     else:
         raise ValueError("method must be 'analytic' or 'numeric'")
     return float(a1 + a2)

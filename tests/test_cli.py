@@ -253,6 +253,28 @@ def test_config_negative_values_match_flags(tmp_path):
     assert overridden.stdout != from_file.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ["phases", "--method", "analytic", "--ratios", "-1e-3"],
+    ["phases", "--method", "analytic", "--ratios", "-1e-3,2"],
+    ["design", "--angle", "-1e-1"],
+    ["fidelity", "--sweep", "--angles", "-1e-1,2e-1", "--B", "0.29"],
+    ["simulate", "--delta", "-1e0", "--centers", "-1e1", "--stride", "50"],
+    ["simulate", "--delta", "1", "--t0", "-2e1", "--t1", "2e1", "--stride", "50"],
+])
+def test_negative_exponent_values_match_attached_form(argv):
+    # argparse's negative-number pattern has no exponent and no list, so a
+    # flag's separate value -1e-3 or -1,2 used to be taken for an option
+    spaced = run(*argv)
+    assert spaced.returncode == 0, spaced.stderr
+    attached = []
+    for arg in argv:
+        if arg.startswith("-") and not arg.startswith("--"):
+            attached[-1] += "=" + arg
+        else:
+            attached.append(arg)
+    assert spaced.stdout == run(*attached).stdout
+
+
 def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
     # main() reuses one parser per process: no call's flags, defaults or
     # refusal may leak into the next

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sechspin import phases
+from sechspin import phases, propagator
 from sechspin.model import (
     StateVector,
     SystemParams,
@@ -31,6 +31,7 @@ from sechspin.propagator import (
     _frequency_scale,
     _graded_grid,
     propagate,
+    propagate_many,
 )
 from sechspin.special import overall_phase
 
@@ -260,11 +261,11 @@ def test_numeric_decomposition_steps_on_graded_grid(monkeypatch):
     steps = []
 
     def counting(*args, **kwargs):
-        traj = propagate(*args, **kwargs)
-        steps.append(len(traj.times) - 1)
-        return traj
+        for traj in propagate_many(*args, **kwargs):
+            steps.append(len(traj.times) - 1)
+            yield traj
 
-    monkeypatch.setattr(phases, "propagate", counting)
+    monkeypatch.setattr(phases, "propagate_many", counting)
     decompose(1.0, 1.0, "numeric", SystemParams(omega_B=larmor_from_field(0.29)))
     assert len(steps) == 1 and steps[0] <= 240
 
@@ -334,6 +335,32 @@ def test_analytic_sweep_rows_equal_decompose():
     for omega, window in ((1.0, phases.DEFAULT_WINDOW), (2.0, 30.0)):
         rows = sweep_ratio(rs, "analytic", omega=omega, window=window)
         assert rows == [decompose(omega, omega / r, "analytic", window=window) for r in rs]
+
+
+@pytest.mark.parametrize("field", [0.0, 0.29])
+def test_numeric_sweep_packs_match_lone_decompositions(monkeypatch, field):
+    # mirrored halves of consecutive ratios share packs of at most
+    # PACK_STEPS steps; r = 0.005 and -0.01 (2,603 and 1,302 half steps)
+    # run alone and r = 1e-3 (13,012, past CHUNK_STEPS) steps forward. In
+    # either order every row has the bits of its ratio decomposed alone
+    rs = [0.3, 1.0, -2.0, 1e-3, 3.7, 0.05, -0.7, 0.005, 20.0, 100.0, -0.01, 1.4, 8.0, -0.2]
+    s = SystemParams(omega_B=larmor_from_field(field))
+    alone = {r: decompose(1.0, 1.0 / r, "numeric", s) for r in rs}
+    mirrored = propagator._mirrored
+    packs = []
+
+    def recording(pack, s):
+        packs.append([(len(rows.times) - 1) // 2 for _, rows in pack])
+        return mirrored(pack, s)
+
+    monkeypatch.setattr(propagator, "_mirrored", recording)
+    for order in (rs, rs[::-1]):
+        packs.clear()
+        assert sweep_ratio(order, "numeric", s) == [alone[r] for r in order]
+        assert [p for p in packs if len(p) > 1] and max(map(len, packs)) >= 3
+        assert all(len(p) == 1 for p in packs if sum(p) > propagator.PACK_STEPS)
+        assert [2603] in packs and [1302] in packs
+        assert sum(map(len, packs)) == len(rs) - 1
 
 
 def test_sweep_ratio():

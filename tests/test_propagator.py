@@ -28,6 +28,7 @@ from sechspin.propagator import (
     StepTooLarge,
     evolve_operator,
     propagate,
+    propagate_many,
     schedule_for_pulses,
     truncate_qubit,
 )
@@ -380,7 +381,7 @@ def test_mirrored_propagate_matches_forward_scan(field, ratio):
     times = _graded_grid(sched, s)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(times, -times[::-1])
-    ref = _step_by_step(_step_matrices(times, np.diff(times), sched, s), psi0)
+    ref = _step_by_step(_step_matrices([(times, sched)], s), psi0)
     assert np.array_equal(traj.states[0], psi0)
     assert np.max(np.abs(traj.states[1:] - ref)) <= 1e-13
 
@@ -408,7 +409,7 @@ def test_long_even_schedule_steps_forward_over_chunks():
     traj = propagate(StateVector(psi0), sched, s)
     times = traj.times
     assert (len(times) - 1) // 2 > propagator.CHUNK_STEPS
-    ref = _step_by_step(_step_matrices(times, np.diff(times), sched, s), psi0)
+    ref = _step_by_step(_step_matrices([(times, sched)], s), psi0)
     assert np.max(np.abs(traj.states[1:] - ref)) <= 1e-13
     # sampled rows on both sides of the center are the full run's rows
     _assert_sampled_rows_match(traj, sched, s, psi0)
@@ -522,19 +523,26 @@ def test_sampled_rows_match_full_trajectory():
 
 def test_norm_blowup_between_samples(monkeypatch):
     # one step grows the norm by 2e-3 and the next undoes it, so no sampled
-    # row sees it; the check still covers every step
+    # row sees it; the check still covers every step, also when the bumped
+    # steps sit in the second segment of a pack
     step_matrices = propagator._step_matrices
-
-    def bumped(times, dt, sched, s):
-        m = step_matrices(times, dt, sched, s)
-        m[..., 3] *= 1.001
-        m[..., 4] /= 1.001
-        return m
-
-    monkeypatch.setattr(propagator, "_step_matrices", bumped)
     sched = schedule_for_pulses([two_pi_pulse(1.0, 1.0)])
-    with pytest.raises(NormBlowup):
-        propagate(StateVector.ket_z(), sched, SystemParams(), IntegratorOpts(sample_stride=1000))
+    for segment in (0, 1):
+        packs = []
+
+        def bumped(grids, s):
+            m = step_matrices(grids, s)
+            k = sum(times.shape[0] - 1 for times, _ in grids[:segment]) + 3
+            m[..., k] *= 1.001
+            m[..., k + 1] /= 1.001
+            packs.append(len(grids))
+            return m
+
+        monkeypatch.setattr(propagator, "_step_matrices", bumped)
+        with pytest.raises(NormBlowup):
+            list(propagate_many([StateVector.ket_z()] * (segment + 1), [sched] * (segment + 1),
+                                SystemParams(), IntegratorOpts(sample_stride=1000)))
+        assert packs == [segment + 1]
 
 
 def test_step_guard():

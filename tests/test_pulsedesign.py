@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from sechspin.model import SystemParams, two_pi_pulse
-from sechspin.phases import dynamic_phase_analytic
+from sechspin import phases
+from sechspin.model import SystemParams, larmor_from_field, two_pi_pulse
+from sechspin.phases import decompose, dynamic_phase_analytic
+from sechspin.propagator import propagate_many
 from sechspin.pulsedesign import (
     CancelingPair,
     OutOfRange,
@@ -86,6 +88,25 @@ def test_cancellation_numeric_without_precession():
     pair = cancel_pair(1.0, 1.0)
     residual = verify_cancellation(pair, SystemParams(), method="numeric")
     assert abs(residual) < 1e-4
+
+
+@pytest.mark.parametrize("gamma, field", [(-2.9, 0.29), (0.3, 0.0), (1.2, 2.7)])
+def test_numeric_residual_is_sum_of_lone_decompositions(monkeypatch, gamma, field):
+    # the pair's two trajectories come from one propagate_many call, and
+    # its residual has the bits of two lone numeric decompositions
+    pair = design_for_angle(gamma, 1.0)
+    s = SystemParams(omega_B=larmor_from_field(field))
+    a1 = decompose(1.0, pair.pulse1.detuning, "numeric", s).dynamic
+    a2 = decompose(1.0, pair.pulse2.detuning, "numeric", s).dynamic
+    calls = []
+
+    def counting(psi0s, scheds, *args):
+        calls.append(len(scheds))
+        return propagate_many(psi0s, scheds, *args)
+
+    monkeypatch.setattr(phases, "propagate_many", counting)
+    assert verify_cancellation(pair, s, method="numeric") == a1 + a2
+    assert calls == [2]
 
 
 def test_full_annihilation_alternative_pairing():

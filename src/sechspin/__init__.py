@@ -11,8 +11,6 @@ from .model import (
     SystemParams,
     bandwidth_from_duration,
     larmor_from_field,
-    pulse_area,
-    sech_envelope,
     two_pi_pulse,
 )
 from .special import HypParams, hyp2f1, overall_phase, rz_state
@@ -51,8 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PulseParams", "StateVector", "SystemParams",
-    "bandwidth_from_duration", "larmor_from_field",
-    "pulse_area", "sech_envelope", "two_pi_pulse",
+    "bandwidth_from_duration", "larmor_from_field", "two_pi_pulse",
     "HypParams", "hyp2f1", "overall_phase", "rz_state",
     "IntegratorOpts", "PulseSchedule", "Trajectory", "evolve_operator",
     "propagate", "schedule_for_pulses", "truncate_qubit",

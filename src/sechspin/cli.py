@@ -28,16 +28,9 @@ FLOAT_FMT = "%.16e"
 # flags whose values may be negative numbers or lists starting with one
 SIGNED_VALUE_FLAGS = ("--ratios", "--delta", "--centers", "--angle", "--angles", "--t0", "--t1")
 
-USAGE_ERRORS = (
-    pulsedesign.OutOfRange,
-    pulsedesign.ZeroRatio,
-    ValueError,
-)
-NUMERIC_ERRORS = (
-    propagator.NormBlowup,
-    propagator.StepTooLarge,
-    ArithmeticError,
-)
+# StepTooLarge is a ValueError that exits 1, so it is caught first
+USAGE_ERRORS = (ValueError,)
+NUMERIC_ERRORS = (propagator.StepTooLarge, ArithmeticError)
 
 
 def parse_grid(spec: str) -> np.ndarray:
@@ -158,11 +151,11 @@ def cmd_fidelity(args) -> int:
 def cmd_simulate(args) -> int:
     deltas = _float_list(args.delta)
     centers = _float_list(args.centers)
-    if deltas and not centers:
-        centers = [0.0] if len(deltas) == 1 else None
-    if deltas and (centers is None or len(centers) != len(deltas)):
+    if len(deltas) == 1 and not centers:
+        centers = [0.0]
+    if len(centers) != len(deltas):
         raise ValueError("--centers must list one center per detuning")
-    pulses = [model.two_pi_pulse(args.eta, d, c) for d, c in zip(deltas, centers or [])]
+    pulses = [model.two_pi_pulse(args.eta, d, c) for d, c in zip(deltas, centers)]
     if args.t0 is not None and args.t1 is not None:
         sched = propagator.PulseSchedule(pulses, (args.t0, args.t1))
     elif pulses:

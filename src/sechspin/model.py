@@ -57,13 +57,6 @@ class PulseParams:
     def is_two_pi(self) -> bool:
         return self.rabi_peak == self.bandwidth
 
-    @property
-    def ratio(self) -> float:
-        """r = Omega/Delta, the single knob setting the rotation angle."""
-        if self.detuning == 0.0:
-            return float("inf")
-        return self.rabi_peak / self.detuning
-
 
 def two_pi_pulse(bandwidth: float, detuning: float, center: float = 0.0) -> PulseParams:
     """Pulse of area exactly 2*pi: rabi_peak locked to bandwidth."""
@@ -127,16 +120,8 @@ class StateVector:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     @classmethod
-    def ket_zbar(cls) -> "StateVector":
-        return cls(np.array([1.0, 0.0, 0.0], dtype=complex))
-
-    @classmethod
     def ket_z(cls) -> "StateVector":
         return cls(np.array([0.0, 1.0, 0.0], dtype=complex))
-
-    @classmethod
-    def ket_tau(cls) -> "StateVector":
-        return cls(np.array([0.0, 0.0, 1.0], dtype=complex))
 
 
 def sech(x):
@@ -144,16 +129,6 @@ def sech(x):
     ax = np.abs(x)
     e = np.exp(-ax)
     return 2.0 * e / (1.0 + e * e)
-
-
-def sech_envelope(t, p: PulseParams):
-    """Pulse amplitude rabi_peak * sech(bandwidth*(t - center)). Vectorized in t."""
-    return p.rabi_peak * sech(p.bandwidth * (np.asarray(t, dtype=float) - p.center))
-
-
-def pulse_area(p: PulseParams) -> float:
-    """Area of 2*Omega(t) over all time, 2*pi*Omega/eta analytically."""
-    return 2.0 * np.pi * p.rabi_peak / p.bandwidth
 
 
 def coupling(t, pulses) -> np.ndarray:
@@ -198,6 +173,7 @@ def bandwidth_from_duration(tau_d: float, convention: str = "time-constant") -> 
     "fwhm" reads tau_d as the full width at half maximum of the amplitude,
     eta = 2*arccosh(2)/tau_d.
     """
+    _require_finite(tau_d=tau_d)
     if not tau_d > 0:
         raise ValueError("tau_d must be positive")
     if convention == "time-constant":

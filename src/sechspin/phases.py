@@ -18,11 +18,12 @@ Two routes, kept structurally independent on purpose:
   with V(s) = U(c + s, c) and psi(c) = V(t_end - c)^T psi(t_start) (see
   propagator). A longer half, or a run with an explicit
   IntegratorOpts.dt, steps forward over the whole window. All the
-  detunings of a sweep (or of one decomposition) go to one
-  propagate_many call, whose packs build the steps and running products
-  of many halves at once.
+  detunings of a call go to one propagate_many call, whose packs build
+  the steps and running products of many halves at once.
 
-The geometric part is the difference in both cases.
+The geometric part is the difference in both cases. decompose,
+sweep_ratio and pulsedesign.verify_cancellation all pass their
+detunings to _decompositions, the one place that picks the route.
 """
 
 from __future__ import annotations
@@ -165,26 +166,36 @@ def _numeric_readout(traj, sched, undo, s):
     return phi_raw, alpha
 
 
-def _numeric_decompositions(omega, deltas, s, window, opts):
-    """decompose(omega, delta, "numeric", s, window, opts) for each delta,
-    in order, from one propagate_many call: the pulses' trajectories share
-    packs, each keeps the bits it would get alone, and each is let go once
-    read."""
-    anchors = [overall_phase(omega, d) for d in deltas]
-    psi0, undo, scheds = _numeric_start(omega, deltas, s, window)
-    trajs = propagate_many([psi0] * len(scheds), scheds, s, opts)
-    out = []
-    for d, anchor, sched, traj in zip(deltas, anchors, scheds, trajs):
-        phi_raw, alpha = _numeric_readout(traj, sched, undo, s)
-        out.append(_as_decomposition(_nearest_branch(phi_raw, anchor), alpha,
-                                     "numeric", omega, d))
-    return out
-
-
 def _nearest_branch(phi_raw: float, anchor: float) -> float:
     """Shift phi_raw by a multiple of 2*pi to land nearest the anchor."""
     k = np.round((anchor - phi_raw) / (2.0 * np.pi))
     return phi_raw + 2.0 * np.pi * k
+
+
+def _decompositions(omega, deltas, method, s, window, opts):
+    """decompose(omega, delta, method, s, window, opts) for each delta, in
+    order. Method "analytic" takes every alpha from one
+    dynamic_phase_analytic call, each element the bits of a scalar call.
+    Method "numeric" propagates every entry in one propagate_many call: the
+    pulses' trajectories share packs, each keeps the bits it would get
+    alone, and each is let go once read."""
+    if method == "analytic":
+        phis = [overall_phase(omega, d) for d in deltas]
+        alphas = dynamic_phase_analytic(omega, deltas, window)
+    elif method == "numeric":
+        s = s or SystemParams()
+        anchors = [overall_phase(omega, d) for d in deltas]
+        psi0, undo, scheds = _numeric_start(omega, deltas, s, window)
+        trajs = propagate_many([psi0] * len(scheds), scheds, s, opts)
+        phis, alphas = [], []
+        for anchor, sched, traj in zip(anchors, scheds, trajs):
+            phi_raw, alpha = _numeric_readout(traj, sched, undo, s)
+            phis.append(_nearest_branch(phi_raw, anchor))
+            alphas.append(alpha)
+    else:
+        raise ValueError("method must be 'analytic' or 'numeric'")
+    return [_as_decomposition(phi, alpha, method, omega, d)
+            for d, phi, alpha in zip(deltas, phis, alphas)]
 
 
 def decompose(omega: float, delta: float, method: str,
@@ -201,39 +212,26 @@ def decompose(omega: float, delta: float, method: str,
     branch nearest the analytic value (arg alone is defined mod 2*pi). At
     omega_B = 0 this is the plain |z> start and arg<z|psi(t_end)> readout.
     """
-    if method == "analytic":
-        alpha = dynamic_phase_analytic(omega, delta, window)
-        return _as_decomposition(overall_phase(omega, delta), alpha, "analytic", omega, delta)
-    if method == "numeric":
-        return _numeric_decompositions(omega, [delta], s or SystemParams(), window, opts)[0]
-    raise ValueError("method must be 'analytic' or 'numeric'")
+    return _decompositions(omega, [delta], method, s, window, opts)[0]
 
 
 def sweep_ratio(r_values: Sequence[float], method: str,
                 s: Optional[SystemParams] = None, omega: float = 1.0,
-                window: float = DEFAULT_WINDOW,
-                opts: Optional[IntegratorOpts] = None):
+                window: float = DEFAULT_WINDOW):
     """One decomposition per ratio, in input order, each equal to
     decompose(omega, omega/r, method, ...).
 
-    Method "analytic" takes every dynamic phase from one
-    dynamic_phase_analytic call over the grid's detunings. Method "numeric"
-    propagates every entry in one propagate_many call, whose packs share
-    the step build and the running products of consecutive entries; the
-    entries stay numerically independent (each has the bits of its
-    decompose call, and the phase branch is anchored to the analytic
-    curve pointwise rather than chained along the grid), so they do not
-    depend on order or on their neighbours.
+    All the grid's detunings go to one call: one dynamic_phase_analytic
+    call for method "analytic", one propagate_many call for "numeric",
+    whose packs share the step build and the running products of
+    consecutive entries. The entries stay numerically independent (each
+    has the bits of its decompose call, and the phase branch is anchored
+    to the analytic curve pointwise rather than chained along the grid),
+    so they do not depend on order or on their neighbours.
     """
     r = np.asarray(r_values, dtype=float)
     if not np.all(np.isfinite(r)) or np.any(r == 0.0):
         raise ValueError("ratios must be finite and nonzero")
     with np.errstate(over="ignore"):    # an overflowed detuning is refused by name
         deltas = omega / r
-    if method == "analytic":
-        alphas = dynamic_phase_analytic(omega, deltas, window)
-        return [_as_decomposition(overall_phase(omega, d), a, "analytic", omega, d)
-                for d, a in zip(deltas, alphas)]
-    if method == "numeric":
-        return _numeric_decompositions(omega, deltas, s or SystemParams(), window, opts)
-    raise ValueError("method must be 'analytic' or 'numeric'")
+    return _decompositions(omega, deltas, method, s, window, None)

@@ -112,6 +112,7 @@ from .model import (
     PulseParams,
     StateVector,
     SystemParams,
+    _require_finite,
     sech,
     warn_if_fast_precession,
 )
@@ -214,16 +215,14 @@ class PulseSchedule:
         return self.window[1] - self.window[0]
 
 
-def schedule_for_pulses(pulses: Sequence[PulseParams],
-                        margin: Optional[float] = None) -> PulseSchedule:
-    """Window the pulses with a default margin of arccosh(1e8)/eta per side,
-    where the truncated envelope is down to 1e-8 of peak."""
+def schedule_for_pulses(pulses: Sequence[PulseParams]) -> PulseSchedule:
+    """Window the pulses with a margin of arccosh(1e8)/eta per side, where
+    the truncated envelope is down to 1e-8 of peak."""
     if not pulses:
         raise ValueError("need at least one pulse (or build PulseSchedule directly)")
     first, last = pulses[0], pulses[-1]
-    m0 = margin if margin is not None else ENVELOPE_TAIL_ARG / first.bandwidth
-    m1 = margin if margin is not None else ENVELOPE_TAIL_ARG / last.bandwidth
-    return PulseSchedule(pulses, (first.center - m0, last.center + m1))
+    return PulseSchedule(pulses, (first.center - ENVELOPE_TAIL_ARG / first.bandwidth,
+                                  last.center + ENVELOPE_TAIL_ARG / last.bandwidth))
 
 
 @dataclass(frozen=True)
@@ -232,8 +231,10 @@ class IntegratorOpts:
     sample_stride: int = 1
 
     def __post_init__(self):
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None:
+            _require_finite(dt=self.dt)
+            if not self.dt > 0:
+                raise ValueError("dt must be positive")
         if not isinstance(self.sample_stride, (int, np.integer)) or self.sample_stride < 1:
             raise ValueError("sample_stride must be an integer >= 1")
 

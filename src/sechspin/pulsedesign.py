@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import PulseParams, SystemParams, two_pi_pulse
-from .phases import DEFAULT_WINDOW, _numeric_decompositions, dynamic_phase_analytic
+from .model import PulseParams, SystemParams, _require_finite, two_pi_pulse
+from .phases import DEFAULT_WINDOW, _decompositions
 
 
 class ZeroRatio(ValueError):
@@ -55,6 +55,7 @@ def cancel_pair(r1: float, omega: float,
     if r1 == 0.0 or not np.isfinite(r1):
         raise ZeroRatio("r1 must be finite and nonzero")
     spacing = default_spacing(omega) if spacing is None else float(spacing)
+    _require_finite(spacing=spacing)
     if spacing < 10.0 / omega:
         raise ValueError("spacing must be at least 10 pulse durations")
     p1 = two_pi_pulse(bandwidth=omega, detuning=omega / r1, center=0.0)
@@ -87,25 +88,16 @@ def design_for_angle(gamma_target: float, omega: float,
 
 
 def verify_cancellation(pair: CancelingPair, s: Optional[SystemParams] = None,
-                        method: str = "analytic",
-                        window: float = DEFAULT_WINDOW) -> float:
+                        method: str = "analytic") -> float:
     """Residual alpha1 + alpha2 of the pair.
 
     Method "analytic" cancels to rounding, since its alpha is even under
     r -> 1/r in closed form. Method "numeric" with omega_B > 0 reports the
     small precession-induced residual; it is measured, not asserted to
-    vanish.
+    vanish. Both detunings go to one call (for "numeric", one pack); a
+    sweep over ratios would not give back Delta2 = -Omega*r1 to the bit.
     """
-    s = s or SystemParams()
-    omega = pair.pulse1.rabi_peak
-    if method == "analytic":
-        a1, a2 = dynamic_phase_analytic(
-            omega, [pair.pulse1.detuning, pair.pulse2.detuning], window)
-    elif method == "numeric":
-        # one pack for the pair; a sweep over ratios would not give back
-        # Delta2 = -Omega*r1 to the bit
-        a1, a2 = (d.dynamic for d in _numeric_decompositions(
-            omega, [pair.pulse1.detuning, pair.pulse2.detuning], s, window, None))
-    else:
-        raise ValueError("method must be 'analytic' or 'numeric'")
+    a1, a2 = (d.dynamic for d in _decompositions(
+        pair.pulse1.rabi_peak, [pair.pulse1.detuning, pair.pulse2.detuning],
+        method, s, DEFAULT_WINDOW, None))
     return float(a1 + a2)

@@ -17,7 +17,6 @@ scipy.special when they run, so rz_state and the CLI never load scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -46,32 +45,26 @@ def _is_nonpositive_int(x: complex) -> bool:
 
 @dataclass(frozen=True)
 class HypParams:
-    """Arguments of 2F1(a, b; c; z). z1 is 1 - z; pass it when it is known
-    more accurately than the rounded difference (z near 1)."""
+    """Arguments of 2F1(a, b; c; z)."""
 
     a: complex
     b: complex
     c: complex
     z: float
-    z1: Optional[float] = None
 
     def __post_init__(self):
         if _is_nonpositive_int(self.c):
             raise InvalidC("c = %r is a non-positive integer" % (self.c,))
         if not 0.0 <= self.z <= 1.0:
             raise ValueError("z must lie in [0, 1], got %r" % (self.z,))
-        if self.z1 is None:
-            object.__setattr__(self, "z1", 1.0 - self.z)
-        elif not 0.0 <= self.z1 <= 1.0:
-            raise ValueError("z1 must lie in [0, 1], got %r" % (self.z1,))
 
 
-def _series(a, b, c, z, max_terms=SERIES_MAX_TERMS):
+def _series(a, b, c, z):
     """Direct power series sum of 2F1. Terminates exactly when a or b is a
     non-positive integer; otherwise stops on two consecutive negligible terms."""
     total = term = 1.0 + 0.0j
     small_streak = 0
-    for n in range(max_terms):
+    for n in range(SERIES_MAX_TERMS):
         term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
         total += term
         if term == 0.0:           # terminating polynomial case, exact
@@ -84,7 +77,7 @@ def _series(a, b, c, z, max_terms=SERIES_MAX_TERMS):
             small_streak = 0
     raise NonConvergence(
         "2F1 series did not converge in %d terms (a=%r b=%r c=%r z=%r)"
-        % (max_terms, a, b, c, z))
+        % (SERIES_MAX_TERMS, a, b, c, z))
 
 
 def _gauss_value(a, b, c):
@@ -107,16 +100,15 @@ def hyp2f1(h: HypParams) -> complex:
     z -> 1 - z connection formula, valid because c - a - b is never an
     integer for the parameter families used here (Re(c-a-b) = 1/2); if it
     is nearly an integer the direct series is used instead (it still
-    converges for z < 1, just more slowly). z1 = 0 is the Gauss sum; the
-    connection formula takes 1 - z from h.z1.
+    converges for z < 1, just more slowly). z = 1 is the Gauss sum.
     """
-    a, b, c, z, z1 = h.a, h.b, h.c, h.z, h.z1
+    a, b, c, z = h.a, h.b, h.c, h.z
     if z == 0.0:
         return 1.0 + 0.0j
     # terminating cases are exact at any z and dodge the connection formula
     if _is_nonpositive_int(a) or _is_nonpositive_int(b):
         return _series(a, b, c, z)
-    if z1 == 0.0:
+    if z == 1.0:
         return _gauss_value(a, b, c)
     if z <= 0.5:
         return _series(a, b, c, z)
@@ -124,6 +116,7 @@ def hyp2f1(h: HypParams) -> complex:
     if abs(s - np.round(s.real)) < 1e-8:
         return _series(a, b, c, z)
     from scipy.special import gamma as cgamma, rgamma
+    z1 = 1.0 - z
     f1 = cgamma(c) * cgamma(s) * rgamma(c - a) * rgamma(c - b) \
         * _series(a, b, 1.0 - s + 0j, z1)
     f2 = cgamma(c) * cgamma(-s) * rgamma(a) * rgamma(b) \

@@ -141,6 +141,10 @@ def test_simulate_csv():
     (["phases", "--ratios", "1", "--method", "numeric", "--B", "nan"], "B"),
     # Omega/r overflows to an infinite detuning
     (["phases", "--ratios", "1e-310", "--method", "analytic"], "detuning"),
+    (["fidelity", "--tau-d", "inf"], "tau_d"),
+    (["simulate", "--delta", "1", "--dt", "inf"], "dt"),
+    (["design", "--angle", "1", "--spacing", "inf"], "spacing"),
+    (["fidelity", "--spacing", "inf"], "spacing"),
 ])
 def test_non_finite_inputs_exit_2(args, name):
     res = run(*args)
@@ -188,6 +192,10 @@ def test_simulate_far_detuned_refused():
 
 def test_simulate_without_pulses_needs_window():
     assert run("simulate").returncode == 2
+    # centers without detunings are an error, not an empty schedule
+    res = run("simulate", "--centers", "3", "--t0", "0", "--t1", "10")
+    assert res.returncode == 2
+    assert "--centers must list one center per detuning" in res.stderr
     res = run("simulate", "--t0", "0", "--t1", "100", "--B", "0.29", "--stride", "50")
     assert res.returncode == 0
 

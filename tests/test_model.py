@@ -10,9 +10,7 @@ from sechspin.model import (
     bandwidth_from_duration,
     coupling,
     larmor_from_field,
-    pulse_area,
     sech,
-    sech_envelope,
     two_pi_pulse,
     warn_if_fast_precession,
 )
@@ -25,30 +23,6 @@ def test_sech_stable_and_even():
     x = np.linspace(0.0, 30.0, 101)
     assert np.array_equal(sech(x), sech(-x))
     assert sech(float(np.arccosh(2.0))) == pytest.approx(0.5, rel=1e-14)
-
-
-def test_envelope_symmetric_about_center():
-    delta = np.linspace(0.0, 12.0, 200)
-    p0 = two_pi_pulse(0.8, 2.0, center=0.0)
-    assert np.array_equal(sech_envelope(delta, p0), sech_envelope(-delta, p0))
-    # off-zero center: t - center reintroduces rounding, so only near-exact
-    p = two_pi_pulse(0.8, 2.0, center=5.0)
-    np.testing.assert_allclose(sech_envelope(5.0 + delta, p),
-                               sech_envelope(5.0 - delta, p), rtol=1e-12)
-    assert sech_envelope(5.0, p) == p.rabi_peak
-
-
-def test_pulse_area():
-    assert pulse_area(two_pi_pulse(3.7, 0.0)) == pytest.approx(2 * np.pi, rel=1e-15)
-    assert pulse_area(PulseParams(2.0, 0.0, 1.0)) == pytest.approx(4 * np.pi, rel=1e-15)
-    assert pulse_area(PulseParams(0.5, 0.0, 1.0)) == pytest.approx(np.pi, rel=1e-15)
-
-
-@pytest.mark.parametrize("k", [2.0, 0.3, 7.5])
-def test_pulse_area_scaling_invariant(k):
-    a = pulse_area(PulseParams(1.3, 0.2, 0.9))
-    b = pulse_area(PulseParams(k * 1.3, 0.2, k * 0.9))
-    assert b == pytest.approx(a, rel=1e-14)
 
 
 def test_larmor_reference_period():
@@ -70,9 +44,7 @@ def test_larmor_linear():
 def test_two_pi_pulse_flag_and_ratio():
     p = two_pi_pulse(1.5, 3.0)
     assert p.is_two_pi
-    assert p.ratio == 0.5
     assert not PulseParams(1.0, 0.5, 2.0).is_two_pi
-    assert two_pi_pulse(1.0, 0.0).ratio == float("inf")
 
 
 def test_pulse_validation():
@@ -123,7 +95,8 @@ def test_system_validation_and_decay_rate():
 
 
 def test_state_vector():
-    for ket in (StateVector.ket_zbar(), StateVector.ket_z(), StateVector.ket_tau()):
+    for ket in (StateVector([1.0, 0.0, 0.0]), StateVector.ket_z(),
+                StateVector([0.0, 0.0, 1.0])):
         assert ket.norm_sq == 1.0
         assert ket.amplitudes.shape == (3,)
     with pytest.raises(ValueError):
@@ -161,7 +134,7 @@ def test_duration_conventions():
     # fwhm: envelope at +-tau_d/2 is half the peak
     eta = bandwidth_from_duration(1.5, "fwhm")
     p = two_pi_pulse(eta, 0.0)
-    assert sech_envelope(0.75, p) == pytest.approx(0.5 * p.rabi_peak, rel=1e-13)
+    assert p.rabi_peak * sech(eta * 0.75) == pytest.approx(0.5 * p.rabi_peak, rel=1e-13)
     with pytest.raises(ValueError):
         bandwidth_from_duration(0.0)
     with pytest.raises(ValueError):

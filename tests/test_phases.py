@@ -286,6 +286,8 @@ def test_parameter_validation():
         dynamic_phase_analytic(1.0, 1.0, window=5.0)
     with pytest.raises(ValueError):
         decompose(1.0, 1.0, "magic")
+    with pytest.raises(ValueError, match="method must be"):
+        sweep_ratio([1.0], "magic")
 
 
 def test_non_finite_detuning_refused():

@@ -71,7 +71,7 @@ def test_free_precession_cosine():
 def test_trion_decay_norm():
     s = SystemParams(trion_lifetime=900.0)
     sched = PulseSchedule([], (0.0, 900.0))
-    traj = propagate(StateVector.ket_tau(), sched, s)
+    traj = propagate(StateVector([0.0, 0.0, 1.0]), sched, s)
     assert np.max(np.abs(traj.norms - np.exp(-traj.times / 900.0))) < 1e-8
     assert np.all(traj.states[:, 0] == 0) and np.all(traj.states[:, 1] == 0)
 
@@ -606,8 +606,8 @@ def test_schedule_for_pulses_margins():
     sched = schedule_for_pulses([p])
     t0, t1 = sched.window
     # default margin puts the envelope at 1e-8 of peak at the window edge
-    from sechspin.model import sech_envelope
-    assert sech_envelope(t0, p) == pytest.approx(1e-8 * p.rabi_peak, rel=1e-6)
+    assert p.rabi_peak * sech(p.bandwidth * (t0 - p.center)) == pytest.approx(
+        1e-8 * p.rabi_peak, rel=1e-6)
     assert t1 - 5.0 == pytest.approx(5.0 - t0, rel=1e-12)
     with pytest.raises(ValueError):
         schedule_for_pulses([])

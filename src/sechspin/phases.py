@@ -115,25 +115,30 @@ def dynamic_phase_numeric(traj: Trajectory, sched: PulseSchedule,
     """
     if s.decay_rate > 0:
         raise DecayForbidden("phase decomposition needs decay off")
+    # in units of 1/w, w the widest bandwidth: h*w and E/w, E'/w^2, E''/w^3
+    # neither overflow nor underflow at a tiny or huge Omega (exact at w = 1)
+    w = max((p.bandwidth for p in sched.pulses), default=1.0)
     t = traj.times
     cb, cz, ct = traj.states[:, 0], traj.states[:, 1], traj.states[:, 2]
     v = np.zeros(t.shape, dtype=complex)
     dv = np.zeros(t.shape, dtype=complex)
     ddv = np.zeros(t.shape, dtype=complex)
     for p in sched.pulses:
-        vj = model.coupling(t, [p])
+        vj = model.coupling(t, [p]) / w
+        b = p.bandwidth / w
         tanh = np.tanh(p.bandwidth * (t - p.center))
-        g = -p.bandwidth * tanh - 1j * p.detuning      # V_j'/V_j
+        g = -b * tanh - 1j * (p.detuning / w)      # V_j'/V_j
         v += vj
         dv += vj * g
-        ddv += vj * (g * g - p.bandwidth ** 2 * (1.0 - tanh * tanh))
+        ddv += vj * (g * g - b ** 2 * (1.0 - tanh * tanh))
+    omega_b = s.omega_B / w
     zt = np.conj(cz) * ct
-    e = 2.0 * s.omega_B * np.real(np.conj(cb) * cz) + 2.0 * np.real(v * zt)
+    e = 2.0 * omega_b * np.real(np.conj(cb) * cz) + 2.0 * np.real(v * zt)
     de = 2.0 * np.real(dv * zt)
     # i<psi|[H, H']|psi> = -2*Im(<H psi|H' psi>)
-    dde = (2.0 * np.real(ddv * zt) - 2.0 * s.omega_B * np.imag(dv * np.conj(cb) * ct)
+    dde = (2.0 * np.real(ddv * zt) - 2.0 * omega_b * np.imag(dv * np.conj(cb) * ct)
            - 2.0 * np.imag(dv * np.conj(v)) * (np.abs(ct) ** 2 - np.abs(cz) ** 2))
-    h = np.diff(t)
+    h = np.diff(t) * w
     return float(-np.sum(h * (0.5 * (e[1:] + e[:-1]) + h / 10.0 * (de[:-1] - de[1:])
                               + h * h / 120.0 * (dde[:-1] + dde[1:]))))
 

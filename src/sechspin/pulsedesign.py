@@ -54,6 +54,9 @@ def cancel_pair(r1: float, omega: float,
     """Pair of 2*pi pulses with Delta1 = Omega/r1 and Delta2 = -Omega*r1."""
     if r1 == 0.0 or not np.isfinite(r1):
         raise ZeroRatio("r1 must be finite and nonzero")
+    _require_finite(omega=omega)
+    if not omega > 0:
+        raise ValueError("omega must be positive")
     spacing = default_spacing(omega) if spacing is None else float(spacing)
     _require_finite(spacing=spacing)
     if spacing < 10.0 / omega:

@@ -97,6 +97,15 @@ def test_design_out_of_range_exit_2():
     assert "error" in res.stderr.lower()
 
 
+@pytest.mark.parametrize("omega", ["0", "nan", "-1"])
+def test_design_bad_omega_exit_2(omega):
+    # omega is checked before the default spacing 14/omega is formed
+    res = run("design", "--angle", "1", "--omega", omega)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "error: omega must be" in res.stderr
+
+
 def test_fidelity_report_json():
     res = run("fidelity", "--angle", "0.785398163397448", "--B", "0.29")
     assert res.returncode == 0
@@ -178,6 +187,18 @@ def test_analytic_alpha_where_prefactor_squares_overflow(ratio, omega):
     assert res.stderr == ""
     alpha = float(res.stdout.strip().split("\n")[1].split(",")[2])
     assert alpha == pytest.approx(4.0 * ratio / (1.0 + ratio ** 2), rel=1e-15)
+
+
+@pytest.mark.parametrize("omega", [1e-200, 1e-300])
+def test_numeric_alpha_at_tiny_omega(omega):
+    # the window 20/Omega makes h*h overflow in Omega's units; in units of
+    # 1/Omega alpha is the one at Omega = 1 (measured 1.1e-15 apart)
+    def alpha(om):
+        res = run("phases", "--ratios", "1", "--method", "numeric", "--omega", repr(om))
+        assert res.returncode == 0
+        assert res.stderr == ""
+        return float(res.stdout.strip().split("\n")[1].split(",")[2])
+    assert alpha(omega) == pytest.approx(alpha(1.0), abs=1e-14)
 
 
 def test_simulate_far_detuned_refused():
@@ -321,16 +342,20 @@ def test_unknown_flag_exit_2():
     assert run("phases", "--ratios", "1", "--frobnicate").returncode == 2
 
 
-# Runs each command in one interpreter where any import of scipy raises
-# ImportError; scipy is needed only by hyp2f1's gamma-function branches.
+# Runs each command, then hyp2f1 at a Gauss-sum point (z = 1) and at c11's
+# connection-formula point, in one interpreter where any import of scipy
+# raises ImportError: numpy is the only dependency.
 SCIPY_BLOCKED = """
 import sys
 sys.modules["scipy"] = None
 from sechspin import cli
+from sechspin.special import HypParams, hyp2f1
 for argv in %r:
     code = cli.main(argv)
     if code != 0:
         sys.exit("%%s exited with %%d" %% (argv[0], code))
+hyp2f1(HypParams(0.5, -0.5, 1.0, 1.0))
+hyp2f1(HypParams(0.5, -0.5, 0.5 + 0.35j, 0.7))
 """
 
 

@@ -15,6 +15,8 @@ from sechspin.special import (
     HypParams,
     InvalidC,
     NonConvergence,
+    _gamma_ratio,
+    _loggamma,
     hyp2f1,
     overall_phase,
     rz_state,
@@ -62,6 +64,53 @@ def test_z_domain():
     for z in (-0.1, 1.1):
         with pytest.raises(ValueError):
             HypParams(0.5, -0.5, 1.0, z)
+
+
+def _loggamma_err(z):
+    # |log-gamma - mpmath's| with the 2*pi*i branch offset removed: the
+    # relative error of Gamma(z) itself
+    d = mp.mpc(_loggamma(z)) - mp.loggamma(z)
+    return abs(complex(d - 2j * mp.pi * mp.nint(mp.im(d) / (2 * mp.pi))))
+
+
+def test_loggamma_against_mpmath():
+    # near the poles the reduction by the nearest integer keeps the digits
+    # (measured <= 3.1e-15)
+    for z in (-2 + 1e-7, -2 - 1e-7, complex(-0.5, 1e-9), complex(-3.0, 1e-12), 1e-9):
+        assert _loggamma_err(z) < 1e-14
+    # across both half-planes at |Im z| = 60 and 1e3 (measured 2.3e-13 and
+    # 1.3e-12): the rounding of (z - 1/2)*log(z + 6.5) grows with |z|
+    for im, bound in ((60.0, 5e-13), (1e3, 4e-12)):
+        worst = max(_loggamma_err(complex(x, sign * im))
+                    for x in np.linspace(-3.0, 4.0, 29) for sign in (1.0, -1.0))
+        assert worst < bound
+
+
+def test_gamma_ratio_pole_in_denominator_is_exact_zero():
+    assert _gamma_ratio((0.5 + 2j, 1.5), (-2.0, 0.3)) == 0.0
+    assert _gamma_ratio((0.5,), (1.0,)) == pytest.approx(np.sqrt(np.pi), rel=1e-15)
+
+
+@pytest.mark.parametrize("z", [0.7, 1.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_far_detuned_gamma_branches_against_mpmath(z, sign):
+    # |Im c| = 500: the single gammas of the connection formula (z = 0.7)
+    # and of the Gauss sum (z = 1) over- and underflow a double, their
+    # ratios do not (measured 1.8e-12)
+    a, b, c = 0.3, -0.3, complex(0.5, sign * 500.0)
+    ref = complex(mp.hyp2f1(a, b, c, z))
+    assert abs(hyp2f1(HypParams(a, b, c, z)) - ref) < 4e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("im_c", [50.0, -50.0, 500.0, -500.0])
+def test_trion_factor_terminates_by_euler_transformation(im_c):
+    # 2F1(1 + c, c - 1; 1 + c; z) = (1 - z)^(1 - c): c - a = 0, so Euler's
+    # transformation leaves a terminating series; the direct series at
+    # z = 0.5 cancels to 9.7e-6 at |Im c| = 50 (measured 4.4e-13 here)
+    c = complex(0.5, im_c)
+    for z in (0.05, 0.3, 0.5, 0.7, 0.9, 0.99):
+        ref = complex(mp.hyp2f1(1 + c, c - 1, 1 + c, z))
+        assert abs(hyp2f1(HypParams(1 + c, c - 1, 1 + c, z)) - ref) < 1e-12 * abs(ref)
 
 
 def test_against_mpmath_physical_family():

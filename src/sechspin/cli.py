@@ -68,6 +68,18 @@ def _float_list(spec: str):
     return [float(x) for x in spec.split(",")]
 
 
+def _values(flag: str, parse, spec: str):
+    """parse(spec), refused with the flag named if it fails or gives no
+    value."""
+    try:
+        values = parse(spec)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (flag, exc)) from None
+    if len(values) == 0:
+        raise ValueError("%s needs at least one value" % flag)
+    return values
+
+
 def _write(text: str, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -124,9 +136,9 @@ def _report_kwargs(args):
 
 def cmd_fidelity(args) -> int:
     kwargs = _report_kwargs(args)
-    b_values = _float_list(args.B)
+    b_values = _values("--B", _float_list, args.B)
     if args.sweep:
-        angles = parse_grid(args.angles)
+        angles = _values("--angles", parse_grid, args.angles)
         reports = fid.fidelity_sweep(angles, b_values, **kwargs)
         rows = [(gamma, rep.B, rep.fidelity, rep.residual_population)
                 for gamma, rep in zip(np.repeat(angles, len(b_values)), reports)]
@@ -283,13 +295,13 @@ def _config_flags(parser: argparse.ArgumentParser, path: str) -> list:
 
 def _attach_signed_values(argv: list) -> list:
     """--flag <value> as --flag=<value> where the flag is one of
-    SIGNED_VALUE_FLAGS and the value starts like a negative number.
-    argparse reads a value that starts with "-" as an option unless it
-    matches its negative-number pattern, which has no exponent and no
-    list: -0.5 passes, -1e-3 and -1,2 do not."""
+    SIGNED_VALUE_FLAGS and the value starts like a negative number, -inf
+    and -nan included. argparse reads a value that starts with "-" as an
+    option unless it matches its negative-number pattern, which has no
+    exponent, no list and no -inf: -0.5 passes, -1e-3 and -1,2 do not."""
     out = []
     for arg in argv:
-        if out and out[-1] in SIGNED_VALUE_FLAGS and re.match(r"-[0-9.]", arg):
+        if out and out[-1] in SIGNED_VALUE_FLAGS and re.match(r"-([0-9.]|inf|nan)", arg, re.I):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -19,12 +19,13 @@ import numpy as np
 
 from .model import (
     SystemParams,
+    _require_finite,
     bandwidth_from_duration,
     free_precession,
     larmor_from_field,
     two_pi_pulse,
 )
-from .propagator import IntegratorOpts, evolve_operator, schedule_for_pulses, truncate_qubit
+from .propagator import IntegratorOpts, evolve_operators, schedule_for_pulses, truncate_qubit
 from .pulsedesign import design_for_angle
 from .special import overall_phase
 
@@ -73,6 +74,7 @@ def average_fidelity(u: np.ndarray, u_ideal: np.ndarray) -> float:
 
 def _sequence_for(gamma_target, omega, spacing):
     """Pulse list and per-pulse ideal phases for the target angle."""
+    _require_finite(gamma_target=gamma_target)
     if abs(gamma_target) > np.pi:
         raise ValueError("|gamma_target| must be <= pi")
     if abs(gamma_target) == np.pi:
@@ -98,37 +100,46 @@ def _ideal_operator(convention, phis, centers, window, omega_B):
     return u
 
 
-def gate_report(gamma_target: float, B: float, g: float = 0.57,
-                tau_d: float = 1.5, tau_t: float = 900.0,
-                spacing: Optional[float] = None,
-                ideal: str = "interleaved", decay: bool = True,
-                duration_convention: str = "time-constant",
-                opts: Optional[IntegratorOpts] = None) -> GateReport:
-    """Simulate the geometric rotation by gamma_target and score it.
-
-    Defaults are the reference operating point: B = 0.29 T, g = 0.57,
-    tau_d = 1.5 ps, trion lifetime 900 ps, centers 14*tau_d apart.
-    tau_t = inf turns decay off, as does decay=False (kept because
-    benchmarks/test_checks.py passes it).
-    """
-    omega = bandwidth_from_duration(tau_d, duration_convention)
-    omega_B = larmor_from_field(B, g)
-    spacing = 14.0 * tau_d if spacing is None else float(spacing)
-    pulses, phis = _sequence_for(gamma_target, omega, spacing)
-    sched = schedule_for_pulses(pulses)
-    s = SystemParams(omega_B=omega_B, trion_lifetime=tau_t if decay else np.inf)
-    u3 = evolve_operator(sched, s, opts)
-    u = truncate_qubit(u3)
-    loss = float(1.0 - np.sum(np.abs(u3[:, 1]) ** 2))
-    centers = [p.center for p in pulses]
-    u_id = _ideal_operator(ideal, phis, centers, sched.window, omega_B)
-    return GateReport(u_actual=u, u_ideal=u_id,
-                      fidelity=average_fidelity(u, u_id),
-                      residual_population=loss, B=float(B),
-                      gamma_tot=float(sum(phis)))
+def gate_report(gamma_target: float, B: float, **params) -> GateReport:
+    """Simulate the geometric rotation by gamma_target and score it: the
+    one-gate case of fidelity_sweep, which takes the same keywords."""
+    return fidelity_sweep([gamma_target], [B], **params)[0]
 
 
 def fidelity_sweep(gamma_grid: Sequence[float], B_list: Sequence[float],
-                   **params) -> list:
-    """GateReport per (gamma, B), gamma-major order."""
-    return [gate_report(g, B, **params) for g in gamma_grid for B in B_list]
+                   g: float = 0.57, tau_d: float = 1.5, tau_t: float = 900.0,
+                   spacing: Optional[float] = None, ideal: str = "interleaved",
+                   decay: bool = True, duration_convention: str = "time-constant",
+                   opts: Optional[IntegratorOpts] = None) -> list:
+    """GateReport per (gamma, B), gamma-major order.
+
+    Defaults are the reference operating point: g = 0.57, tau_d = 1.5 ps,
+    trion lifetime 900 ps, centers 14*tau_d apart. tau_t = inf turns decay
+    off, as does decay=False (kept because benchmarks/test_checks.py
+    passes it). Every gate is designed first, all operators come from one
+    evolve_operators call, and each gate is scored from its own.
+    """
+    omega = bandwidth_from_duration(tau_d, duration_convention)
+    spacing = 14.0 * tau_d if spacing is None else float(spacing)
+    lifetime = tau_t if decay else np.inf
+    scheds, systems, scoring = [], [], []
+    for gamma in gamma_grid:
+        pulses, phis = _sequence_for(gamma, omega, spacing)
+        sched = schedule_for_pulses(pulses)
+        centers = [p.center for p in pulses]
+        for B in B_list:
+            omega_B = larmor_from_field(B, g)
+            scheds.append(sched)
+            systems.append(SystemParams(omega_B=omega_B, trion_lifetime=lifetime))
+            u_id = _ideal_operator(ideal, phis, centers, sched.window, omega_B)
+            scoring.append((u_id, float(B), float(sum(phis))))
+    u3s = evolve_operators(scheds, systems, opts)
+    return [_report(u3, *args) for u3, args in zip(u3s, scoring)]
+
+
+def _report(u3, u_id, B, gamma_tot) -> GateReport:
+    """Score one gate from its three-level operator u3."""
+    u = truncate_qubit(u3)
+    loss = float(1.0 - np.sum(np.abs(u3[:, 1]) ** 2))
+    return GateReport(u_actual=u, u_ideal=u_id, fidelity=average_fidelity(u, u_id),
+                      residual_population=loss, B=B, gamma_tot=gamma_tot)

@@ -94,7 +94,7 @@ def warn_if_fast_precession(s: SystemParams, bandwidth: float, stacklevel: int =
     """Warn when omega_B/eta >= 0.1, at the frame stacklevel - 1 above
     the caller (as for warnings.warn; by default the caller's line). The
     propagator's grid builder points it at the line that called
-    propagate, propagate_many or evolve_operator."""
+    propagate, propagate_many, evolve_operators or evolve_operator."""
     if not s.slow_precession(bandwidth):
         warnings.warn(
             "omega_B/eta = %.3g >= 0.1: outside the slow-precession regime, "

@@ -82,6 +82,7 @@ def design_for_angle(gamma_target: float, omega: float,
     r1 = tan((gamma - pi)/4) < 0 (cancel_pair of that r1) runs the same
     two detunings in the other order.
     """
+    _require_finite(gamma_target=gamma_target)
     if not abs(gamma_target) < np.pi:
         raise OutOfRange(
             "|gamma_target| must be < pi; a rotation by pi needs only a "

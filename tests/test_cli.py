@@ -208,7 +208,55 @@ def test_simulate_far_detuned_refused():
     res = run("simulate", "--delta", "1e6", "--B", "0.29", "--stride", "200")
     assert res.returncode == 1
     assert res.stdout == ""
-    assert re.search(r"numerical failure: grid would need \d+ steps", res.stderr)
+    assert re.search(r"numerical failure: grid would need 2\.\d\de\+07 steps \(> 2000000\)",
+                     res.stderr)
+
+
+def test_huge_step_count_message_is_short():
+    # the window 20/Omega = 2e301 ps at 0.29 T needs ~4e300 steps; the
+    # count is printed with three digits, not all 301
+    res = run("phases", "--ratios", "1", "--method", "numeric", "--omega", "1e-300",
+              "--B", "0.29")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    line = [ln for ln in res.stderr.splitlines() if ln.startswith("numerical failure")]
+    assert len(line) == 1 and len(line[0]) < 120
+    assert re.search(r"grid would need \d\.\d\de\+300 steps", line[0])
+
+
+@pytest.mark.parametrize("args", [
+    ["design", "--angle", "nan"],
+    ["design", "--angle", "-inf"],
+    ["fidelity", "--angle", "nan"],
+    ["fidelity", "--angle", "-inf"],
+    ["fidelity", "--angle", "inf"],
+    ["fidelity", "--sweep", "--angles", "-nan", "--B", "0.29"],
+    ["fidelity", "--sweep", "--angles", "0.5,-Infinity", "--B", "0.29"],
+])
+def test_non_finite_angle_refused_by_name(args):
+    # nan used to pass every range check and end in "a rotation by pi needs
+    # only a single resonant pulse"; -inf and -nan are attached to their
+    # flag like any other negative value
+    res = run(*args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "error: gamma_target must be finite, got " in res.stderr
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--sweep", "--angles", "0.5", "--B", ""], "--B"),
+    (["--sweep", "--angles", "0.5", "--B", ","], "--B"),
+    (["--sweep", "--angles", "0.5", "--B", "0.29,,1.35"], "--B"),
+    (["--sweep", "--angles", "", "--B", "0.29"], "--angles"),
+    (["--angle", "0.5", "--B", ""], "--B"),
+])
+def test_empty_list_refused_by_flag(args, flag):
+    # an empty --B used to write a header-only sweep with exit 0, and an
+    # empty entry failed in float() without naming the flag
+    res = run("fidelity", *args)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: %s" % flag)
 
 
 def test_simulate_without_pulses_needs_window():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sechspin import fidelity
 from sechspin.fidelity import (
     GateReport,
     NonContraction,
@@ -186,3 +187,28 @@ def test_sweep_shapes():
     assert len(reports) == 6
     assert [r.B for r in reports[:3]] == [0.29, 1.35, 2.7]     # gamma-major
     assert reports[0].gamma_tot == pytest.approx(0.5)
+
+
+@pytest.mark.filterwarnings("ignore:omega_B/eta")
+def test_sweep_equals_one_report_per_gate():
+    # the sweep's gates share packs of operators, each report is a pack of
+    # one: every field agrees to the bit, decay on and off, at B = 0 and at
+    # the single resonant pulse |gamma| = pi
+    angles, fields = [-np.pi, -2.0, 0.25, 1.0, 3.0], [0.0, 0.27, 2.7]
+    for kw in ({}, {"tau_t": float("inf")}):
+        sweep = fidelity_sweep(angles, fields, **kw)
+        alone = [gate_report(g, b, **kw) for g in angles for b in fields]
+        assert len(sweep) == len(alone) == 15
+        for got, ref in zip(sweep, alone):
+            assert np.array_equal(got.u_actual, ref.u_actual)
+            assert np.array_equal(got.u_ideal, ref.u_ideal)
+            assert (got.fidelity, got.residual_population, got.B, got.gamma_tot) == (
+                ref.fidelity, ref.residual_population, ref.B, ref.gamma_tot)
+
+
+def test_sweep_warning_names_fidelity_module():
+    # the fast-precession warning points at the sweep's evolve_operators
+    # call, not into the propagator
+    with pytest.warns(UserWarning, match="omega_B/eta") as record:
+        fidelity_sweep([0.5, 1.0], [2.7])
+    assert record and all(w.filename == fidelity.__file__ for w in record)

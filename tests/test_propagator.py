@@ -27,6 +27,7 @@ from sechspin.propagator import (
     PulseSchedule,
     StepTooLarge,
     evolve_operator,
+    evolve_operators,
     propagate,
     propagate_many,
     schedule_for_pulses,
@@ -40,6 +41,7 @@ from sechspin.propagator import (
     _magnus6,
     _running_products,
     _step_matrices,
+    _times,
 )
 from sechspin.pulsedesign import design_for_angle
 from sechspin.special import overall_phase, rz_state
@@ -434,6 +436,75 @@ def test_batched_exponential_matches_mpmath():
             ref = np.array(mp.expm(mp.matrix(x[..., k].tolist())).tolist(), dtype=complex)
         # ~100 roundings of 1.1e-16, and squaring grows them with the norm
         assert np.max(np.abs(got[..., k] - ref)) <= 1e-14 * max(1.0, norm)
+
+
+def test_batched_exponential_leaves_its_input():
+    x = _random_generators(40, np.random.default_rng(4), np.geomspace(1e-3, 1e3, 40))
+    before = x.copy()
+    _expm(x)
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.filterwarnings("ignore:omega_B/eta")
+def test_evolve_operators_match_one_gate_at_a_time(monkeypatch):
+    # a mixed list: pairs at B = 0, 0.27 and 2.7 T with decay on and off,
+    # the single resonant pulse at |gamma| = pi, one grid longer than the
+    # pack cap and one longer than a chunk; every operator is the one
+    # evolve_operator returns alone, and the one-chunk fold of its steps
+    def pair(gamma):
+        p = design_for_angle(gamma, 1.0)
+        return schedule_for_pulses([p.pulse1, p.pulse2])
+
+    lone = schedule_for_pulses([two_pi_pulse(1.0, 0.0)])
+    past_cap = PulseSchedule([two_pi_pulse(1.0, 100.0)], (-20.0, 20.0))
+    past_chunk = PulseSchedule([two_pi_pulse(1.0, -1e3)], (-20.0, 20.0))
+    cases = [(pair(g), SystemParams(omega_B=larmor_from_field(b), trion_lifetime=tau))
+             for g in (-2.0, 0.5, 1.5) for b in (0.0, 0.27, 2.7) for tau in (900.0, np.inf)]
+    cases[4:4] = [(lone, SystemParams(omega_B=larmor_from_field(0.27), trion_lifetime=900.0)),
+                  (past_cap, SystemParams(omega_B=larmor_from_field(0.27)))]
+    cases[12:12] = [(past_chunk, SystemParams(trion_lifetime=900.0))]
+    scheds, systems = zip(*cases)
+    packs = []
+    step_matrices = propagator._step_matrices
+
+    def counting(grids, s):
+        packs.append([times.shape[0] - 1 for times, _ in grids])
+        return step_matrices(grids, s)
+
+    monkeypatch.setattr(propagator, "_step_matrices", counting)
+    got = evolve_operators(scheds, systems)
+    steps = [len(_times(sched, s, IntegratorOpts())) - 1 for sched, s in cases]
+    cap, chunk = propagator.OPERATOR_PACK_STEPS, propagator.CHUNK_STEPS
+    assert steps[12] > chunk and chunk >= steps[5] > cap
+    # gates shared packs of at most cap steps times gates; the two long
+    # grids ran alone, the longer one chunk by chunk
+    assert any(len(p) > 1 for p in packs)
+    assert all(len(p) * max(p) <= cap for p in packs if len(p) > 1)
+    assert [steps[5]] in packs and [chunk] in packs
+    assert sum(len(p) for p in packs) == len(cases) - 1 + -(-steps[12] // chunk)
+    monkeypatch.undo()
+    for u, (sched, s), n in zip(got, cases, steps):
+        assert np.array_equal(u, evolve_operator(sched, s))
+        if n <= propagator.CHUNK_STEPS:
+            times = _times(sched, s, IntegratorOpts())
+            assert np.array_equal(u, _fold(_step_matrices([(times, sched)], s)) @ np.eye(3))
+    # an explicit dt: uniform grids of 765 steps, two gates a pack
+    opts = IntegratorOpts(dt=0.05)
+    singles = [schedule_for_pulses([two_pi_pulse(1.0, d)]) for d in (0.0, 0.5, -2.0)]
+    cases = [(sched, s) for sched in singles for s in systems[:4]]
+    packs.clear()
+    monkeypatch.setattr(propagator, "_step_matrices", counting)
+    got = evolve_operators([sched for sched, _ in cases], [s for _, s in cases], opts)
+    assert packs == [[765, 765]] * 6
+    monkeypatch.undo()
+    for u, (sched, s) in zip(got, cases):
+        assert np.array_equal(u, evolve_operator(sched, s, opts))
+
+
+def test_evolve_operators_needs_one_system_per_schedule():
+    sched = schedule_for_pulses([two_pi_pulse(1.0, 0.0)])
+    with pytest.raises(ValueError, match="one SystemParams per schedule"):
+        evolve_operators([sched, sched], [SystemParams()])
 
 
 def test_running_products_and_fold_match_step_by_step_products():

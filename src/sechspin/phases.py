@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import SystemParams, two_pi_pulse
+from .model import SystemParams, _require_finite, two_pi_pulse
 from .propagator import IntegratorOpts, PulseSchedule, Trajectory, propagate_many
 from .special import overall_phase
 from . import model
@@ -183,7 +183,11 @@ def _decompositions(omega, deltas, method, s, window, opts):
     dynamic_phase_analytic call, each element the bits of a scalar call.
     Method "numeric" propagates every entry in one propagate_many call: the
     pulses' trajectories share packs, each keeps the bits it would get
-    alone, and each is let go once read."""
+    alone, and each is let go once read. omega and window are checked here
+    for both routes, by name."""
+    _require_finite(omega=omega, window=window)
+    if not omega > 0:
+        raise ValueError("omega must be positive")
     if method == "analytic":
         phis = [overall_phase(omega, d) for d in deltas]
         alphas = dynamic_phase_analytic(omega, deltas, window)

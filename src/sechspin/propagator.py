@@ -79,30 +79,29 @@ chunk (CHUNK_STEPS = 8,192 steps, |Delta| up to about 640 at eta = 1)
 is mirrored: a longer one needs a second pass after V(T), which
 measured no faster than stepping forward over the whole grid.
 
-propagate_many runs many such halves at once, which is where a sweep of
-short halves spends its time: a half of 114 steps costs about as much in
-per-call overhead as in arithmetic. Consecutive mirrored halves, up to
-PACK_STEPS steps together, are laid end to end as one pack. One pass
-builds the pack's Magnus-6 steps, and one block scan, padded to whole
-blocks per half and restarting at each, takes their running products and
-the inverse transposes. Every step and every product is the one the half
-would get alone, so a trajectory's bits do not depend on its pack;
-propagate is a pack of one.
-
-evolve_operators does the same for gates, whose sweeps are hundreds of
-grids of 386 to 1,613 steps. Consecutive gates share a pack while their
-count times the pack's longest grid stays within OPERATOR_PACK_STEPS =
-2,048 steps; their grids are built one pack at a time and laid end to
-end, and one pass builds the pack's Magnus-6 steps, with omega_B and
-Gamma per step, so the fields and lifetimes of one angle share a pack.
-One pairwise fold over a (3, 3, gates, longest) stack, each gate's steps
-padded with identities, gives every operator: an exact identity changes
-no bits, so each operator is the one its gate gets alone. A grid longer
-than the cap is folded alone, chunk by chunk, and evolve_operator is a
-pack of one. The pack's arrays set the peak memory: about 2 MB for the
-step build at 2,048 steps, so a process running the README fidelity
-sweep with its B = 0 slice peaks at 34.0 MB RSS, as with one gate at a
-time, against 36.0 MB at 4,096 steps and 39.4 MB at 8,192.
+propagate_many and evolve_operators run many entries at once, which is
+where a sweep spends its time: a mirrored half of 114 steps, or a gate of
+about 400, costs about as much in per-call overhead as in arithmetic. One
+rule packs both: consecutive entries share a pack while their count times
+the longest grid stays within PACK_STEPS = 2,048 steps, so a longer grid
+is a pack of one. Grids are built one pack at a time, and one
+_step_matrices pass builds the pack's Magnus-6 steps, with omega_B and
+Gamma per step, so the fields and lifetimes of one angle share a pack; a
+mirrored trajectory builds only its half. The steps go into one
+(3, 3, entries, width) stack, each row padded with identities after its
+last step (_stack). _fold folds it into every gate's operator (width the
+longest grid); _running_products scans it into every half's running
+products, whose inverse transposes follow (width the longest half in
+whole SCAN_BLOCK blocks). An exact identity after a row's last step
+changes no bits, and each row keeps the product order it gets alone, so
+no trajectory row or operator depends on its pack; propagate and
+evolve_operator are packs of one. Trajectories that are not mirrored step
+forward alone, and a gate grid past CHUNK_STEPS is folded alone, chunk by
+chunk. The pack's arrays set the peak memory: about 2 MB for the step
+build at 2,048 steps. A process running the README fidelity sweep with
+its B = 0 slice peaks at 34.2 MB RSS, as with one gate at a time, against
+36.0 MB with a cap of 4,096 steps and 39.4 MB at 8,192; one running the
+README phase sweep peaks at 31.9 MB (Python 3.11, numpy 2.4).
 
 Step matrices are built vectorized over chunks of the grid or over a
 pack, in a component-major (3, 3, n) layout so each entry is one
@@ -172,16 +171,12 @@ SCAN_BLOCK = 16
 # (doubling against sequential on a 2-core Xeon: 0.23 against 0.42 ms at
 # 413 steps, even near 2,048, 2.6 against 1.6 ms at 8,192)
 SCAN_DOUBLING_BLOCKS = 128
-# half steps in one pack of mirrored trajectories (see propagate_many). The
-# pack's arrays set the peak memory: a process running the README phase
-# sweep reads +0.5 % peak RSS at 1,024 steps, +5 % at 2,048 and +30 % at
-# 8,192, against one trajectory at a time. A pack of at most PACK_STEPS half
-# steps has at most SCAN_DOUBLING_BLOCKS blocks, since every half has at
-# least 8 steps
-PACK_STEPS = 1024
-# gates times longest grid in one pack of operators (see evolve_operators);
-# the peak memory grows with it (module docstring)
-OPERATOR_PACK_STEPS = 2048
+# entries times longest grid in one pack of trajectories or operators (see
+# propagate_many and evolve_operators); the peak memory grows with it (module
+# docstring). A pack of more than one has grids of at most PACK_STEPS/2 steps,
+# so its rows scan at most 32 blocks each (a mirrored half is half its grid)
+# and double their in-block prefixes, as each would alone
+PACK_STEPS = 2048
 
 
 class StepTooLarge(ValueError):
@@ -329,8 +324,10 @@ def _frequency_scale(sched: PulseSchedule, s: SystemParams) -> float:
     return f
 
 
-def _check_steps(n: int, what: str = "steps") -> None:
-    if n > MAX_STEPS:
+def _check_steps(n: float, what: str = "steps") -> None:
+    """Refuse a count past MAX_STEPS, inf and nan included, before int()
+    could meet it."""
+    if not n <= MAX_STEPS:
         raise StepTooLarge(
             "grid would need %.3g %s (> %d); pass a coarser dt or shrink the window"
             % (n, what, MAX_STEPS))
@@ -360,26 +357,26 @@ def _graded_grid(sched: PulseSchedule, s: SystemParams) -> np.ndarray:
     if not sched.pulses:
         # at least 16 steps: with omega_B = Gamma = 0, H = 0 and any grid is exact
         rate = max(s.omega_B, s.decay_rate)
-        n = max(int(np.ceil(sched.duration * rate / RESOLUTION_TARGET)), 16)
+        n = max(np.ceil(sched.duration * rate / RESOLUTION_TARGET), 16)
         _check_steps(n)
-        return np.linspace(*sched.window, n + 1)
+        return np.linspace(*sched.window, int(n) + 1)
     center = _even_center(sched)
     halves = 1 if center is None else 2
     spans = _frame_spans(sched) if center is None else [(sched.pulses[0], center, sched.window[1])]
     per_ps = max(p.bandwidth for p in sched.pulses) / RATE_SAMPLING
-    spans = [(pk, a, b, int(np.ceil((b - a) * per_ps))) for pk, a, b in spans]
+    spans = [(pk, a, b, np.ceil((b - a) * per_ps)) for pk, a, b in spans]
     _check_steps(sum(m for *_, m in spans), "rate samples")
     aux, cum, total = [], [], 0.0
     for pk, a, b, m in spans:
-        t = np.linspace(a, b, m + 1)
+        t = np.linspace(a, b, int(m) + 1)
         r = _rate(sched, s, pk.detuning, t)
         c = total + np.concatenate([[0.0], np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(t))])
         aux.append(t)
         cum.append(c)
         total = c[-1]
-    n = max(int(np.ceil(total / RESOLUTION_TARGET)), 16 // halves)
+    n = max(np.ceil(total / RESOLUTION_TARGET), 16 // halves)
     _check_steps(halves * n)
-    times = np.interp(np.linspace(0.0, total, n + 1), np.concatenate(cum), np.concatenate(aux))
+    times = np.interp(np.linspace(0.0, total, int(n) + 1), np.concatenate(cum), np.concatenate(aux))
     if center is not None:
         times = np.concatenate([2.0 * center - times[:0:-1], times])
     # where every envelope underflows and the floor is 0, H = 0 and the
@@ -406,9 +403,9 @@ def _times(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts) -> np.nd
         raise StepTooLarge(
             "dt*fmax = %.3g exceeds the resolution guard %.2g"
             % (opts.dt * fmax, RESOLUTION_GUARD))
-    n = max(int(np.ceil(sched.duration / opts.dt)), 2)
+    n = max(np.ceil(sched.duration / opts.dt), 2)
     _check_steps(n)
-    return np.linspace(*sched.window, n + 1)
+    return np.linspace(*sched.window, int(n) + 1)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -602,34 +599,50 @@ def _chunks(times: np.ndarray):
         yield a, times[a:min(a + CHUNK_STEPS, n) + 1]
 
 
-def _block_counts(lengths: Sequence[int]) -> list:
-    """Whole SCAN_BLOCK blocks that segments of these lengths fill."""
-    return [-(-n // SCAN_BLOCK) for n in lengths]
+def _stack(m: np.ndarray, lengths: Sequence[int], width: int) -> np.ndarray:
+    """Segments of m, of the given lengths laid end to end, as the rows of a
+    (3, 3, segments, width) stack, each padded with identities after its
+    last step: an exact identity there changes no bits of the row's
+    products."""
+    stack = np.zeros((3, 3, len(lengths), width), dtype=complex)
+    for i in range(3):
+        stack[i, i] = 1.0
+    a = 0
+    for k, n in enumerate(lengths):
+        stack[:, :, k, :n] = m[..., a:a + n]
+        a += n
+    return stack
 
 
-def _block_prefixes(m: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
-    """Prefix products of m inside blocks of SCAN_BLOCK steps, vectorized
-    across blocks, as (3, 3, blocks, SCAN_BLOCK). m holds segments of the
-    given lengths end to end, and each is padded with identities to whole
-    blocks, so no block straddles two segments. While no segment has more
-    than SCAN_DOUBLING_BLOCKS blocks the prefixes double: after the pass
-    with offset d, slot j holds the product of steps j - 2d + 1..j, so
-    log2(SCAN_BLOCK) batched products replace SCAN_BLOCK - 1 sequential
+def _running_products(m: np.ndarray, lengths: Optional[Sequence[int]] = None) -> np.ndarray:
+    """m[..., a + k] @ ... @ m[..., a] for every step k of every segment:
+    m holds segments of the given lengths end to end, and the products
+    restart at each segment's first step a, returned as a (3, 3, segments,
+    width) stack whose row i starts with segment i's products. Without
+    lengths m is one segment, returned as (3, 3, n), and up to SCAN_BLOCK
+    matrices of it run in sequence. Otherwise the segments become the rows
+    of a stack of whole SCAN_BLOCK blocks (see _stack), and the prefixes
+    inside every block of every row are taken at once. While the stack has
+    at most SCAN_DOUBLING_BLOCKS blocks a row the prefixes double: after
+    the pass with offset d, slot j holds the product of steps j - 2d + 1..j,
+    so log2(SCAN_BLOCK) batched products replace SCAN_BLOCK - 1 sequential
     ones at about 3x the arithmetic. Past that the products run in
-    sequence. m is overwritten."""
-    counts = _block_counts(lengths)
-    width = sum(counts) * SCAN_BLOCK
-    if width > m.shape[-1]:
-        padded = np.zeros((3, 3, width), dtype=complex)
-        for i in range(3):
-            padded[i, i] = 1.0
-        a = b = 0
-        for n, nb in zip(lengths, counts):
-            padded[..., b:b + n] = m[..., a:a + n]
-            a, b = a + n, b + nb * SCAN_BLOCK
-        m = padded
-    blocks = m.reshape(3, 3, -1, SCAN_BLOCK)
-    if max(counts) <= SCAN_DOUBLING_BLOCKS:
+    sequence. Each row's block totals get their running products alone
+    (the same scan one level up), and one batched product applies them to
+    every block after each row's first. So each segment gets the bits it
+    gets as a pack of one wherever both double, as every row of a pack of
+    more than one does (see PACK_STEPS). m may be overwritten."""
+    n = m.shape[-1]
+    if lengths is None:
+        if n <= SCAN_BLOCK:
+            for k in range(1, n):
+                m[..., k] = m[..., k] @ m[..., k - 1]
+            return m
+        return _running_products(m, [n])[:, :, 0, :n]
+    counts = [-(-k // SCAN_BLOCK) for k in lengths]
+    blocks = _stack(m, lengths, max(counts) * SCAN_BLOCK)
+    blocks = blocks.reshape(3, 3, len(lengths), -1, SCAN_BLOCK)
+    if blocks.shape[3] <= SCAN_DOUBLING_BLOCKS:
         d = 1
         while d < SCAN_BLOCK:
             blocks[..., d:] = _mul(blocks[..., d:], blocks[..., :-d])
@@ -637,39 +650,11 @@ def _block_prefixes(m: np.ndarray, lengths: Sequence[int]) -> np.ndarray:
     else:
         for j in range(1, SCAN_BLOCK):
             blocks[..., j] = _mul(blocks[..., j], blocks[..., j - 1])
-    return blocks
-
-
-def _running_products(m: np.ndarray, lengths: Optional[Sequence[int]] = None) -> np.ndarray:
-    """m[..., a + k] @ ... @ m[..., a] for every step k of every segment,
-    as (3, 3, n): m holds segments of the given lengths end to end (by
-    default one, all of m), and the products restart at each segment's
-    first step a. A lone segment of up to SCAN_BLOCK matrices runs in
-    sequence; otherwise block prefixes, with the running products of the
-    segment's earlier block totals (the same scan one level up, segment by
-    segment) applied to each block after a segment's first. So each
-    segment gets the bits it would get alone. m is overwritten."""
-    n = m.shape[-1]
-    if lengths is None:
-        if n <= SCAN_BLOCK:
-            for k in range(1, n):
-                m[..., k] = m[..., k] @ m[..., k - 1]
-            return m
-        lengths = [n]
-    blocks = _block_prefixes(m, lengths)
-    counts = _block_counts(lengths)
-    firsts = np.cumsum([0] + counts[:-1])
-    upto = np.concatenate(
-        [_running_products(np.ascontiguousarray(blocks[:, :, a:a + nb - 1, -1]))
-         for a, nb in zip(firsts, counts)], axis=-1)
-    later = np.ones(blocks.shape[2], dtype=bool)
-    later[firsts] = False
-    blocks[:, :, later] = _mul(blocks[:, :, later], upto[..., None])
-    flat = blocks.reshape(3, 3, -1)
-    if len(lengths) == 1:
-        return flat[..., :n]
-    return np.concatenate([flat[..., a * SCAN_BLOCK:a * SCAN_BLOCK + k]
-                           for a, k in zip(firsts, lengths)], axis=-1)
+    upto = [_running_products(np.ascontiguousarray(blocks[:, :, i, :nb - 1, -1]))
+            for i, nb in enumerate(counts)]
+    upto = _stack(np.concatenate(upto, axis=-1), [nb - 1 for nb in counts], blocks.shape[3] - 1)
+    blocks[:, :, :, 1:] = _mul(blocks[:, :, :, 1:], upto[..., None])
+    return blocks.reshape(3, 3, len(lengths), -1)
 
 
 def _inverse_transpose(a: np.ndarray) -> np.ndarray:
@@ -751,26 +736,40 @@ def _mirrored(pack, s: SystemParams) -> None:
     (see the module docstring): the step from c - s_{k+1} to c - s_k is
     the transpose of the one from c + s_k to c + s_{k+1}.
 
-    The halves are laid end to end: one _step_matrices call builds their
-    steps and one _running_products call, restarting at each half, gives
-    V(s_k) for every k of each; a half's last is its V(T). Applied to
-    psi(c) they give the half after c, and their inverse transposes, in
-    reverse, the half before it. With decay off V is unitary, so
-    (V^-1)^T = conj(V) and the cofactor inverse is perfectly conditioned;
-    conj(V) itself would carry the steps' unitarity defect, rounding that
-    grows with the squarings of _expm, along the products.
+    One _step_matrices call builds the halves' steps and one
+    _running_products call gives V(s_k) for every k of each, one row of
+    its stack a half; a half's last is its V(T). Applied to psi(c) they
+    give the half after c, and their inverse transposes, in reverse, the
+    half before it. With decay off V is unitary, so (V^-1)^T = conj(V) and
+    the cofactor inverse is perfectly conditioned; conj(V) itself would
+    carry the steps' unitarity defect, rounding that grows with the
+    squarings of _expm, along the products.
     """
     halves = [(rows.times[(rows.times.shape[0] - 1) // 2:], sched) for sched, rows in pack]
     lengths = [half.shape[0] - 1 for half, _ in halves]
     v = _running_products(_step_matrices(halves, s), lengths)
     w = _inverse_transpose(v)
-    a = 0
-    for (_, rows), n in zip(pack, lengths):
-        seg = v[..., a:a + n]
+    for k, ((_, rows), n) in enumerate(zip(pack, lengths)):
+        seg = v[:, :, k, :n]
         psi_c = seg[..., -1].T @ rows.psi0
         rows.store(np.concatenate([psi_c[None], np.einsum("ijk,j->ki", seg, psi_c)]), n)
-        rows.store(np.einsum("ijk,j->ki", w[..., a:a + n], psi_c)[::-1], 0)
-        a += n
+        rows.store(np.einsum("ijk,j->ki", w[:, :, k, :n], psi_c)[::-1], 0)
+
+
+def _packs(entries):
+    """(most steps, items) of each pack of consecutive (steps, item)
+    entries: an entry joins the pack while the pack's count times its most
+    steps stays within PACK_STEPS, so an entry of more steps, or of inf
+    steps, is a pack of one."""
+    pack, longest = [], 0
+    for n, item in entries:
+        if pack and (len(pack) + 1) * max(longest, n) > PACK_STEPS:
+            yield longest, pack
+            pack, longest = [], 0
+        pack.append(item)
+        longest = max(longest, n)
+    if pack:
+        yield longest, pack
 
 
 def propagate_many(psi0s: Sequence[StateVector], scheds: Sequence[PulseSchedule],
@@ -779,14 +778,14 @@ def propagate_many(psi0s: Sequence[StateVector], scheds: Sequence[PulseSchedule]
     propagate returns for its pair.
 
     Even schedules that propagate would mirror (decay off, no explicit dt,
-    halves of at most CHUNK_STEPS steps) share packs: consecutive ones, up
-    to PACK_STEPS half steps a pack, have their halves' steps built and
-    their running products taken in one pass each (see _mirrored), and a
-    half longer than PACK_STEPS runs alone. Every other schedule steps
-    forward on its own. Entries stay numerically independent: each gets
-    the bits it would get alone. Each trajectory is yielded once it and
-    every one before it are done, so a caller that lets each go before
-    the next holds at most one pack's.
+    halves of at most CHUNK_STEPS steps) share packs by the rule gates
+    share (see _packs): consecutive ones share a pack while their count
+    times the longest grid stays within PACK_STEPS, and one pass each
+    builds their halves' steps and takes their running products (see
+    _mirrored). Every other schedule steps forward on its own. Entries
+    stay numerically independent: each gets the bits it would get alone.
+    Each trajectory is yielded once its pack is done, so a caller that
+    lets each go before the next holds at most one pack's.
     """
     opts = opts or IntegratorOpts()
     psi0s, scheds = list(psi0s), list(scheds)
@@ -795,27 +794,22 @@ def propagate_many(psi0s: Sequence[StateVector], scheds: Sequence[PulseSchedule]
     if any(abs(psi0.norm_sq - 1.0) > 1e-9 for psi0 in psi0s):
         raise ValueError("psi0 must be normalized")
     mirror = opts.dt is None and s.decay_rate == 0
-    waiting, pack, filled = [], [], 0
-    for psi0, sched in zip(psi0s, scheds):
-        times = _times(sched, s, opts)
-        rows = _Rows(psi0.amplitudes, times, opts.sample_stride)
-        half = (times.shape[0] - 1) // 2
-        if mirror and _even_center(sched) is not None and half <= CHUNK_STEPS:
-            if pack and filled + half > PACK_STEPS:
-                _mirrored(pack, s)
-                yield from (done.trajectory() for done in waiting)
-                waiting, pack, filled = [], [], 0
-            pack.append((sched, rows))
-            filled += half
-        else:
+
+    def entries():
+        for psi0, sched in zip(psi0s, scheds):
+            rows = _Rows(psi0.amplitudes, _times(sched, s, opts), opts.sample_stride)
+            n = rows.times.shape[0] - 1
+            even = mirror and _even_center(sched) is not None and n // 2 <= CHUNK_STEPS
+            # a forward run packs with nothing
+            yield (n if even else math.inf), (sched, rows)
+
+    for longest, pack in _packs(entries()):
+        if longest == math.inf:
+            (sched, rows), = pack
             _forward(sched, s, rows)
-        waiting.append(rows)
-        if not pack:
-            yield rows.trajectory()
-            waiting = []
-    if pack:
-        _mirrored(pack, s)
-    yield from (done.trajectory() for done in waiting)
+        else:
+            _mirrored(pack, s)
+        yield from (rows.trajectory() for _, rows in pack)
 
 
 def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
@@ -853,20 +847,12 @@ def _operator(folds) -> np.ndarray:
 def _packed_operators(pack) -> list:
     """Operators of a pack of (times, schedule, system) gates: one
     _step_matrices pass over their grids laid end to end, then one _fold
-    over a (3, 3, gates, longest) stack in which each gate's steps are
-    padded with identities, which change no bits."""
+    over their identity-padded stack (see _stack). The steps are passed
+    without a name, so they are freed before the fold."""
     lengths = [times.shape[0] - 1 for times, _, _ in pack]
-    m = _step_matrices([(times, sched) for times, sched, _ in pack], [s for *_, s in pack])
-    stack = np.zeros((3, 3, len(pack), max(lengths)), dtype=complex)
-    for i in range(3):
-        stack[i, i] = 1.0
-    a = 0
-    for k, n in enumerate(lengths):
-        stack[:, :, k, :n] = m[..., a:a + n]
-        a += n
-    del m
-    folds = np.ascontiguousarray(np.moveaxis(_fold(stack), -1, 0))
-    return [_operator([fold]) for fold in folds]
+    stack = _stack(_step_matrices([(times, sched) for times, sched, _ in pack],
+                                  [s for *_, s in pack]), lengths, max(lengths))
+    return [_operator([fold]) for fold in np.ascontiguousarray(np.moveaxis(_fold(stack), -1, 0))]
 
 
 def evolve_operators(scheds: Sequence[PulseSchedule], systems: Sequence[SystemParams],
@@ -874,33 +860,32 @@ def evolve_operators(scheds: Sequence[PulseSchedule], systems: Sequence[SystemPa
     """Evolution operators for each (schedule, system) pair, in order, each
     the one evolve_operator returns for its pair.
 
-    Consecutive gates share packs while the pack's gate count times its
-    longest grid stays within OPERATOR_PACK_STEPS steps: their grids are
-    built one pack at a time, their steps in one _step_matrices pass
-    (omega_B and Gamma are per-step arrays, so gates of different fields
-    and lifetimes mix) and their products in one fold (see
-    _packed_operators). A grid longer than OPERATOR_PACK_STEPS runs alone,
-    folded chunk by chunk.
+    Gates share packs by the rule trajectories share (see _packs):
+    consecutive ones share a pack while their count times the longest grid
+    stays within PACK_STEPS. Their grids are built one pack at a time, their steps in
+    one _step_matrices pass (omega_B and Gamma are per-step arrays, so
+    gates of different fields and lifetimes mix) and their products in one
+    fold (see _packed_operators). A grid longer than CHUNK_STEPS is folded
+    chunk by chunk.
     """
     opts = opts or IntegratorOpts()
     scheds, systems = list(scheds), list(systems)
     if len(scheds) != len(systems):
         raise ValueError("need one SystemParams per schedule")
-    ops, pack, longest = [], [], 0
-    for sched, s in zip(scheds, systems):
-        times = _times(sched, s, opts)
-        n = times.shape[0] - 1
-        if pack and (len(pack) + 1) * max(longest, n) > OPERATOR_PACK_STEPS:
-            ops += _packed_operators(pack)
-            pack, longest = [], 0
-        if n > OPERATOR_PACK_STEPS:
+
+    def entries():
+        for sched, s in zip(scheds, systems):
+            times = _times(sched, s, opts)
+            yield times.shape[0] - 1, (times, sched, s)
+
+    ops = []
+    for longest, pack in _packs(entries()):
+        if longest > CHUNK_STEPS:
+            (times, sched, s), = pack
             ops.append(_operator(_fold(_step_matrices([(piece, sched)], s))
                                  for _, piece in _chunks(times)))
         else:
-            pack.append((times, sched, s))
-            longest = max(longest, n)
-    if pack:
-        ops += _packed_operators(pack)
+            ops += _packed_operators(pack)
     return ops
 
 

@@ -154,12 +154,18 @@ def test_simulate_csv():
     (["simulate", "--delta", "1", "--dt", "inf"], "dt"),
     (["design", "--angle", "1", "--spacing", "inf"], "spacing"),
     (["fidelity", "--spacing", "inf"], "spacing"),
+    # omega and window are checked by name before either route computes
+    (["phases", "--ratios", "1", "--method", "analytic", "--omega", "inf"], "omega"),
+    (["phases", "--ratios", "1", "--method", "numeric", "--omega", "inf"], "omega"),
+    (["phases", "--ratios", "1", "--method", "analytic", "--window", "inf"], "window"),
+    (["phases", "--ratios", "1", "--method", "numeric", "--window", "inf"], "window"),
 ])
 def test_non_finite_inputs_exit_2(args, name):
     res = run(*args)
     assert res.returncode == 2
     assert res.stdout == ""
     assert "error: %s must be finite" % name in res.stderr
+    assert "Warning" not in res.stderr
 
 
 @pytest.mark.parametrize("method", ["analytic", "numeric"])
@@ -209,6 +215,24 @@ def test_simulate_far_detuned_refused():
     assert res.returncode == 1
     assert res.stdout == ""
     assert re.search(r"numerical failure: grid would need 2\.\d\de\+07 steps \(> 2000000\)",
+                     res.stderr)
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--t0", "-1e308", "--t1", "1e308", "--B", "0.29"],
+    ["simulate", "--t0", "-1e308", "--t1", "1e308", "--B", "0.29", "--dt", "1"],
+    ["simulate", "--t0", "-1e308", "--t1", "1e308", "--B", "0.29", "--delta", "1"],
+    ["simulate", "--delta", "1", "--eta", "1e308"],
+    ["phases", "--ratios", "1", "--omega", "1e308", "--method", "numeric"],
+    ["fidelity", "--angle", "1", "--tau-d", "1e-308"],
+])
+def test_overflowing_grid_counts_refused(args):
+    # a step or rate-sample count that overflows to inf is refused like any
+    # count past MAX_STEPS, before int() could meet it
+    res = run(*args)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert re.search(r"numerical failure: grid would need inf (steps|rate samples) \(> 2000000\)",
                      res.stderr)
 
 

@@ -474,7 +474,7 @@ def test_evolve_operators_match_one_gate_at_a_time(monkeypatch):
     monkeypatch.setattr(propagator, "_step_matrices", counting)
     got = evolve_operators(scheds, systems)
     steps = [len(_times(sched, s, IntegratorOpts())) - 1 for sched, s in cases]
-    cap, chunk = propagator.OPERATOR_PACK_STEPS, propagator.CHUNK_STEPS
+    cap, chunk = propagator.PACK_STEPS, propagator.CHUNK_STEPS
     assert steps[12] > chunk and chunk >= steps[5] > cap
     # gates shared packs of at most cap steps times gates; the two long
     # grids ran alone, the longer one chunk by chunk
@@ -520,6 +520,25 @@ def test_running_products_and_fold_match_step_by_step_products():
             products[..., k] = u
         assert np.max(np.abs(_fold(m) - u)) < 1e-13
         assert np.max(np.abs(_running_products(m.copy()) - products)) < 1e-13
+
+
+def test_running_products_pack_rows_match_packs_of_one():
+    # one identity-padded stack of 63 blocks a row: the rows of 8 and 16
+    # steps are padded by 1000 steps, 17 and 273 cross a block edge, and
+    # the block totals of 272 and 273 steps (16 and 17 of them) take the
+    # sequential and the doubling upper level. Every row has the bits of
+    # its segment scanned as a pack of one
+    lengths = [8, 16, 17, 272, 273, 1000]
+    n = sum(lengths)
+    m = _expm(_random_generators(n, np.random.default_rng(6), np.full(n, 0.05)))
+    packed = _running_products(m.copy(), lengths)
+    assert packed.shape == (3, 3, len(lengths), 1008)
+    a = 0
+    for k, length in enumerate(lengths):
+        alone = _running_products(m[..., a:a + length].copy(), [length])
+        assert alone.shape[2] == 1
+        assert np.array_equal(packed[:, :, k, :length], alone[:, :, 0, :length])
+        a += length
 
 
 def test_grid_halving_convergence():

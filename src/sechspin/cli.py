@@ -25,8 +25,6 @@ from . import fidelity as fid
 from . import model, phases, propagator, pulsedesign
 
 FLOAT_FMT = "%.16e"
-# flags whose values may be negative numbers or lists starting with one
-SIGNED_VALUE_FLAGS = ("--ratios", "--delta", "--centers", "--angle", "--angles", "--t0", "--t1")
 
 # StepTooLarge is a ValueError that exits 1, so it is caught first
 USAGE_ERRORS = (ValueError,)
@@ -293,15 +291,26 @@ def _config_flags(parser: argparse.ArgumentParser, path: str) -> list:
     return flags
 
 
+@functools.lru_cache(maxsize=None)
+def _value_flags() -> frozenset:
+    """Options that take a value in any subcommand: all but --help and
+    --sweep. Read off the parser once, as main() may run many times."""
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    return frozenset(flag for p in subcommands.choices.values() for a in p._actions
+                     if a.nargs != 0 for flag in a.option_strings)
+
+
 def _attach_signed_values(argv: list) -> list:
-    """--flag <value> as --flag=<value> where the flag is one of
-    SIGNED_VALUE_FLAGS and the value starts like a negative number, -inf
-    and -nan included. argparse reads a value that starts with "-" as an
+    """--flag <value> as --flag=<value> where the flag takes a value (see
+    _value_flags) and the value starts like a negative number, -inf and
+    -nan included. argparse reads a value that starts with "-" as an
     option unless it matches its negative-number pattern, which has no
-    exponent, no list and no -inf: -0.5 passes, -1e-3 and -1,2 do not."""
-    out = []
+    exponent, no list and no -inf: -0.5 passes, -1e-3 and -1,2 do not.
+    Flags that take no value are left alone, so --help -1 prints help."""
+    flags, out = _value_flags(), []
     for arg in argv:
-        if out and out[-1] in SIGNED_VALUE_FLAGS and re.match(r"-([0-9.]|inf|nan)", arg, re.I):
+        if out and out[-1] in flags and re.match(r"-([0-9.]|inf|nan)", arg, re.I):
             out[-1] += "=" + arg
         else:
             out.append(arg)

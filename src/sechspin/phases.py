@@ -19,7 +19,8 @@ Two routes, kept structurally independent on purpose:
   propagator). A longer half, or a run with an explicit
   IntegratorOpts.dt, steps forward over the whole window. All the
   detunings of a call go to one propagate_many call, whose packs build
-  the steps and running products of many halves at once.
+  the steps and running products of many halves, or forward chunks, at
+  once.
 
 The geometric part is the difference in both cases. decompose,
 sweep_ratio and pulsedesign.verify_cancellation all pass their
@@ -88,7 +89,7 @@ def dynamic_phase_analytic(omega: float, delta, window: float = DEFAULT_WINDOW):
     if not omega > 0:
         raise ValueError("omega must be positive")
     if not window >= 10.0:
-        raise ValueError("window must be >= 10 (integrand support)")
+        raise ValueError("window must be >= 10")
     d = np.asarray(delta, dtype=float)
     bad = ~np.isfinite(d)
     if bad.any():
@@ -188,6 +189,8 @@ def _decompositions(omega, deltas, method, s, window, opts):
     _require_finite(omega=omega, window=window)
     if not omega > 0:
         raise ValueError("omega must be positive")
+    if not window >= 10.0:
+        raise ValueError("window must be >= 10")
     if method == "analytic":
         phis = [overall_phase(omega, d) for d in deltas]
         alphas = dynamic_phase_analytic(omega, deltas, window)

@@ -80,36 +80,43 @@ is mirrored: a longer one needs a second pass after V(T), which
 measured no faster than stepping forward over the whole grid.
 
 propagate_many and evolve_operators run many entries at once, which is
-where a sweep spends its time: a mirrored half of 114 steps, or a gate of
-about 400, costs about as much in per-call overhead as in arithmetic. One
-rule packs both: consecutive entries share a pack while their count times
-the longest grid stays within PACK_STEPS = 2,048 steps, so a longer grid
-is a pack of one. Grids are built one pack at a time, and one
-_step_matrices pass builds the pack's Magnus-6 steps, with omega_B and
-Gamma per step, so the fields and lifetimes of one angle share a pack; a
-mirrored trajectory builds only its half. The steps go into one
-(3, 3, entries, width) stack, each row padded with identities after its
-last step (_stack). _fold folds it into every gate's operator (width the
-longest grid); _running_products scans it into every half's running
-products, whose inverse transposes follow (width the longest half in
-whole SCAN_BLOCK blocks). An exact identity after a row's last step
-changes no bits, and each row keeps the product order it gets alone, so
-no trajectory row or operator depends on its pack; propagate and
-evolve_operator are packs of one. Trajectories that are not mirrored step
-forward alone, and a gate grid past CHUNK_STEPS is folded alone, chunk by
-chunk. The pack's arrays set the peak memory: about 2 MB for the step
-build at 2,048 steps. A process running the README fidelity sweep with
-its B = 0 slice peaks at 34.2 MB RSS, as with one gate at a time, against
+where a sweep spends its time: a mirrored half of 114 steps, or a gate
+of about 400, costs about as much in per-call overhead as in arithmetic.
+Both cut every grid into pieces, a mirrored half or else chunks of at
+most CHUNK_STEPS steps, and one rule packs the pieces (_packs):
+consecutive ones share a pack while their count times the most steps
+stays within PACK_STEPS = 2,048 steps, so a longer piece is a pack of
+one. A half counts as its whole grid: counted as its own steps, twice as
+many halves share a pack, which put the README phase sweep in 10 packs
+instead of 18 and raised its peak RSS by 0.7 MB. A piece of at most
+SCAN_BLOCK steps is a pack of one too, as its lone scan runs in
+sequence. Grids are built one pack at a time, and one _step_matrices
+pass builds the pack's Magnus-6 steps, with omega_B and Gamma per step,
+so the fields and lifetimes of one angle share a pack (_packed). The
+steps go into one (3, 3, pieces, width) stack, each row padded with
+identities after its last step (_stack). _fold folds it into every
+piece's product, which multiplies its gate's operator, earliest chunk
+first (width the longest piece); _running_products scans it into every
+piece's running products (width the longest piece in whole SCAN_BLOCK
+blocks), which step a chunk's trajectory on from psi0 or the previous
+chunk's last state, and give a half's trajectory both halves, the one
+before the center through their inverse transposes (_scan). An exact
+identity after a row's last step changes no bits, and each row keeps the
+product order it gets alone, so no trajectory row or operator depends on
+its pack; propagate and evolve_operator are one entry each. The pack's
+arrays set the peak memory, and each pack's scan and inverse transposes
+are freed before the next pack is built: about 2 MB for the step build
+at 2,048 steps. A process running the README fidelity sweep with its
+B = 0 slice peaks at 34.2 MB RSS, as with one gate at a time, against
 36.0 MB with a cap of 4,096 steps and 39.4 MB at 8,192; one running the
 README phase sweep peaks at 31.9 MB (Python 3.11, numpy 2.4).
 
-Step matrices are built vectorized over chunks of the grid or over a
-pack, in a component-major (3, 3, n) layout so each entry is one
-contiguous vector, and exponentiated by batched scaling and squaring of
-a Taylor polynomial. Every trajectory reads its states off the running
-products of its step matrices, chunk by chunk or from its pack; the
-final operator alone comes from a pairwise fold. Grids depend only on
-the inputs, so runs are bit-reproducible.
+Step matrices are built vectorized over a pack, in a component-major
+(3, 3, n) layout so each entry is one contiguous vector, and exponentiated
+by batched scaling and squaring of a Taylor polynomial. Every trajectory
+reads its states off the running products of its pieces' step matrices;
+an operator comes from a pairwise fold. Grids depend only on the inputs,
+so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -163,7 +170,8 @@ GAUSS_NODES = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 1
 # degree-8 Taylor: the dropped tail is below 2^-53 relative for norm <= 1/16
 TAYLOR_THETA = 1.0 / 16.0
 TAYLOR_COEFS = tuple(1.0 / math.factorial(k) for k in range(9))
-# steps built at once, and block length of the running products (a power of 2)
+# most steps in one piece of a grid, and block length of the running products
+# (a power of 2)
 CHUNK_STEPS = 8192
 SCAN_BLOCK = 16
 # the running products double in-block prefixes up to this many blocks, where
@@ -171,11 +179,11 @@ SCAN_BLOCK = 16
 # (doubling against sequential on a 2-core Xeon: 0.23 against 0.42 ms at
 # 413 steps, even near 2,048, 2.6 against 1.6 ms at 8,192)
 SCAN_DOUBLING_BLOCKS = 128
-# entries times longest grid in one pack of trajectories or operators (see
-# propagate_many and evolve_operators); the peak memory grows with it (module
-# docstring). A pack of more than one has grids of at most PACK_STEPS/2 steps,
-# so its rows scan at most 32 blocks each (a mirrored half is half its grid)
-# and double their in-block prefixes, as each would alone
+# pieces times most steps in one pack of trajectory or operator pieces (see
+# _packs); the peak memory grows with it (module docstring). A pack of more
+# than one has pieces of at most PACK_STEPS/2 steps, so its rows scan at most
+# 32 blocks each (a mirrored half is half its grid) and double their in-block
+# prefixes, as each would alone
 PACK_STEPS = 2048
 
 
@@ -688,14 +696,14 @@ def _norms(states: np.ndarray) -> np.ndarray:
 class _Rows:
     """One trajectory's sampled rows, every sample_stride-th grid row and
     the last, stored in any order; the norm check covers every row stored,
-    sampled or not."""
+    sampled or not. psi is the state the next forward chunk starts from."""
 
     def __init__(self, psi0: np.ndarray, times: np.ndarray, stride: int):
         n = times.shape[0] - 1
         idx = np.arange(0, n + 1, stride)
         if idx[-1] != n:
             idx = np.append(idx, n)
-        self.psi0, self.times, self.idx = psi0, times, idx
+        self.psi0, self.psi, self.times, self.idx = psi0, psi0, times, idx
         self.states = np.empty((idx.shape[0], 3), dtype=complex)
         self.norms = np.empty(idx.shape[0])
         self.peak = 0.0
@@ -718,58 +726,79 @@ class _Rows:
         return Trajectory(self.times[self.idx], self.states, self.norms)
 
 
-def _forward(sched: PulseSchedule, s: SystemParams, rows: _Rows) -> None:
-    """States at every grid time after the first, stepped from psi0 by each
-    chunk's running products."""
-    psi = rows.psi0
-    for a, piece in _chunks(rows.times):
-        v = _running_products(_step_matrices([(piece, sched)], s))
-        chunk = np.einsum("ijk,j->ki", v, psi)
-        rows.store(chunk, a + 1)
-        psi = chunk[-1]
-
-
-def _mirrored(pack, s: SystemParams) -> None:
-    """States at every grid time after the first for a pack of even
-    schedules, (schedule, rows) each, whose mirrored grids have halves
-    [c, t_end] of at most CHUNK_STEPS steps, stepping only those halves
-    (see the module docstring): the step from c - s_{k+1} to c - s_k is
-    the transpose of the one from c + s_k to c + s_{k+1}.
-
-    One _step_matrices call builds the halves' steps and one
-    _running_products call gives V(s_k) for every k of each, one row of
-    its stack a half; a half's last is its V(T). Applied to psi(c) they
-    give the half after c, and their inverse transposes, in reverse, the
-    half before it. With decay off V is unitary, so (V^-1)^T = conj(V) and
-    the cofactor inverse is perfectly conditioned; conj(V) itself would
-    carry the steps' unitarity defect, rounding that grows with the
-    squarings of _expm, along the products.
-    """
-    halves = [(rows.times[(rows.times.shape[0] - 1) // 2:], sched) for sched, rows in pack]
-    lengths = [half.shape[0] - 1 for half, _ in halves]
-    v = _running_products(_step_matrices(halves, s), lengths)
-    w = _inverse_transpose(v)
-    for k, ((_, rows), n) in enumerate(zip(pack, lengths)):
-        seg = v[:, :, k, :n]
-        psi_c = seg[..., -1].T @ rows.psi0
-        rows.store(np.concatenate([psi_c[None], np.einsum("ijk,j->ki", seg, psi_c)]), n)
-        rows.store(np.einsum("ijk,j->ki", w[:, :, k, :n], psi_c)[::-1], 0)
-
-
 def _packs(entries):
-    """(most steps, items) of each pack of consecutive (steps, item)
-    entries: an entry joins the pack while the pack's count times its most
-    steps stays within PACK_STEPS, so an entry of more steps, or of inf
-    steps, is a pack of one."""
+    """Packs, as lists of items, of consecutive (steps, item) entries: an
+    entry joins the pack while the pack's count times its most steps stays
+    within PACK_STEPS, so an entry of more steps is a pack of one, and so
+    is one of at most SCAN_BLOCK steps, whose lone scan runs in sequence."""
     pack, longest = [], 0
     for n, item in entries:
-        if pack and (len(pack) + 1) * max(longest, n) > PACK_STEPS:
-            yield longest, pack
+        if pack and (min(n, longest) <= SCAN_BLOCK
+                     or (len(pack) + 1) * max(longest, n) > PACK_STEPS):
+            yield pack
             pack, longest = [], 0
         pack.append(item)
         longest = max(longest, n)
     if pack:
-        yield longest, pack
+        yield pack
+
+
+def _packed(pieces, reduce):
+    """What reduce(steps, lengths, targets) returns for each pack of
+    pieces, (steps it packs as, (times, schedule, system, target)) each
+    (see _packs), in order: one _step_matrices pass builds the steps of the
+    pack's grid pieces laid end to end, of the given lengths, and reduce
+    scans or folds them. reduce returns a list, so its arrays are freed
+    before the next pack is built."""
+    for pack in _packs(pieces):
+        grids = [(times, sched) for times, sched, _, _ in pack]
+        yield from reduce(_step_matrices(grids, [s for _, _, s, _ in pack]),
+                          [times.shape[0] - 1 for times, _ in grids],
+                          [target for *_, target in pack])
+
+
+def _scan(m, lengths, targets):
+    """The _Rows whose last piece is in this pack, from the pack's steps m
+    (see _packed) and its pieces' (rows, a, mirrored) targets, a the grid
+    row a piece starts at.
+
+    A pack of more than one takes one _running_products call, one row of
+    its stack a piece; a pack of one scans as a lone segment. A forward
+    piece applies its row to rows.psi, psi0 or the previous chunk's last
+    state. A mirrored half's row holds V(s_k) for every k, its last V(T):
+    applied to psi(c) they give the half after the center c, and their
+    inverse transposes, in reverse, the half before it (see the module
+    docstring). With decay off V is unitary, so (V^-1)^T = conj(V) and
+    the cofactor inverse is perfectly conditioned; conj(V) itself would
+    carry the steps' unitarity defect, rounding that grows with the
+    squarings of _expm, along the products.
+    """
+    v = _running_products(m, lengths) if len(lengths) > 1 else _running_products(m)[:, :, None]
+    del m
+    w = _inverse_transpose(v) if any(mirrored for *_, mirrored in targets) else None
+    done = []
+    for k, (n, (rows, a, mirrored)) in enumerate(zip(lengths, targets)):
+        seg = v[:, :, k, :n]
+        if mirrored:
+            psi_c = seg[..., -1].T @ rows.psi0
+            rows.store(np.concatenate([psi_c[None], np.einsum("ijk,j->ki", seg, psi_c)]), a)
+            rows.store(np.einsum("ijk,j->ki", w[:, :, k, :n], psi_c)[::-1], 0)
+        else:
+            chunk = np.einsum("ijk,j->ki", seg, rows.psi)
+            rows.store(chunk, a + 1)
+            rows.psi = chunk[-1]
+        if a + n == rows.times.shape[0] - 1:
+            done.append(rows)
+    return done
+
+
+def _folds(m, lengths, targets):
+    """(product, target) of each piece of a pack, from the pack's steps m
+    (see _packed): one _fold over their identity-padded stack (see
+    _stack), with m freed before it."""
+    stack = _stack(m, lengths, max(lengths))
+    del m
+    return list(zip(np.ascontiguousarray(np.moveaxis(_fold(stack), -1, 0)), targets))
 
 
 def propagate_many(psi0s: Sequence[StateVector], scheds: Sequence[PulseSchedule],
@@ -777,15 +806,16 @@ def propagate_many(psi0s: Sequence[StateVector], scheds: Sequence[PulseSchedule]
     """Trajectories for each (psi0, schedule) pair, in order, each the one
     propagate returns for its pair.
 
-    Even schedules that propagate would mirror (decay off, no explicit dt,
-    halves of at most CHUNK_STEPS steps) share packs by the rule gates
-    share (see _packs): consecutive ones share a pack while their count
-    times the longest grid stays within PACK_STEPS, and one pass each
-    builds their halves' steps and takes their running products (see
-    _mirrored). Every other schedule steps forward on its own. Entries
-    stay numerically independent: each gets the bits it would get alone.
-    Each trajectory is yielded once its pack is done, so a caller that
-    lets each go before the next holds at most one pack's.
+    Every grid becomes pieces: the half after the center of a grid that
+    propagate would mirror (decay off, no explicit dt, an even schedule
+    with a half of at most CHUNK_STEPS steps), or else chunks of at most
+    CHUNK_STEPS steps, stepped forward from psi0. Consecutive pieces share
+    packs by the rule gates share (see _packs), a half counting as its
+    whole grid, and one pass each builds a pack's steps and takes their
+    running products (see _scan). Entries stay numerically independent:
+    each gets the bits it would get alone. A trajectory is yielded once
+    the pack of its last piece is done, so a caller that lets each go
+    before the next holds at most one pack's.
     """
     opts = opts or IntegratorOpts()
     psi0s, scheds = list(psi0s), list(scheds)
@@ -795,21 +825,18 @@ def propagate_many(psi0s: Sequence[StateVector], scheds: Sequence[PulseSchedule]
         raise ValueError("psi0 must be normalized")
     mirror = opts.dt is None and s.decay_rate == 0
 
-    def entries():
+    def pieces():
         for psi0, sched in zip(psi0s, scheds):
             rows = _Rows(psi0.amplitudes, _times(sched, s, opts), opts.sample_stride)
             n = rows.times.shape[0] - 1
-            even = mirror and _even_center(sched) is not None and n // 2 <= CHUNK_STEPS
-            # a forward run packs with nothing
-            yield (n if even else math.inf), (sched, rows)
+            if mirror and _even_center(sched) is not None and n // 2 <= CHUNK_STEPS:
+                yield n, (rows.times[n // 2:], sched, s, (rows, n // 2, True))
+            else:
+                for a, piece in _chunks(rows.times):
+                    yield piece.shape[0] - 1, (piece, sched, s, (rows, a, False))
 
-    for longest, pack in _packs(entries()):
-        if longest == math.inf:
-            (sched, rows), = pack
-            _forward(sched, s, rows)
-        else:
-            _mirrored(pack, s)
-        yield from (rows.trajectory() for _, rows in pack)
+    for rows in _packed(pieces(), _scan):
+        yield rows.trajectory()
 
 
 def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
@@ -827,32 +854,14 @@ def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
     schedule with decay off, no explicit dt and halves of at most
     CHUNK_STEPS steps integrates only the half after the pulse center c;
     the half before it follows by time reversal, psi(c - s) =
-    (V(s)^-1)^T psi(c) with V(s) = U(c + s, c), through cofactors.
-    Raises StepTooLarge if the grid cannot resolve the fastest envelope,
-    Rabi, precession, decay, frame or neighbour-tail rate within MAX_STEPS
-    (or an explicit dt breaks the resolution guard), NormBlowup if the
-    norm grows. A pack of one in propagate_many.
+    (V(s)^-1)^T psi(c) with V(s) = U(c + s, c), through cofactors. Any
+    other grid steps forward from psi0, chunk by chunk. Raises
+    StepTooLarge if the grid cannot resolve the fastest envelope, Rabi,
+    precession, decay, frame or neighbour-tail rate within MAX_STEPS (or
+    an explicit dt breaks the resolution guard), NormBlowup if the norm
+    grows. One entry of propagate_many.
     """
     return next(propagate_many([psi0], [sched], s, opts))
-
-
-def _operator(folds) -> np.ndarray:
-    """Product of a gate's chunk folds, earliest first, onto the identity."""
-    u = np.eye(3, dtype=complex)
-    for fold in folds:
-        u = fold @ u
-    return u
-
-
-def _packed_operators(pack) -> list:
-    """Operators of a pack of (times, schedule, system) gates: one
-    _step_matrices pass over their grids laid end to end, then one _fold
-    over their identity-padded stack (see _stack). The steps are passed
-    without a name, so they are freed before the fold."""
-    lengths = [times.shape[0] - 1 for times, _, _ in pack]
-    stack = _stack(_step_matrices([(times, sched) for times, sched, _ in pack],
-                                  [s for *_, s in pack]), lengths, max(lengths))
-    return [_operator([fold]) for fold in np.ascontiguousarray(np.moveaxis(_fold(stack), -1, 0))]
 
 
 def evolve_operators(scheds: Sequence[PulseSchedule], systems: Sequence[SystemParams],
@@ -860,32 +869,31 @@ def evolve_operators(scheds: Sequence[PulseSchedule], systems: Sequence[SystemPa
     """Evolution operators for each (schedule, system) pair, in order, each
     the one evolve_operator returns for its pair.
 
-    Gates share packs by the rule trajectories share (see _packs):
-    consecutive ones share a pack while their count times the longest grid
-    stays within PACK_STEPS. Their grids are built one pack at a time, their steps in
-    one _step_matrices pass (omega_B and Gamma are per-step arrays, so
-    gates of different fields and lifetimes mix) and their products in one
-    fold (see _packed_operators). A grid longer than CHUNK_STEPS is folded
-    chunk by chunk.
+    Every grid becomes chunks of at most CHUNK_STEPS steps, and
+    consecutive chunks share packs by the rule trajectories share (see
+    _packs). Grids are built one pack at a time, a pack's steps in one
+    _step_matrices pass (omega_B and Gamma are per-step arrays, so gates
+    of different fields and lifetimes mix) and its products in one fold
+    (see _folds). Each chunk's product multiplies its gate's operator,
+    earliest first.
     """
     opts = opts or IntegratorOpts()
     scheds, systems = list(scheds), list(systems)
     if len(scheds) != len(systems):
         raise ValueError("need one SystemParams per schedule")
 
-    def entries():
+    def pieces():
         for sched, s in zip(scheds, systems):
             times = _times(sched, s, opts)
-            yield times.shape[0] - 1, (times, sched, s)
+            for a, piece in _chunks(times):
+                yield piece.shape[0] - 1, (piece, sched, s, a + piece.shape[0] == times.shape[0])
 
-    ops = []
-    for longest, pack in _packs(entries()):
-        if longest > CHUNK_STEPS:
-            (times, sched, s), = pack
-            ops.append(_operator(_fold(_step_matrices([(piece, sched)], s))
-                                 for _, piece in _chunks(times)))
-        else:
-            ops += _packed_operators(pack)
+    ops, u = [], np.eye(3, dtype=complex)
+    for fold, last in _packed(pieces(), _folds):
+        u = fold @ u
+        if last:
+            ops.append(u)
+            u = np.eye(3, dtype=complex)
     return ops
 
 
@@ -896,7 +904,7 @@ def evolve_operator(sched: PulseSchedule, s: SystemParams,
     Columns are the propagated basis states, in the lab frame, built from
     the same Magnus-6 steps on the same grid as propagate: graded, or
     uniform if opts.dt is given. Unitary to rounding without decay, a
-    contraction with decay on. A pack of one in evolve_operators.
+    contraction with decay on. One entry of evolve_operators.
     """
     return evolve_operators([sched], [s], opts)[0]
 

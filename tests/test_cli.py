@@ -376,6 +376,30 @@ def test_negative_exponent_values_match_attached_form(argv):
     assert spaced.stdout == run(*attached).stdout
 
 
+@pytest.mark.parametrize("argv, name", [
+    # the numeric route used to integrate a window of 5 (alpha = 2.02)
+    (["phases", "--ratios", "1", "--window", "5", "--method", "analytic"], "window"),
+    (["phases", "--ratios", "1", "--window", "5", "--method", "numeric"], "window"),
+    # every flag that takes a value gets a negative-number-like value
+    # attached, so the parameter's own check names it rather than
+    # argparse's "expected one argument"
+    (["phases", "--ratios", "1", "--window", "-1e3"], "window"),
+    (["phases", "--ratios", "1", "--omega", "-1e-3"], "omega"),
+    (["fidelity", "--tau-d", "-1e-3"], "tau_d"),
+    (["simulate", "--delta", "1", "--eta", "-2e0"], "rabi_peak"),
+])
+def test_out_of_range_values_refused_by_name(argv, name):
+    res = run(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "error: %s must be" % name in res.stderr
+
+
+def test_flags_without_values_take_no_negative_number():
+    assert run("phases", "--help", "-1").returncode == 0
+    assert run("fidelity", "--sweep", "-1").returncode == 2
+
+
 def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
     # main() reuses one parser per process: no call's flags, defaults or
     # refusal may leak into the next

@@ -344,26 +344,53 @@ def test_numeric_sweep_packs_match_lone_decompositions(monkeypatch, field):
     # consecutive ratios share packs while their count times the longest
     # grid (twice the half) stays within PACK_STEPS; r = 0.005 and -0.01
     # (2,603 and 1,302 half steps) run alone and r = 1e-3 (13,012, past
-    # CHUNK_STEPS) steps forward. In either order every row has the bits of
-    # its ratio decomposed alone
+    # CHUNK_STEPS) steps forward, in three chunks and a tail of 1,448 steps,
+    # each a pack of one. In either order every row has the bits of its
+    # ratio decomposed alone
     rs = [0.3, 1.0, -2.0, 1e-3, 3.7, 0.05, -0.7, 0.005, 20.0, 100.0, -0.01, 1.4, 8.0, -0.2]
     s = SystemParams(omega_B=larmor_from_field(field))
     alone = {r: decompose(1.0, 1.0 / r, "numeric", s) for r in rs}
-    mirrored = propagator._mirrored
-    packs = []
-
-    def recording(pack, s):
-        packs.append([(len(rows.times) - 1) // 2 for _, rows in pack])
-        return mirrored(pack, s)
-
-    monkeypatch.setattr(propagator, "_mirrored", recording)
+    packs = _record_packs(monkeypatch)
+    chunk = propagator.CHUNK_STEPS
     for order in (rs, rs[::-1]):
         packs.clear()
         assert sweep_ratio(order, "numeric", s) == [alone[r] for r in order]
         assert [p for p in packs if len(p) > 1] and max(map(len, packs)) >= 3
         assert all(len(p) * 2 * max(p) <= propagator.PACK_STEPS for p in packs if len(p) > 1)
         assert [2603] in packs and [1302] in packs
-        assert sum(map(len, packs)) == len(rs) - 1
+        assert packs.count([chunk]) == 3 and [2 * 13012 - 3 * chunk] in packs
+        assert sum(map(len, packs)) == len(rs) - 1 + 4
+
+
+@pytest.mark.parametrize("field", [0.0, 0.29])
+def test_forward_tails_share_packs_with_lone_bits(monkeypatch, field):
+    # r = 0.0015625 and -0.0015873... have halves past CHUNK_STEPS, so their
+    # grids step forward in chunks; the tail of 272 steps shares a pack with
+    # r = 0.5's half of 142 when it comes first, and the tail of 12 steps
+    # is a pack of one (it scans in sequence). In either order every row
+    # has the bits of its ratio decomposed alone
+    rs = [0.0015625, 0.5, -0.0015873015873015873, 2.0, 1.0, -0.3]
+    s = SystemParams(omega_B=larmor_from_field(field))
+    alone = {r: decompose(1.0, 1.0 / r, "numeric", s) for r in rs}
+    packs = _record_packs(monkeypatch)
+    for order, tail_pack in ((rs, [272, 142]), (rs[::-1], [272])):
+        packs.clear()
+        assert sweep_ratio(order, "numeric", s) == [alone[r] for r in order]
+        assert tail_pack in packs and [12] in packs
+
+
+def _record_packs(monkeypatch) -> list:
+    """A list that collects the step counts of every _step_matrices call's
+    grids, one list a pack."""
+    step_matrices = propagator._step_matrices
+    packs = []
+
+    def counting(grids, s):
+        packs.append([times.shape[0] - 1 for times, _ in grids])
+        return step_matrices(grids, s)
+
+    monkeypatch.setattr(propagator, "_step_matrices", counting)
+    return packs
 
 
 def test_sweep_ratio():

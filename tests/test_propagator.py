@@ -417,6 +417,45 @@ def test_long_even_schedule_steps_forward_over_chunks():
     _assert_sampled_rows_match(traj, sched, s, psi0)
 
 
+def test_forward_pieces_share_packs_with_lone_bits(monkeypatch):
+    # forward pieces pack like mirrored halves: pulseless windows of 32
+    # steps and two-pulse grids share packs with halves, with each other
+    # under decay and on uniform grids, while a 16-step pulseless window is
+    # a pack of one (it scans in sequence). Every trajectory has the bits
+    # propagate gives it alone
+    s = SystemParams(omega_B=larmor_from_field(0.29))
+    short, wide = PulseSchedule([], (0.0, 10.0)), PulseSchedule([], (0.0, 300.0))
+    pair = schedule_for_pulses([two_pi_pulse(1.0, 0.667, 0.0), two_pi_pulse(1.0, -0.667, 21.0)])
+    single = PulseSchedule([two_pi_pulse(1.0, 1.0)], (-20.0, 20.0))
+    decay = SystemParams(omega_B=s.omega_B, trion_lifetime=100.0)
+    cases = [
+        ([short, wide, short, wide, pair, single, short, pair], s, IntegratorOpts(),
+         [[16], [32], [16], [32, 390, 114], [16], [390]]),
+        ([pair, single, wide, pair, single], decay, IntegratorOpts(sample_stride=7),
+         [[390, 228, 32, 390, 228]]),
+        ([single, pair, single, pair], s, IntegratorOpts(dt=0.08), [[500, 741], [500, 741]]),
+    ]
+    psi0 = StateVector(np.array([0.6, 0.48j, 0.64]))
+    step_matrices = propagator._step_matrices
+    packs = []
+
+    def counting(grids, s):
+        packs.append([times.shape[0] - 1 for times, _ in grids])
+        return step_matrices(grids, s)
+
+    for scheds, system, opts, expected in cases:
+        packs.clear()
+        monkeypatch.setattr(propagator, "_step_matrices", counting)
+        got = list(propagate_many([psi0] * len(scheds), scheds, system, opts))
+        monkeypatch.undo()
+        assert packs == expected
+        for traj, sched in zip(got, scheds):
+            alone = propagate(psi0, sched, system, opts)
+            assert np.array_equal(traj.times, alone.times)
+            assert np.array_equal(traj.states, alone.states)
+            assert np.array_equal(traj.norms, alone.norms)
+
+
 def _random_generators(n, rng, scales):
     """-i*H - Gamma*|trion><trion| stacked (3, 3, n): the physical family."""
     a = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))

@@ -89,8 +89,9 @@ stays within PACK_STEPS = 2,048 steps, so a longer piece is a pack of
 one. A half counts as its whole grid: counted as its own steps, twice as
 many halves share a pack, which put the README phase sweep in 10 packs
 instead of 18 and raised its peak RSS by 0.7 MB. A piece of at most
-SCAN_BLOCK steps is a pack of one too, as its lone scan runs in
-sequence. Grids are built one pack at a time, and one _step_matrices
+SCAN_BLOCK steps is a pack of one too: a forward piece that short scans
+in sequence alone, while a half doubles its prefixes alone or packed.
+Grids are built one pack at a time, and one _step_matrices
 pass builds the pack's Magnus-6 steps, with omega_B and Gamma per step,
 so the fields and lifetimes of one angle share a pack (_packed). The
 steps go into one (3, 3, pieces, width) stack, each row padded with
@@ -730,7 +731,8 @@ def _packs(entries):
     """Packs, as lists of items, of consecutive (steps, item) entries: an
     entry joins the pack while the pack's count times its most steps stays
     within PACK_STEPS, so an entry of more steps is a pack of one, and so
-    is one of at most SCAN_BLOCK steps, whose lone scan runs in sequence."""
+    is one of at most SCAN_BLOCK steps: a forward piece that short scans in
+    sequence alone (see _scan)."""
     pack, longest = [], 0
     for n, item in entries:
         if pack and (min(n, longest) <= SCAN_BLOCK
@@ -751,10 +753,9 @@ def _packed(pieces, reduce):
     scans or folds them. reduce returns a list, so its arrays are freed
     before the next pack is built."""
     for pack in _packs(pieces):
-        grids = [(times, sched) for times, sched, _, _ in pack]
-        yield from reduce(_step_matrices(grids, [s for _, _, s, _ in pack]),
-                          [times.shape[0] - 1 for times, _ in grids],
-                          [target for *_, target in pack])
+        times, scheds, systems, targets = zip(*pack)
+        yield from reduce(_step_matrices(list(zip(times, scheds)), systems),
+                          [t.shape[0] - 1 for t in times], targets)
 
 
 def _scan(m, lengths, targets):
@@ -762,8 +763,10 @@ def _scan(m, lengths, targets):
     (see _packed) and its pieces' (rows, a, mirrored) targets, a the grid
     row a piece starts at.
 
-    A pack of more than one takes one _running_products call, one row of
-    its stack a piece; a pack of one scans as a lone segment. A forward
+    One _running_products call takes the pack's running products, one row
+    of its stack a piece, except that a lone forward piece scans as a lone
+    segment, in sequence up to SCAN_BLOCK steps as it always has; a half
+    doubles its prefixes wherever it runs, so it keeps its bits. A forward
     piece applies its row to rows.psi, psi0 or the previous chunk's last
     state. A mirrored half's row holds V(s_k) for every k, its last V(T):
     applied to psi(c) they give the half after the center c, and their
@@ -773,7 +776,8 @@ def _scan(m, lengths, targets):
     carry the steps' unitarity defect, rounding that grows with the
     squarings of _expm, along the products.
     """
-    v = _running_products(m, lengths) if len(lengths) > 1 else _running_products(m)[:, :, None]
+    lone_forward = len(targets) == 1 and not targets[0][2]
+    v = _running_products(m)[:, :, None] if lone_forward else _running_products(m, lengths)
     del m
     w = _inverse_transpose(v) if any(mirrored for *_, mirrored in targets) else None
     done = []

@@ -340,7 +340,7 @@ def test_analytic_sweep_rows_equal_decompose():
 
 
 @pytest.mark.parametrize("field", [0.0, 0.29])
-def test_numeric_sweep_packs_match_lone_decompositions(monkeypatch, field):
+def test_numeric_sweep_packs_match_lone_decompositions(step_packs, field):
     # consecutive ratios share packs while their count times the longest
     # grid (twice the half) stays within PACK_STEPS; r = 0.005 and -0.01
     # (2,603 and 1,302 half steps) run alone and r = 1e-3 (13,012, past
@@ -350,7 +350,7 @@ def test_numeric_sweep_packs_match_lone_decompositions(monkeypatch, field):
     rs = [0.3, 1.0, -2.0, 1e-3, 3.7, 0.05, -0.7, 0.005, 20.0, 100.0, -0.01, 1.4, 8.0, -0.2]
     s = SystemParams(omega_B=larmor_from_field(field))
     alone = {r: decompose(1.0, 1.0 / r, "numeric", s) for r in rs}
-    packs = _record_packs(monkeypatch)
+    packs = step_packs
     chunk = propagator.CHUNK_STEPS
     for order in (rs, rs[::-1]):
         packs.clear()
@@ -363,7 +363,7 @@ def test_numeric_sweep_packs_match_lone_decompositions(monkeypatch, field):
 
 
 @pytest.mark.parametrize("field", [0.0, 0.29])
-def test_forward_tails_share_packs_with_lone_bits(monkeypatch, field):
+def test_forward_tails_share_packs_with_lone_bits(step_packs, field):
     # r = 0.0015625 and -0.0015873... have halves past CHUNK_STEPS, so their
     # grids step forward in chunks; the tail of 272 steps shares a pack with
     # r = 0.5's half of 142 when it comes first, and the tail of 12 steps
@@ -372,25 +372,11 @@ def test_forward_tails_share_packs_with_lone_bits(monkeypatch, field):
     rs = [0.0015625, 0.5, -0.0015873015873015873, 2.0, 1.0, -0.3]
     s = SystemParams(omega_B=larmor_from_field(field))
     alone = {r: decompose(1.0, 1.0 / r, "numeric", s) for r in rs}
-    packs = _record_packs(monkeypatch)
+    packs = step_packs
     for order, tail_pack in ((rs, [272, 142]), (rs[::-1], [272])):
         packs.clear()
         assert sweep_ratio(order, "numeric", s) == [alone[r] for r in order]
         assert tail_pack in packs and [12] in packs
-
-
-def _record_packs(monkeypatch) -> list:
-    """A list that collects the step counts of every _step_matrices call's
-    grids, one list a pack."""
-    step_matrices = propagator._step_matrices
-    packs = []
-
-    def counting(grids, s):
-        packs.append([times.shape[0] - 1 for times, _ in grids])
-        return step_matrices(grids, s)
-
-    monkeypatch.setattr(propagator, "_step_matrices", counting)
-    return packs
 
 
 def test_sweep_ratio():

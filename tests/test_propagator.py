@@ -417,12 +417,14 @@ def test_long_even_schedule_steps_forward_over_chunks():
     _assert_sampled_rows_match(traj, sched, s, psi0)
 
 
-def test_forward_pieces_share_packs_with_lone_bits(monkeypatch):
+def test_forward_pieces_share_packs_with_lone_bits(monkeypatch, step_packs):
     # forward pieces pack like mirrored halves: pulseless windows of 32
     # steps and two-pulse grids share packs with halves, with each other
     # under decay and on uniform grids, while a 16-step pulseless window is
-    # a pack of one (it scans in sequence). Every trajectory has the bits
-    # propagate gives it alone
+    # a pack of one (it scans in sequence). A mirrored half of at most
+    # SCAN_BLOCK steps doubles its prefixes alone as in a pack; a pulse's
+    # half has at least 56 steps, so the last case coarsens the grid to 13.
+    # Every trajectory has the bits propagate gives it alone
     s = SystemParams(omega_B=larmor_from_field(0.29))
     short, wide = PulseSchedule([], (0.0, 10.0)), PulseSchedule([], (0.0, 300.0))
     pair = schedule_for_pulses([two_pi_pulse(1.0, 0.667, 0.0), two_pi_pulse(1.0, -0.667, 21.0)])
@@ -434,21 +436,16 @@ def test_forward_pieces_share_packs_with_lone_bits(monkeypatch):
         ([pair, single, wide, pair, single], decay, IntegratorOpts(sample_stride=7),
          [[390, 228, 32, 390, 228]]),
         ([single, pair, single, pair], s, IntegratorOpts(dt=0.08), [[500, 741], [500, 741]]),
+        ([PulseSchedule([two_pi_pulse(5.0, 0.0)], (-1.0, 1.0)), single], s, IntegratorOpts(),
+         [[13, 27]]),
     ]
     psi0 = StateVector(np.array([0.6, 0.48j, 0.64]))
-    step_matrices = propagator._step_matrices
-    packs = []
-
-    def counting(grids, s):
-        packs.append([times.shape[0] - 1 for times, _ in grids])
-        return step_matrices(grids, s)
-
-    for scheds, system, opts, expected in cases:
-        packs.clear()
-        monkeypatch.setattr(propagator, "_step_matrices", counting)
+    for k, (scheds, system, opts, expected) in enumerate(cases):
+        if k == len(cases) - 1:
+            monkeypatch.setattr(propagator, "RESOLUTION_TARGET", 0.3)
+        step_packs.clear()
         got = list(propagate_many([psi0] * len(scheds), scheds, system, opts))
-        monkeypatch.undo()
-        assert packs == expected
+        assert step_packs == expected
         for traj, sched in zip(got, scheds):
             alone = propagate(psi0, sched, system, opts)
             assert np.array_equal(traj.times, alone.times)
@@ -485,7 +482,7 @@ def test_batched_exponential_leaves_its_input():
 
 
 @pytest.mark.filterwarnings("ignore:omega_B/eta")
-def test_evolve_operators_match_one_gate_at_a_time(monkeypatch):
+def test_evolve_operators_match_one_gate_at_a_time(step_packs):
     # a mixed list: pairs at B = 0, 0.27 and 2.7 T with decay on and off,
     # the single resonant pulse at |gamma| = pi, one grid longer than the
     # pack cap and one longer than a chunk; every operator is the one
@@ -503,14 +500,7 @@ def test_evolve_operators_match_one_gate_at_a_time(monkeypatch):
                   (past_cap, SystemParams(omega_B=larmor_from_field(0.27)))]
     cases[12:12] = [(past_chunk, SystemParams(trion_lifetime=900.0))]
     scheds, systems = zip(*cases)
-    packs = []
-    step_matrices = propagator._step_matrices
-
-    def counting(grids, s):
-        packs.append([times.shape[0] - 1 for times, _ in grids])
-        return step_matrices(grids, s)
-
-    monkeypatch.setattr(propagator, "_step_matrices", counting)
+    packs = step_packs
     got = evolve_operators(scheds, systems)
     steps = [len(_times(sched, s, IntegratorOpts())) - 1 for sched, s in cases]
     cap, chunk = propagator.PACK_STEPS, propagator.CHUNK_STEPS
@@ -521,7 +511,6 @@ def test_evolve_operators_match_one_gate_at_a_time(monkeypatch):
     assert all(len(p) * max(p) <= cap for p in packs if len(p) > 1)
     assert [steps[5]] in packs and [chunk] in packs
     assert sum(len(p) for p in packs) == len(cases) - 1 + -(-steps[12] // chunk)
-    monkeypatch.undo()
     for u, (sched, s), n in zip(got, cases, steps):
         assert np.array_equal(u, evolve_operator(sched, s))
         if n <= propagator.CHUNK_STEPS:
@@ -532,10 +521,8 @@ def test_evolve_operators_match_one_gate_at_a_time(monkeypatch):
     singles = [schedule_for_pulses([two_pi_pulse(1.0, d)]) for d in (0.0, 0.5, -2.0)]
     cases = [(sched, s) for sched in singles for s in systems[:4]]
     packs.clear()
-    monkeypatch.setattr(propagator, "_step_matrices", counting)
     got = evolve_operators([sched for sched, _ in cases], [s for _, s in cases], opts)
     assert packs == [[765, 765]] * 6
-    monkeypatch.undo()
     for u, (sched, s) in zip(got, cases):
         assert np.array_equal(u, evolve_operator(sched, s, opts))
 

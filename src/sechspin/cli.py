@@ -26,6 +26,17 @@ from . import model, phases, propagator, pulsedesign
 
 FLOAT_FMT = "%.16e"
 
+# what a subcommand's parser reads as a value, not an option, wherever a
+# value may stand: anything that starts like a negative number, -inf and
+# -nan included. argparse's own pattern has no exponent, no list and no
+# -inf (-0.5 passes, -1e-3 and -1,2 do not), so --window -1e3 would be
+# refused as a missing value instead of by the window check. argparse
+# still matches the flag itself, unique prefixes included, and a flag that
+# takes no value leaves the number unrecognized (--sweep -1 exits 2). It
+# replaces argparse's private _negative_number_matcher, which Python 3.10
+# to 3.13 all consult the same way.
+NEGATIVE_VALUE = re.compile(r"-(\d|\.\d|inf|nan)", re.I)
+
 # StepTooLarge is a ValueError that exits 1, so it is caught first
 USAGE_ERRORS = (ValueError,)
 NUMERIC_ERRORS = (propagator.StepTooLarge, ArithmeticError)
@@ -269,6 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(the grid is graded unless --dt is given)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_simulate)
+    for p in sub.choices.values():
+        p._negative_number_matcher = NEGATIVE_VALUE
     return top
 
 
@@ -291,34 +304,8 @@ def _config_flags(parser: argparse.ArgumentParser, path: str) -> list:
     return flags
 
 
-@functools.lru_cache(maxsize=None)
-def _value_flags() -> frozenset:
-    """Options that take a value in any subcommand: all but --help and
-    --sweep. Read off the parser once, as main() may run many times."""
-    subcommands = next(a for a in build_parser()._actions
-                       if isinstance(a, argparse._SubParsersAction))
-    return frozenset(flag for p in subcommands.choices.values() for a in p._actions
-                     if a.nargs != 0 for flag in a.option_strings)
-
-
-def _attach_signed_values(argv: list) -> list:
-    """--flag <value> as --flag=<value> where the flag takes a value (see
-    _value_flags) and the value starts like a negative number, -inf and
-    -nan included. argparse reads a value that starts with "-" as an
-    option unless it matches its negative-number pattern, which has no
-    exponent, no list and no -inf: -0.5 passes, -1e-3 and -1,2 do not.
-    Flags that take no value are left alone, so --help -1 prints help."""
-    flags, out = _value_flags(), []
-    for arg in argv:
-        if out and out[-1] in flags and re.match(r"-([0-9.]|inf|nan)", arg, re.I):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
 def main(argv=None) -> int:
-    argv = _attach_signed_values(list(sys.argv[1:] if argv is None else argv))
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is not None:

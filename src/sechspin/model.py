@@ -135,7 +135,8 @@ def coupling(t, pulses) -> np.ndarray:
     """Summed complex coupling V(t) = sum_k Omega_k(t) exp(-i Delta_k (t-c_k)).
 
     This is the (z, trion) entry of the Hamiltonian. Vectorized in t for the
-    numeric dynamic phase.
+    numeric dynamic phase, which may pass each pulse's rabi_peak, detuning,
+    bandwidth and center as arrays of t's shape, one value a time.
     """
     t = np.asarray(t, dtype=float)
     v = np.zeros(t.shape, dtype=complex)

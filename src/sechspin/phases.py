@@ -18,9 +18,12 @@ Two routes, kept structurally independent on purpose:
   with V(s) = U(c + s, c) and psi(c) = V(t_end - c)^T psi(t_start) (see
   propagator). A longer half, or a run with an explicit
   IntegratorOpts.dt, steps forward over the whole window. All the
-  detunings of a call go to one propagate_many call, whose packs build
-  the steps and running products of many halves, or forward chunks, at
-  once.
+  detunings of a call go through one run of propagate_many's packs, which
+  build the steps and running products of many halves, or forward chunks,
+  at once. The trajectories come a pack at a time
+  (propagator._trajectory_packs), and one dynamic_phase_numeric pass takes
+  each pack's alphas; each alpha is the sum over its own intervals, so it
+  has the bits it gets alone.
 
 The geometric part is the difference in both cases. decompose,
 sweep_ratio and pulsedesign.verify_cancellation all pass their
@@ -29,14 +32,16 @@ detunings to _decompositions, the one place that picks the route.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import SystemParams, _require_finite, two_pi_pulse
-from .propagator import IntegratorOpts, PulseSchedule, Trajectory, propagate_many
+from .propagator import IntegratorOpts, PulseSchedule, Trajectory, _trajectory_packs
 from .special import overall_phase
 from . import model
 
@@ -100,9 +105,10 @@ def dynamic_phase_analytic(omega: float, delta, window: float = DEFAULT_WINDOW):
     return float(alpha) if d.ndim == 0 else alpha
 
 
-def dynamic_phase_numeric(traj: Trajectory, sched: PulseSchedule,
-                          s: SystemParams) -> float:
-    """Minus the integral of E = <psi|H|psi> over the trajectory times.
+def dynamic_phase_numeric(trajs: Sequence[Trajectory], scheds: Sequence[PulseSchedule],
+                          s: SystemParams) -> list:
+    """Minus the integral of E = <psi|H|psi> over each trajectory's times,
+    one alpha per (trajectory, schedule) pair, in order.
 
     Uses the Hermitian Hamiltonian (precession + pulse coupling). For
     Hermitian H and i d(psi)/dt = H psi, E' = <psi|H'|psi> and E'' =
@@ -110,38 +116,76 @@ def dynamic_phase_numeric(traj: Trajectory, sched: PulseSchedule,
     V' = sum_j V_j*(-eta_j*tanh(eta_j*(t - c_j)) - i*Delta_j). So each
     interval takes the two-point Hermite rule h/2*(E_k + E_{k+1}) +
     h^2/10*(E'_k - E'_{k+1}) + h^3/120*(E''_k + E''_{k+1}), sixth order on
-    any grid (graded or strided), like the Magnus-6 steps. A trajectory
-    produced with decay on is rejected since the decomposition is only
+    any grid (graded or strided), like the Magnus-6 steps. Trajectories
+    produced with decay on are rejected since the decomposition is only
     defined for unitary evolution.
+
+    Consecutive trajectories whose schedules have as many pulses are
+    integrated in one pass over their rows laid end to end, each pulse's
+    parameters repeated over its trajectory's rows (or one value, where
+    they share it), and each alpha is the sum over its own intervals, so
+    it has the bits it gets alone. The pass holds every row of the call;
+    _decompositions passes one pack's trajectories a call (see
+    propagator._trajectory_packs), at most about PACK_STEPS intervals
+    unless one grid fills the pack alone.
     """
     if s.decay_rate > 0:
         raise DecayForbidden("phase decomposition needs decay off")
-    # in units of 1/w, w the widest bandwidth: h*w and E/w, E'/w^2, E''/w^3
-    # neither overflow nor underflow at a tiny or huge Omega (exact at w = 1)
-    w = max((p.bandwidth for p in sched.pulses), default=1.0)
-    t = traj.times
-    cb, cz, ct = traj.states[:, 0], traj.states[:, 1], traj.states[:, 2]
-    v = np.zeros(t.shape, dtype=complex)
-    dv = np.zeros(t.shape, dtype=complex)
-    ddv = np.zeros(t.shape, dtype=complex)
-    for p in sched.pulses:
-        vj = model.coupling(t, [p]) / w
-        b = p.bandwidth / w
-        tanh = np.tanh(p.bandwidth * (t - p.center))
-        g = -b * tanh - 1j * (p.detuning / w)      # V_j'/V_j
-        v += vj
-        dv += vj * g
-        ddv += vj * (g * g - b ** 2 * (1.0 - tanh * tanh))
-    omega_b = s.omega_B / w
-    zt = np.conj(cz) * ct
-    e = 2.0 * omega_b * np.real(np.conj(cb) * cz) + 2.0 * np.real(v * zt)
-    de = 2.0 * np.real(dv * zt)
-    # i<psi|[H, H']|psi> = -2*Im(<H psi|H' psi>)
-    dde = (2.0 * np.real(ddv * zt) - 2.0 * omega_b * np.imag(dv * np.conj(cb) * ct)
-           - 2.0 * np.imag(dv * np.conj(v)) * (np.abs(ct) ** 2 - np.abs(cz) ** 2))
-    h = np.diff(t) * w
-    return float(-np.sum(h * (0.5 * (e[1:] + e[:-1]) + h / 10.0 * (de[:-1] - de[1:])
-                              + h * h / 120.0 * (dde[:-1] + dde[1:]))))
+    alphas = []
+    for _, run in itertools.groupby(zip(trajs, scheds), lambda pair: len(pair[1].pulses)):
+        # unpacked from lists: CPython builds a tuple of an iterator at a
+        # guessed length and shrinks it, and its free lists keep such
+        # tuples by their final length (up to 2,000 each), which grew a
+        # process running the README phase sweep by 1 MB over 600 sweeps
+        run_trajs, run_scheds = zip(*list(run))
+        rows = [traj.times.shape[0] for traj in run_trajs]
+        # in units of 1/w, w the widest bandwidth: h*w and E/w, E'/w^2,
+        # E''/w^3 neither overflow nor underflow at a tiny or huge Omega
+        # (exact at w = 1)
+        widest = [max((p.bandwidth for p in sched.pulses), default=1.0) for sched in run_scheds]
+        w = _per_row(widest, rows)
+        t = np.concatenate([traj.times for traj in run_trajs])
+        states = np.concatenate([traj.states for traj in run_trajs])
+        cb, cz, ct = states[:, 0], states[:, 1], states[:, 2]
+        v = np.zeros(t.shape, dtype=complex)
+        dv = np.zeros(t.shape, dtype=complex)
+        ddv = np.zeros(t.shape, dtype=complex)
+        for pulses in zip(*[sched.pulses for sched in run_scheds]):
+            # pulse j of every schedule, its parameters over the rows
+            p = SimpleNamespace(**{name: _per_row([getattr(q, name) for q in pulses], rows)
+                                   for name in ("rabi_peak", "detuning", "bandwidth", "center")})
+            vj = model.coupling(t, [p]) / w
+            b = p.bandwidth / w
+            # squared as Python floats (pow): numpy's b*b can differ in the
+            # last bit
+            b2 = _per_row([(q.bandwidth / wq) ** 2 for q, wq in zip(pulses, widest)], rows)
+            tanh = np.tanh(p.bandwidth * (t - p.center))
+            g = -b * tanh - 1j * (p.detuning / w)      # V_j'/V_j
+            v += vj
+            dv += vj * g
+            ddv += vj * (g * g - b2 * (1.0 - tanh * tanh))
+        omega_b = s.omega_B / w
+        zt = np.conj(cz) * ct
+        e = 2.0 * omega_b * np.real(np.conj(cb) * cz) + 2.0 * np.real(v * zt)
+        de = 2.0 * np.real(dv * zt)
+        # i<psi|[H, H']|psi> = -2*Im(<H psi|H' psi>)
+        dde = (2.0 * np.real(ddv * zt) - 2.0 * omega_b * np.imag(dv * np.conj(cb) * ct)
+               - 2.0 * np.imag(dv * np.conj(v)) * (np.abs(ct) ** 2 - np.abs(cz) ** 2))
+        # an interval across two trajectories is taken but summed by neither
+        h = np.diff(t) * np.repeat(widest, rows)[1:]
+        terms = h * (0.5 * (e[1:] + e[:-1]) + h / 10.0 * (de[:-1] - de[1:])
+                     + h * h / 120.0 * (dde[:-1] + dde[1:]))
+        ends = np.cumsum(rows)
+        alphas += [float(-np.sum(terms[a:b - 1])) for a, b in zip(ends - rows, ends)]
+    return alphas
+
+
+def _per_row(values, rows):
+    """values[k] over rows[k] rows, as one array, or the one value they
+    all share: a shared value keeps the arithmetic of a scalar."""
+    if all(v == values[0] for v in values):
+        return values[0]
+    return np.repeat(values, rows)
 
 
 def _numeric_start(omega, deltas, s, window):
@@ -152,7 +196,7 @@ def _numeric_start(omega, deltas, s, window):
     it acts at its center, with exact free precession around it. The spin
     starts at -window/Omega in the state that free precession carries into
     |z> at the center, and the z amplitude is read after undoing free
-    precession from the center to window/Omega (undo, see _numeric_readout).
+    precession from the center to window/Omega (undo, see _decompositions).
     Free precession then adds nothing to <H> outside the pulse, so alpha
     and phi describe the pulse and not the window. At omega_B = 0 this is
     the plain |z> start and <z|psi(t_end)> readout.
@@ -165,13 +209,6 @@ def _numeric_start(omega, deltas, s, window):
     return psi0, undo, scheds
 
 
-def _numeric_readout(traj, sched, undo, s):
-    """(arg of the z amplitude, alpha) of one trajectory from _numeric_start."""
-    alpha = dynamic_phase_numeric(traj, sched, s)
-    phi_raw = float(np.angle((undo @ traj.states[-1, :2])[1]))
-    return phi_raw, alpha
-
-
 def _nearest_branch(phi_raw: float, anchor: float) -> float:
     """Shift phi_raw by a multiple of 2*pi to land nearest the anchor."""
     k = np.round((anchor - phi_raw) / (2.0 * np.pi))
@@ -182,10 +219,11 @@ def _decompositions(omega, deltas, method, s, window, opts):
     """decompose(omega, delta, method, s, window, opts) for each delta, in
     order. Method "analytic" takes every alpha from one
     dynamic_phase_analytic call, each element the bits of a scalar call.
-    Method "numeric" propagates every entry in one propagate_many call: the
-    pulses' trajectories share packs, each keeps the bits it would get
-    alone, and each is let go once read. omega and window are checked here
-    for both routes, by name."""
+    Method "numeric" propagates every entry in one run of propagate_many's
+    packs: the pulses' trajectories share packs, each keeps the bits it
+    would get alone, and each pack's trajectories take one
+    dynamic_phase_numeric call and are let go before the next pack is
+    built. omega and window are checked here for both routes, by name."""
     _require_finite(omega=omega, window=window)
     if not omega > 0:
         raise ValueError("omega must be positive")
@@ -198,12 +236,13 @@ def _decompositions(omega, deltas, method, s, window, opts):
         s = s or SystemParams()
         anchors = [overall_phase(omega, d) for d in deltas]
         psi0, undo, scheds = _numeric_start(omega, deltas, s, window)
-        trajs = propagate_many([psi0] * len(scheds), scheds, s, opts)
         phis, alphas = [], []
-        for anchor, sched, traj in zip(anchors, scheds, trajs):
-            phi_raw, alpha = _numeric_readout(traj, sched, undo, s)
-            phis.append(_nearest_branch(phi_raw, anchor))
-            alphas.append(alpha)
+        for trajs in _trajectory_packs([psi0] * len(scheds), scheds, s, opts):
+            done = slice(len(alphas), len(alphas) + len(trajs))
+            alphas += dynamic_phase_numeric(trajs, scheds[done], s)
+            # the z amplitude with free precession to t_end undone
+            phis += [_nearest_branch(float(np.angle((undo @ traj.states[-1, :2])[1])), anchor)
+                     for traj, anchor in zip(trajs, anchors[done])]
     else:
         raise ValueError("method must be 'analytic' or 'numeric'")
     return [_as_decomposition(phi, alpha, method, omega, d)
@@ -234,9 +273,9 @@ def sweep_ratio(r_values: Sequence[float], method: str,
     decompose(omega, omega/r, method, ...).
 
     All the grid's detunings go to one call: one dynamic_phase_analytic
-    call for method "analytic", one propagate_many call for "numeric",
-    whose packs share the step build and the running products of
-    consecutive entries. The entries stay numerically independent (each
+    call for method "analytic", one run of propagate_many's packs for
+    "numeric", which share the step build, the running products and the
+    alpha pass of consecutive entries. The entries stay numerically independent (each
     has the bits of its decompose call, and the phase branch is anchored
     to the analytic curve pointwise rather than chained along the grid),
     so they do not depend on order or on their neighbours.

@@ -91,26 +91,41 @@ many halves share a pack, which put the README phase sweep in 10 packs
 instead of 18 and raised its peak RSS by 0.7 MB. A piece of at most
 SCAN_BLOCK steps is a pack of one too: a forward piece that short scans
 in sequence alone, while a half doubles its prefixes alone or packed.
-Grids are built one pack at a time, and one _step_matrices
-pass builds the pack's Magnus-6 steps, with omega_B and Gamma per step,
-so the fields and lifetimes of one angle share a pack (_packed). The
-steps go into one (3, 3, pieces, width) stack, each row padded with
-identities after its last step (_stack). _fold folds it into every
-piece's product, which multiplies its gate's operator, earliest chunk
-first (width the longest piece); _running_products scans it into every
-piece's running products (width the longest piece in whole SCAN_BLOCK
-blocks), which step a chunk's trajectory on from psi0 or the previous
-chunk's last state, and give a half's trajectory both halves, the one
-before the center through their inverse transposes (_scan). An exact
-identity after a row's last step changes no bits, and each row keeps the
-product order it gets alone, so no trajectory row or operator depends on
-its pack; propagate and evolve_operator are one entry each. The pack's
-arrays set the peak memory, and each pack's scan and inverse transposes
-are freed before the next pack is built: about 2 MB for the step build
-at 2,048 steps. A process running the README fidelity sweep with its
-B = 0 slice peaks at 34.2 MB RSS, as with one gate at a time, against
-36.0 MB with a cap of 4,096 steps and 39.4 MB at 8,192; one running the
-README phase sweep peaks at 31.9 MB (Python 3.11, numpy 2.4).
+One _step_matrices pass builds the pack's Magnus-6 steps, with omega_B
+and Gamma per step, so the fields and lifetimes of one angle share a
+pack (_packed). The steps go into one (3, 3, pieces, width) stack, each
+row padded with identities after its last step (_stack). _fold folds it
+into every piece's product, which multiplies its gate's operator,
+earliest chunk first (width the longest piece); _running_products scans
+it into every piece's running products (width the longest piece in
+whole SCAN_BLOCK blocks), which step a chunk's trajectory on from psi0
+or the previous chunk's last state, and give a half's trajectory both
+halves, the one before the center through their inverse transposes.
+_scan reads the states and norms of the whole pack out of them in one
+pass, a row a piece, and each trajectory keeps its sampled rows. An
+exact identity after a row's last step changes no bits, and each row
+keeps the product order it gets alone, so no trajectory row or operator
+depends on its pack; propagate and evolve_operator are one entry each.
+
+Grids come in batches ahead of the packs (_times): consecutive graded
+schedules that share a window, pulse centers and bandwidths, every
+schedule of a phase sweep and every pair gate of a fidelity sweep, take
+one pass for up to PACK_STEPS rate samples in all, about 10 pulses of a
+phase sweep or 3 gates. The pass takes the envelope powers once, each
+schedule's scalar rate terms, one trapezoid cumsum a frame over a row a
+schedule, and one np.interp a schedule (_graded_grids); each grid has
+the bits it gets alone, and the warnings and errors of each schedule
+come when its grid does, as one schedule at a time.
+
+The pack's arrays set the peak memory, and each pack's scan, inverse
+transposes and read-out states are freed before the next pack is built:
+about 2 MB for the step build at 2,048 steps. A grid batch holds its
+cumulative rates, at most PACK_STEPS samples or one schedule's, and each
+grid is built as its schedule is reached. A process running the README
+fidelity sweep with its B = 0 slice peaks at 34.4 MB RSS, as with one
+gate at a time, against 36.0 MB with a cap of 4,096 steps and 39.4 MB
+at 8,192; one running the README phase sweep peaks at 32.0 MB (Python
+3.11, numpy 2.4).
 
 Step matrices are built vectorized over a pack, in a component-major
 (3, 3, n) layout so each entry is one contiguous vector, and exponentiated
@@ -122,6 +137,7 @@ so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -277,31 +293,42 @@ def _frame_spans(sched: PulseSchedule):
     return zip(pulses, bounds, bounds[1:])
 
 
-def _rate(sched: PulseSchedule, s: SystemParams, delta: float, t: np.ndarray) -> np.ndarray:
-    """Local rate r(t) of the Hamiltonian in a frame of detuning delta.
+def _rate(batch, k: int, t: np.ndarray) -> np.ndarray:
+    """Local rate r(t) of the Hamiltonian of each (schedule, system) pair
+    of batch, one row each, in the frame of its pulse k: the schedules
+    share their pulses' centers and bandwidths (see _times), so each
+    envelope power is taken once for the batch.
 
     Each term counts at the rate at which a step of RESOLUTION_TARGET/r
-    leaves the same leading Magnus-6 error. With S_j = max(Omega_j, eta_j),
-    pulse j counts at the largest of S_j*(1 + (|delta|/S_j)**3)**(1/7)
-    (its coupling's own rates and the frame diagonal's commutators with
-    it, which err as S_j**4*|delta|**3*dt**7), S_j**(1/7)*|Delta_j -
-    delta|**(6/7) (its carrier in this frame, which the Gauss nodes
-    integrate with an error of S_j*dt*(f*dt)**6) and
-    |delta|*RESOLUTION_TARGET/MAX_FRAME_PHASE (the frame cap), times its
-    height h_j relative to its own peak to the TAIL_POWER: each of these
-    errs through the coupling. The floor max(omega_B, Gamma,
-    |delta|*RESOLUTION_TARGET/MAGNUS_RADIUS) covers the constant terms'
-    commutators with the couplings and keeps every step inside the Magnus
-    radius.
+    leaves the same leading Magnus-6 error. With S_j = max(Omega_j, eta_j)
+    and delta = Delta_k, pulse j counts at the largest of
+    S_j*(1 + (|delta|/S_j)**3)**(1/7) (its coupling's own rates and the
+    frame diagonal's commutators with it, which err as
+    S_j**4*|delta|**3*dt**7), S_j**(1/7)*|Delta_j - delta|**(6/7) (its
+    carrier in this frame, which the Gauss nodes integrate with an error
+    of S_j*dt*(f*dt)**6) and |delta|*RESOLUTION_TARGET/MAX_FRAME_PHASE
+    (the frame cap), times its height h_j relative to its own peak to the
+    TAIL_POWER: each of these errs through the coupling. The floor
+    max(omega_B, Gamma, |delta|*RESOLUTION_TARGET/MAGNUS_RADIUS) covers
+    the constant terms' commutators with the couplings and keeps every
+    step inside the Magnus radius.
     """
-    frame = abs(delta) * RESOLUTION_TARGET
-    r = np.full(np.shape(t), max(s.omega_B, s.decay_rate, frame / MAGNUS_RADIUS))
-    for p in sched.pulses:
-        core = max(p.rabi_peak, p.bandwidth)
-        fastest = max(_commutator_rate(core, abs(delta)),
-                      core ** TAIL_POWER * abs(p.detuning - delta) ** (1.0 - TAIL_POWER),
-                      frame / MAX_FRAME_PHASE)
-        np.maximum(r, fastest * sech(p.bandwidth * (t - p.center)) ** TAIL_POWER, out=r)
+    terms = []
+    for sched, s in batch:
+        delta = sched.pulses[k].detuning
+        frame = abs(delta) * RESOLUTION_TARGET
+        row = [max(s.omega_B, s.decay_rate, frame / MAGNUS_RADIUS)]
+        for p in sched.pulses:
+            core = max(p.rabi_peak, p.bandwidth)
+            row.append(max(_commutator_rate(core, abs(delta)),
+                           core ** TAIL_POWER * abs(p.detuning - delta) ** (1.0 - TAIL_POWER),
+                           frame / MAX_FRAME_PHASE))
+        terms.append(row)
+    terms = np.array(terms)
+    r = np.repeat(terms[:, :1], t.shape[0], axis=1)
+    for j, p in enumerate(batch[0][0].pulses):
+        np.maximum(r, terms[:, j + 1, None] * sech(p.bandwidth * (t - p.center)) ** TAIL_POWER,
+                   out=r)
     return r
 
 
@@ -352,69 +379,109 @@ def _even_center(sched: PulseSchedule) -> Optional[float]:
     return c if c - t0 == t1 - c else None
 
 
-def _graded_grid(sched: PulseSchedule, s: SystemParams) -> np.ndarray:
-    """Grid whose steps are RESOLUTION_TARGET/r(t) long.
+def _graded_grids(run) -> Iterator[np.ndarray]:
+    """Grid of each (schedule, system) pair of run, in order, whose steps
+    are RESOLUTION_TARGET/r(t) long; the schedules share a window, pulse
+    centers and bandwidths (see _times).
 
-    The cumulative integral of the local rate is taken by the trapezoid
-    rule on an auxiliary grid, RATE_SAMPLING/eta apart in each frame (r
-    changes by at most 2 % there, and the frame edges, where it jumps,
-    are auxiliary points); the step times invert it. For an even schedule
-    (see _even_center) this builds the half [c, t_end] and mirrors it
-    about c, so both halves have the same steps. Without pulses the rate
-    is the constant max(omega_B, Gamma), and the grid uniform.
+    The cumulative integral of each schedule's local rate is taken by the
+    trapezoid rule on an auxiliary grid, RATE_SAMPLING/eta apart in each
+    frame (r changes by at most 2 % there, and the frame edges, where it
+    jumps, are auxiliary points); the step times invert it. For an even
+    schedule (see _even_center) this builds the half [c, t_end] and
+    mirrors it about c, so both halves have the same steps.
+
+    The schedules go in batches of at most PACK_STEPS rate samples in all,
+    or of one, so the memory does not grow with the run. A batch shares
+    the auxiliary grid and the envelope powers (see _rate) and takes one
+    cumsum a frame, a row a schedule, so each grid has the bits it gets in
+    a batch of one. The rate samples are checked when the first grid is
+    asked for, each grid's steps just before it is built.
     """
-    if not sched.pulses:
+    sched = run[0][0]
+    center = _even_center(sched)
+    halves = 1 if center is None else 2
+    if center is None:
+        spans = [(k, a, b) for k, (_, a, b) in enumerate(_frame_spans(sched))]
+    else:
+        spans = [(0, center, sched.window[1])]
+    per_ps = max(p.bandwidth for p in sched.pulses) / RATE_SAMPLING
+    spans = [(k, a, b, np.ceil((b - a) * per_ps)) for k, a, b in spans]
+    samples = sum(m for *_, m in spans)
+    _check_steps(samples, "rate samples")
+    size = max(int(PACK_STEPS // samples), 1)
+    for first in range(0, len(run), size):
+        batch = run[first:first + size]
+        aux, cum, total = [], [], 0.0
+        for k, a, b, m in spans:
+            t = np.linspace(a, b, int(m) + 1)
+            r = _rate(batch, k, t)
+            c = np.cumsum(0.5 * (r[:, 1:] + r[:, :-1]) * np.diff(t), axis=1)
+            c = total + np.concatenate([np.zeros((len(batch), 1)), c], axis=1)
+            aux.append(t)
+            cum.append(c)
+            total = c[:, -1:]
+        aux, cum = np.concatenate(aux), np.concatenate(cum, axis=1)
+        for (sched, _), c in zip(batch, cum):
+            n = max(np.ceil(c[-1] / RESOLUTION_TARGET), 16 // halves)
+            _check_steps(halves * n)
+            times = np.interp(np.linspace(0.0, c[-1], int(n) + 1), c, aux)
+            if center is not None:
+                times = np.concatenate([2.0 * center - times[:0:-1], times])
+            # where every envelope underflows and the floor is 0, H = 0 and
+            # the cumulative rate is flat; the grid still has to span the window
+            times[[0, -1]] = sched.window
+            yield times
+
+
+def _uniform_grid(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts) -> np.ndarray:
+    """Uniform grid: steps of an explicit opts.dt, which must pass the
+    resolution guard at the peak rate, or, for a schedule without pulses,
+    the constant rate max(omega_B, Gamma)."""
+    if opts.dt is None:
         # at least 16 steps: with omega_B = Gamma = 0, H = 0 and any grid is exact
         rate = max(s.omega_B, s.decay_rate)
         n = max(np.ceil(sched.duration * rate / RESOLUTION_TARGET), 16)
-        _check_steps(n)
-        return np.linspace(*sched.window, int(n) + 1)
-    center = _even_center(sched)
-    halves = 1 if center is None else 2
-    spans = _frame_spans(sched) if center is None else [(sched.pulses[0], center, sched.window[1])]
-    per_ps = max(p.bandwidth for p in sched.pulses) / RATE_SAMPLING
-    spans = [(pk, a, b, np.ceil((b - a) * per_ps)) for pk, a, b in spans]
-    _check_steps(sum(m for *_, m in spans), "rate samples")
-    aux, cum, total = [], [], 0.0
-    for pk, a, b, m in spans:
-        t = np.linspace(a, b, int(m) + 1)
-        r = _rate(sched, s, pk.detuning, t)
-        c = total + np.concatenate([[0.0], np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(t))])
-        aux.append(t)
-        cum.append(c)
-        total = c[-1]
-    n = max(np.ceil(total / RESOLUTION_TARGET), 16 // halves)
-    _check_steps(halves * n)
-    times = np.interp(np.linspace(0.0, total, int(n) + 1), np.concatenate(cum), np.concatenate(aux))
-    if center is not None:
-        times = np.concatenate([2.0 * center - times[:0:-1], times])
-    # where every envelope underflows and the floor is 0, H = 0 and the
-    # cumulative rate is flat; the grid still has to span the window
-    times[[0, -1]] = sched.window
-    return times
-
-
-def _times(sched: PulseSchedule, s: SystemParams, opts: IntegratorOpts) -> np.ndarray:
-    """Step grid: uniform for an explicit opts.dt, which must pass the
-    resolution guard at the peak rate; otherwise graded. Warns at the
-    caller of propagate, propagate_many, evolve_operators or
-    evolve_operator if precession is fast."""
-    if sched.pulses:
-        # the warning names the nearest frame outside this module
-        level, frame = 2, sys._getframe()
-        while frame.f_globals.get("__name__") == __name__:
-            level, frame = level + 1, frame.f_back
-        warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses), level)
-    if opts.dt is None:
-        return _graded_grid(sched, s)
-    fmax = _frequency_scale(sched, s)
-    if opts.dt * fmax >= RESOLUTION_GUARD:
-        raise StepTooLarge(
-            "dt*fmax = %.3g exceeds the resolution guard %.2g"
-            % (opts.dt * fmax, RESOLUTION_GUARD))
-    n = max(np.ceil(sched.duration / opts.dt), 2)
+    else:
+        fmax = _frequency_scale(sched, s)
+        if opts.dt * fmax >= RESOLUTION_GUARD:
+            raise StepTooLarge(
+                "dt*fmax = %.3g exceeds the resolution guard %.2g"
+                % (opts.dt * fmax, RESOLUTION_GUARD))
+        n = max(np.ceil(sched.duration / opts.dt), 2)
     _check_steps(n)
     return np.linspace(*sched.window, int(n) + 1)
+
+
+def _times(pairs, opts: IntegratorOpts) -> Iterator[np.ndarray]:
+    """Step grid of each (schedule, system) pair, in order: uniform for an
+    explicit opts.dt or a schedule without pulses (see _uniform_grid),
+    otherwise graded, a run of consecutive schedules that share a window,
+    pulse centers and bandwidths at a time (see _graded_grids): every
+    schedule of a phase sweep, and every pair gate of a fidelity sweep.
+    Warns at the caller of propagate, propagate_many, evolve_operators or
+    evolve_operator if precession is fast, each schedule just before its
+    grid is built, so warnings and errors come in the order they would one
+    schedule at a time."""
+    def shared(pair):
+        sched = pair[0]
+        if opts.dt is None and sched.pulses:
+            # a list, not a tuple of a generator, which CPython shrinks from
+            # a guessed length (see phases.dynamic_phase_numeric)
+            return sched.window, [(p.center, p.bandwidth) for p in sched.pulses]
+        return None
+
+    for key, run in itertools.groupby(pairs, shared):
+        run = list(run)
+        grids = None if key is None else _graded_grids(run)
+        for sched, s in run:
+            if sched.pulses:
+                # the warning names the nearest frame outside this module
+                level, frame = 2, sys._getframe()
+                while frame.f_globals.get("__name__") == __name__:
+                    level, frame = level + 1, frame.f_back
+                warn_if_fast_precession(s, min(p.bandwidth for p in sched.pulses), level)
+            yield _uniform_grid(sched, s, opts) if grids is None else next(grids)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -709,19 +776,19 @@ class _Rows:
         self.norms = np.empty(idx.shape[0])
         self.peak = 0.0
 
-    def store(self, rows: np.ndarray, start: int) -> None:
-        """Keep the sampled ones of rows, grid rows start.. in order."""
-        row_norms = _norms(rows)
-        self.peak = np.maximum(self.peak, row_norms.max())
-        lo, hi = np.searchsorted(self.idx, [start, start + rows.shape[0]])
+    def store(self, states: np.ndarray, norms: np.ndarray, start: int) -> None:
+        """Keep the sampled ones of states, grid rows start.. in order, and
+        their norms."""
+        self.peak = np.maximum(self.peak, norms.max())
+        lo, hi = np.searchsorted(self.idx, [start, start + states.shape[0]])
         sel = self.idx[lo:hi] - start
-        self.states[lo:hi] = rows[sel]
-        self.norms[lo:hi] = row_norms[sel]
+        self.states[lo:hi] = states[sel]
+        self.norms[lo:hi] = norms[sel]
 
     def trajectory(self) -> Trajectory:
         """The trajectory, once every row after the first is stored; the
         first is psi0 itself."""
-        self.store(self.psi0[None], 0)
+        self.store(self.psi0[None], _norms(self.psi0[None]), 0)
         if not self.peak <= 1.0 + 1e-6:
             raise NormBlowup("norm reached %.9f" % self.peak)
         return Trajectory(self.times[self.idx], self.states, self.norms)
@@ -746,7 +813,7 @@ def _packs(entries):
 
 
 def _packed(pieces, reduce):
-    """What reduce(steps, lengths, targets) returns for each pack of
+    """The list reduce(steps, lengths, targets) returns for each pack of
     pieces, (steps it packs as, (times, schedule, system, target)) each
     (see _packs), in order: one _step_matrices pass builds the steps of the
     pack's grid pieces laid end to end, of the given lengths, and reduce
@@ -754,8 +821,8 @@ def _packed(pieces, reduce):
     before the next pack is built."""
     for pack in _packs(pieces):
         times, scheds, systems, targets = zip(*pack)
-        yield from reduce(_step_matrices(list(zip(times, scheds)), systems),
-                          [t.shape[0] - 1 for t in times], targets)
+        yield reduce(_step_matrices(list(zip(times, scheds)), systems),
+                     [t.shape[0] - 1 for t in times], targets)
 
 
 def _scan(m, lengths, targets):
@@ -767,30 +834,52 @@ def _scan(m, lengths, targets):
     of its stack a piece, except that a lone forward piece scans as a lone
     segment, in sequence up to SCAN_BLOCK steps as it always has; a half
     doubles its prefixes wherever it runs, so it keeps its bits. A forward
-    piece applies its row to rows.psi, psi0 or the previous chunk's last
-    state. A mirrored half's row holds V(s_k) for every k, its last V(T):
-    applied to psi(c) they give the half after the center c, and their
-    inverse transposes, in reverse, the half before it (see the module
+    piece's row steps on rows.psi, psi0 or the previous chunk's last
+    state (a chunk of CHUNK_STEPS > PACK_STEPS steps is a pack of one, so
+    the chunk before it is in an earlier pack). A mirrored half's row
+    holds V(s_k) for every k, its last V(T): applied to psi(c) =
+    V(T)^T psi0 they give the half after the center c, and their inverse
+    transposes, in reverse, the half before it (see the module
     docstring). With decay off V is unitary, so (V^-1)^T = conj(V) and
     the cofactor inverse is perfectly conditioned; conj(V) itself would
     carry the steps' unitarity defect, rounding that grows with the
     squarings of _expm, along the products.
+
+    The states and norms of the whole pack are read out in one pass, a
+    row a piece with its start state in column c: the half before the
+    center (c columns, reversed into grid order) when the pack holds a
+    half, then the start state, then one state per step. Each piece
+    stores its slice of its row, so every state has the bits it gets
+    alone.
     """
     lone_forward = len(targets) == 1 and not targets[0][2]
     v = _running_products(m)[:, :, None] if lone_forward else _running_products(m, lengths)
     del m
-    w = _inverse_transpose(v) if any(mirrored for *_, mirrored in targets) else None
+    halves = np.array([mirrored for *_, mirrored in targets])
+    start = np.array([rows.psi0 if mirrored else rows.psi for rows, _, mirrored in targets])
+    c = v.shape[-1] if halves.any() else 0
+    if c:
+        last = v[:, :, np.arange(len(lengths)), np.subtract(lengths, 1)]
+        start = np.where(halves[:, None], np.einsum("jik,kj->ki", last, start), start)
+    # einsum writes a fresh array in about a third of the time it takes to
+    # write into a view of states
+    after = np.einsum("ijkl,kj->kli", v, start)
+    before = np.einsum("ijkl,kj->kli", _inverse_transpose(v), start) if c else None
+    del v
+    states = np.empty((len(lengths), c + after.shape[1] + 1, 3), dtype=complex)
+    states[:, c] = start
+    states[:, c + 1:] = after
+    if c:
+        states[:, c - 1::-1] = before
+    del after, before
+    norms = _norms(states.reshape(-1, 3)).reshape(states.shape[:2])
     done = []
     for k, (n, (rows, a, mirrored)) in enumerate(zip(lengths, targets)):
-        seg = v[:, :, k, :n]
         if mirrored:
-            psi_c = seg[..., -1].T @ rows.psi0
-            rows.store(np.concatenate([psi_c[None], np.einsum("ijk,j->ki", seg, psi_c)]), a)
-            rows.store(np.einsum("ijk,j->ki", w[:, :, k, :n], psi_c)[::-1], 0)
+            rows.store(states[k, c - n:c + n + 1], norms[k, c - n:c + n + 1], 0)
         else:
-            chunk = np.einsum("ijk,j->ki", seg, rows.psi)
-            rows.store(chunk, a + 1)
-            rows.psi = chunk[-1]
+            rows.store(states[k, c + 1:c + n + 1], norms[k, c + 1:c + n + 1], a + 1)
+            rows.psi = states[k, c + n].copy()
         if a + n == rows.times.shape[0] - 1:
             done.append(rows)
     return done
@@ -821,6 +910,15 @@ def propagate_many(psi0s: Sequence[StateVector], scheds: Sequence[PulseSchedule]
     the pack of its last piece is done, so a caller that lets each go
     before the next holds at most one pack's.
     """
+    for trajs in _trajectory_packs(psi0s, scheds, s, opts):
+        yield from trajs
+
+
+def _trajectory_packs(psi0s, scheds, s, opts) -> Iterator[list]:
+    """propagate_many's trajectories a list at a time: those whose last
+    piece is in one pack, in order, an empty list for a pack that finishes
+    none. A caller that lets each list go before the next holds at most
+    one pack's trajectories when the next pack is built."""
     opts = opts or IntegratorOpts()
     psi0s, scheds = list(psi0s), list(scheds)
     if len(psi0s) != len(scheds):
@@ -830,8 +928,9 @@ def propagate_many(psi0s: Sequence[StateVector], scheds: Sequence[PulseSchedule]
     mirror = opts.dt is None and s.decay_rate == 0
 
     def pieces():
-        for psi0, sched in zip(psi0s, scheds):
-            rows = _Rows(psi0.amplitudes, _times(sched, s, opts), opts.sample_stride)
+        grids = _times(((sched, s) for sched in scheds), opts)
+        for psi0, sched, times in zip(psi0s, scheds, grids):
+            rows = _Rows(psi0.amplitudes, times, opts.sample_stride)
             n = rows.times.shape[0] - 1
             if mirror and _even_center(sched) is not None and n // 2 <= CHUNK_STEPS:
                 yield n, (rows.times[n // 2:], sched, s, (rows, n // 2, True))
@@ -839,8 +938,8 @@ def propagate_many(psi0s: Sequence[StateVector], scheds: Sequence[PulseSchedule]
                 for a, piece in _chunks(rows.times):
                     yield piece.shape[0] - 1, (piece, sched, s, (rows, a, False))
 
-    for rows in _packed(pieces(), _scan):
-        yield rows.trajectory()
+    for done in _packed(pieces(), _scan):
+        yield [rows.trajectory() for rows in done]
 
 
 def propagate(psi0: StateVector, sched: PulseSchedule, s: SystemParams,
@@ -887,17 +986,18 @@ def evolve_operators(scheds: Sequence[PulseSchedule], systems: Sequence[SystemPa
         raise ValueError("need one SystemParams per schedule")
 
     def pieces():
-        for sched, s in zip(scheds, systems):
-            times = _times(sched, s, opts)
+        pairs = list(zip(scheds, systems))
+        for (sched, s), times in zip(pairs, _times(pairs, opts)):
             for a, piece in _chunks(times):
                 yield piece.shape[0] - 1, (piece, sched, s, a + piece.shape[0] == times.shape[0])
 
     ops, u = [], np.eye(3, dtype=complex)
-    for fold, last in _packed(pieces(), _folds):
-        u = fold @ u
-        if last:
-            ops.append(u)
-            u = np.eye(3, dtype=complex)
+    for folds in _packed(pieces(), _folds):
+        for fold, last in folds:
+            u = fold @ u
+            if last:
+                ops.append(u)
+                u = np.eye(3, dtype=complex)
     return ops
 
 

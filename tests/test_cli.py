@@ -380,13 +380,15 @@ def test_negative_exponent_values_match_attached_form(argv):
     # the numeric route used to integrate a window of 5 (alpha = 2.02)
     (["phases", "--ratios", "1", "--window", "5", "--method", "analytic"], "window"),
     (["phases", "--ratios", "1", "--window", "5", "--method", "numeric"], "window"),
-    # every flag that takes a value gets a negative-number-like value
-    # attached, so the parameter's own check names it rather than
-    # argparse's "expected one argument"
+    # every subcommand reads a negative-number-like argument as a value,
+    # so the parameter's own check names it rather than argparse's
+    # "expected one argument", also after a unique prefix of the flag
     (["phases", "--ratios", "1", "--window", "-1e3"], "window"),
     (["phases", "--ratios", "1", "--omega", "-1e-3"], "omega"),
     (["fidelity", "--tau-d", "-1e-3"], "tau_d"),
     (["simulate", "--delta", "1", "--eta", "-2e0"], "rabi_peak"),
+    (["phases", "--ratios", "1", "--wind", "-1e3"], "window"),
+    (["simulate", "--delta", "1", "--et", "-inf"], "rabi_peak"),
 ])
 def test_out_of_range_values_refused_by_name(argv, name):
     res = run(*argv)

@@ -29,9 +29,9 @@ from sechspin.propagator import (
     PulseSchedule,
     Trajectory,
     _frequency_scale,
-    _graded_grid,
+    _times,
+    _trajectory_packs,
     propagate,
-    propagate_many,
 )
 from sechspin.special import overall_phase
 
@@ -206,10 +206,10 @@ def test_numeric_alpha_is_sixth_order_on_graded_times():
     sched = PulseSchedule([two_pi_pulse(1.0, 1.0)], (-20.0, 20.0))
     dt = 0.005
     full = propagate(StateVector.ket_z(), sched, s, IntegratorOpts(dt=dt))
-    idx = np.unique(np.round((_graded_grid(sched, s) - sched.window[0]) / dt).astype(int))
+    idx = np.unique(np.round((next(_times([(sched, s)], IntegratorOpts())) - sched.window[0]) / dt).astype(int))
     sub = Trajectory(full.times[idx], full.states[idx], full.norms[idx])
-    ref = dynamic_phase_numeric(full, sched, s)
-    assert abs(dynamic_phase_numeric(sub, sched, s) - ref) <= 1e-11
+    ref, alpha = dynamic_phase_numeric([full, sub], [sched, sched], s)
+    assert abs(alpha - ref) <= 1e-11
     cb, cz, ct = sub.states.T
     energy = (2.0 * s.omega_B * np.real(np.conj(cb) * cz)
               + 2.0 * np.real(coupling(sub.times, sched.pulses) * np.conj(cz) * ct))
@@ -261,11 +261,11 @@ def test_numeric_decomposition_steps_on_graded_grid(monkeypatch):
     steps = []
 
     def counting(*args, **kwargs):
-        for traj in propagate_many(*args, **kwargs):
-            steps.append(len(traj.times) - 1)
-            yield traj
+        for trajs in _trajectory_packs(*args, **kwargs):
+            steps.extend(len(traj.times) - 1 for traj in trajs)
+            yield trajs
 
-    monkeypatch.setattr(phases, "propagate_many", counting)
+    monkeypatch.setattr(phases, "_trajectory_packs", counting)
     decompose(1.0, 1.0, "numeric", SystemParams(omega_B=larmor_from_field(0.29)))
     assert len(steps) == 1 and steps[0] <= 240
 
@@ -276,7 +276,30 @@ def test_decay_rejected():
     sched = PulseSchedule([p], (-20.0, 20.0))
     traj = propagate(StateVector.ket_z(), sched, s)
     with pytest.raises(DecayForbidden):
-        dynamic_phase_numeric(traj, sched, s)
+        dynamic_phase_numeric([traj], [sched], s)
+
+
+def test_batched_alpha_matches_one_trajectory_at_a_time():
+    # one call integrates consecutive trajectories in one pass; each alpha
+    # has the bits of its trajectory integrated alone, whatever its length,
+    # stride, bandwidth or neighbours (the two-pulse schedules run in a
+    # pass of their own)
+    one = [PulseSchedule([two_pi_pulse(1.0, d)], (-20.0, 20.0)) for d in (0.01, 1.0, -3.0, 40.0)]
+    one.append(PulseSchedule([two_pi_pulse(0.5, 0.3, 1.0)], (-39.0, 41.0)))
+    two = [PulseSchedule([two_pi_pulse(1.0, 0.667), two_pi_pulse(1.0, -0.667, 21.0)], (-20.0, 41.0)),
+           PulseSchedule([two_pi_pulse(0.7, 2.0), two_pi_pulse(1.3, -0.5, 30.0)], (-30.0, 50.0))]
+    for field in (0.0, 0.29):
+        s = SystemParams(omega_B=larmor_from_field(field))
+        cases = ([(sched, None) for sched in one + two]
+                 + [(one[1], IntegratorOpts(sample_stride=3))])
+        trajs = [propagate(StateVector.ket_z(), sched, s, opts) for sched, opts in cases]
+        scheds = [sched for sched, _ in cases]
+        assert len({traj.times.shape[0] for traj in trajs}) == len(trajs)
+        alone = [dynamic_phase_numeric([traj], [sched], s)[0] for traj, sched in zip(trajs, scheds)]
+        assert dynamic_phase_numeric(trajs, scheds, s) == alone
+        assert dynamic_phase_numeric(trajs[::-1], scheds[::-1], s) == alone[::-1]
+    with pytest.raises(DecayForbidden):
+        dynamic_phase_numeric(trajs, scheds, SystemParams(trion_lifetime=900.0))
 
 
 def test_parameter_validation():

@@ -37,7 +37,6 @@ from sechspin.propagator import (
     _expm,
     _fold,
     _frequency_scale,
-    _graded_grid,
     _magnus6,
     _running_products,
     _step_matrices,
@@ -45,6 +44,11 @@ from sechspin.propagator import (
 )
 from sechspin.pulsedesign import design_for_angle
 from sechspin.special import overall_phase, rz_state
+
+
+def _grid(sched, s, opts=IntegratorOpts()):
+    """The step grid that propagate and evolve_operator take for sched alone."""
+    return next(_times([(sched, s)], opts))
 
 
 # uniform references step at REFERENCE_TARGET over the guard's rate scale,
@@ -196,7 +200,7 @@ def test_near_pi_gate_resolves_neighbour_tail(gamma):
     dt = _uniform_dt(sched, s)
     turn = abs(pulses[0].detuning - pulses[1].detuning)
     assert turn * dt < 0.1
-    times = _graded_grid(sched, s)
+    times = _grid(sched, s)
     edge = np.searchsorted(times, 0.5 * (pulses[0].center + pulses[1].center))
     assert turn * (times[edge] - times[edge - 1]) < 0.5
     u = evolve_operator(sched, s)
@@ -233,7 +237,7 @@ def test_graded_grid_is_coarser_than_uniform():
     pair = design_for_angle(np.pi / 4, 2.0 / 3.0)
     sched = schedule_for_pulses([pair.pulse1, pair.pulse2])
     s = SystemParams(omega_B=larmor_from_field(0.29))
-    graded = len(_graded_grid(sched, s)) - 1
+    graded = len(_grid(sched, s)) - 1
     assert graded <= 2100
     assert graded < round(sched.duration / _uniform_dt(sched, s))
 
@@ -243,7 +247,7 @@ def test_graded_grid_spans_window_where_envelope_underflows():
     # the rate is 0 there too
     sched = PulseSchedule([two_pi_pulse(1.0, 2.0)], (-800.0, 800.0))
     s = SystemParams()
-    times = _graded_grid(sched, s)
+    times = _grid(sched, s)
     assert (times[0], times[-1]) == sched.window
     assert np.all(np.diff(times) > 0)
     ref = evolve_operator(sched, s, IntegratorOpts(dt=0.01))
@@ -257,6 +261,54 @@ def test_graded_grid_refuses_huge_window():
         evolve_operator(sched, SystemParams())
 
 
+@pytest.mark.filterwarnings("ignore:omega_B/eta")   # 2.7 T gives omega_B/eta = 0.102
+def test_batched_grids_match_one_schedule_grids(monkeypatch):
+    # consecutive schedules that share a window, centers and bandwidths get
+    # their grids from one pass; each grid has the bits it gets alone. At
+    # 2.7 T the omega_B floor binds in the gates' tails; the pi gate has a
+    # window of its own, so it splits the pair gates' batch
+    def pair(gamma):
+        p = design_for_angle(gamma, 2.0 / 3.0)
+        return schedule_for_pulses([p.pulse1, p.pulse2])
+
+    slow, fast = (SystemParams(omega_B=larmor_from_field(b), trion_lifetime=900.0)
+                  for b in (0.27, 2.7))
+    even = [PulseSchedule([two_pi_pulse(1.0, d)], (-20.0, 20.0)) for d in (1.0, -0.5, 30.0)]
+    pi_gate = schedule_for_pulses([two_pi_pulse(2.0 / 3.0, 0.0)])
+    pairs = ([(sched, slow) for sched in even] + [(pair(0.5), slow), (pair(0.5), fast),
+             (pair(-2.0), slow), (pair(-2.0), fast), (pi_gate, slow), (pair(1.0), fast),
+             (PulseSchedule([], (-3.0, 5.0)), fast), (pair(3.0), slow)])
+    batches, rate = [], propagator._rate
+
+    def counting(batch, k, t):
+        # one call a frame of a batch; the first frame counts the batch
+        if k == 0:
+            batches.append(len(batch))
+        return rate(batch, k, t)
+
+    monkeypatch.setattr(propagator, "_rate", counting)
+    for opts in (IntegratorOpts(), IntegratorOpts(dt=0.01)):
+        alone = [_grid(sched, s, opts) for sched, s in pairs]
+        batches.clear()
+        got = list(_times(pairs, opts))
+        assert len(got) == len(pairs)
+        assert all(np.array_equal(a, b) for a, b in zip(got, alone))
+        # the even schedules shared a pass, and so did three of the four
+        # pair gates in a row (PACK_STEPS over 524 rate samples each); an
+        # explicit dt gives every schedule its uniform grid
+        assert batches == ([3, 3, 1, 1, 1, 1] if opts.dt is None else [])
+    # a schedule past MAX_STEPS in the middle of a batch raises what it
+    # raises alone, after the grids before it
+    huge = (PulseSchedule([two_pi_pulse(1.0, 1e5)], (-20.0, 20.0)), slow)
+    with pytest.raises(StepTooLarge) as alone:
+        _grid(*huge)
+    grids = _times(pairs[:2] + [huge] + pairs[2:], IntegratorOpts())
+    assert all(np.array_equal(next(grids), _grid(sched, s)) for sched, s in pairs[:2])
+    with pytest.raises(StepTooLarge) as batched:
+        next(grids)
+    assert str(batched.value) == str(alone.value)
+
+
 def test_single_pulse_propagate_grid():
     # without dt, propagate steps on the graded grid evolve_operator uses;
     # an explicit dt gives the uniform grid of ceil(span/dt) steps
@@ -264,7 +316,7 @@ def test_single_pulse_propagate_grid():
     sched = schedule_for_pulses([p])
     s = SystemParams(omega_B=larmor_from_field(0.29), trion_lifetime=900.0)
     traj = propagate(StateVector.ket_z(), sched, s)
-    assert np.array_equal(traj.times, _graded_grid(sched, s))
+    assert np.array_equal(traj.times, _grid(sched, s))
     t0, t1 = sched.window
     dt = REFERENCE_TARGET / 1.7
     n = int(np.ceil((t1 - t0) / dt))
@@ -380,7 +432,7 @@ def test_mirrored_propagate_matches_forward_scan(field, ratio):
     s = SystemParams(omega_B=larmor_from_field(field))
     psi0 = np.array([0.6, 0.48j, 0.64])
     traj = propagate(StateVector(psi0), sched, s)
-    times = _graded_grid(sched, s)
+    times = _grid(sched, s)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(times, -times[::-1])
     ref = _step_by_step(_step_matrices([(times, sched)], s), psi0)
@@ -502,7 +554,7 @@ def test_evolve_operators_match_one_gate_at_a_time(step_packs):
     scheds, systems = zip(*cases)
     packs = step_packs
     got = evolve_operators(scheds, systems)
-    steps = [len(_times(sched, s, IntegratorOpts())) - 1 for sched, s in cases]
+    steps = [len(_grid(sched, s)) - 1 for sched, s in cases]
     cap, chunk = propagator.PACK_STEPS, propagator.CHUNK_STEPS
     assert steps[12] > chunk and chunk >= steps[5] > cap
     # gates shared packs of at most cap steps times gates; the two long
@@ -514,7 +566,7 @@ def test_evolve_operators_match_one_gate_at_a_time(step_packs):
     for u, (sched, s), n in zip(got, cases, steps):
         assert np.array_equal(u, evolve_operator(sched, s))
         if n <= propagator.CHUNK_STEPS:
-            times = _times(sched, s, IntegratorOpts())
+            times = _grid(sched, s)
             assert np.array_equal(u, _fold(_step_matrices([(times, sched)], s)) @ np.eye(3))
     # an explicit dt: uniform grids of 765 steps, two gates a pack
     opts = IntegratorOpts(dt=0.05)

@@ -117,15 +117,23 @@ schedule, and one np.interp a schedule (_graded_grids); each grid has
 the bits it gets alone, and the warnings and errors of each schedule
 come when its grid does, as one schedule at a time.
 
-The pack's arrays set the peak memory, and each pack's scan, inverse
-transposes and read-out states are freed before the next pack is built:
-about 2 MB for the step build at 2,048 steps. A grid batch holds its
-cumulative rates, at most PACK_STEPS samples or one schedule's, and each
-grid is built as its schedule is reached. A process running the README
-fidelity sweep with its B = 0 slice peaks at 34.4 MB RSS, as with one
-gate at a time, against 36.0 MB with a cap of 4,096 steps and 39.4 MB
-at 8,192; one running the README phase sweep peaks at 32.0 MB (Python
-3.11, numpy 2.4).
+The pack's arrays set the peak memory. The working arrays of the step
+build and of the scan or fold after it come from one workspace a sweep
+(_Workspace), freed when the sweep ends: 48 vectors of the sweep's
+largest pack resident, 1.6 MB at 2,048 steps. Fresh arrays a pack were
+handed back to the system by the allocator after each pack and
+page-faulted in again by the next: about 7,000 minor faults a round of
+the benchmark's phase-scan, about 400 with the workspace. What a pack
+hands on (its step stack, operators and trajectory rows) is a fresh
+array, and each pack's read-out states are freed before the next pack
+is built. A grid batch holds its cumulative rates, at most PACK_STEPS
+samples or one schedule's, and each grid is built as its schedule is
+reached. A process running the README fidelity sweep with its B = 0
+slice 15 times peaks at 34.3 MB RSS (34.2 MB with fresh arrays a pack),
+against 33.8 MB with one gate at a time, 36.7 MB with a cap of 4,096
+steps and 40.9 MB at 8,192; one running the README phase sweep 15 times
+peaks at 32.6 MB (32.5 MB with fresh arrays; Python 3.11, numpy 2.4,
+glibc 2.36).
 
 Step matrices are built vectorized over a pack, in a component-major
 (3, 3, n) layout so each entry is one contiguous vector, and exponentiated
@@ -484,15 +492,51 @@ def _times(pairs, opts: IntegratorOpts) -> Iterator[np.ndarray]:
             yield _uniform_grid(sched, s, opts) if grids is None else next(grids)
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None,
+         tmp: Optional[np.ndarray] = None) -> np.ndarray:
     """Batched 3x3 products a @ b in the (3, 3, ...) layout, row by row
-    with each entry a contiguous vector."""
-    out = np.empty(a.shape, dtype=complex)
+    with each entry a contiguous vector, into out if given (a fresh array
+    otherwise); tmp, of the shape of a row, holds the terms of each row."""
+    if out is None:
+        out = np.empty(a.shape, dtype=complex)
     for i in range(3):
-        np.multiply(a[i, 0], b[0], out=out[i])
-        out[i] += a[i, 1] * b[1]
-        out[i] += a[i, 2] * b[2]
+        row = np.multiply(a[i, 0], b[0], out=out[i])
+        row += np.multiply(a[i, 1], b[1], out=tmp)
+        row += np.multiply(a[i, 2], b[2], out=tmp)
     return out
+
+
+class _Workspace:
+    """Working arrays of the packs of one _packed call (one sweep), so
+    that every pack reuses the same memory: fresh arrays a pack are handed
+    back to the system by the allocator and page-faulted in again by the
+    next pack.
+
+    Named flat buffers are handed out as contiguous prefixes (a view into
+    a wider stack would slow _mul down by about 30 %). A buffer too small
+    for a request is replaced by one of twice the request: the packs of a
+    sweep grow, and replacing a buffer at every larger pack left a hole in
+    the heap each time, which raised the peak RSS of the benchmark's
+    gate-sweep by 2 %. Pages past the largest pack are never touched, so
+    they add no resident memory.
+
+    "m0" to "m4" hold about a (3, 3, steps) stack of the pack each and
+    "row" a (3, steps) row. Each function names the ones it writes, and a
+    name is reused once what it held is dead: the Magnus-6 terms
+    (_magnus6), then the Taylor powers and squarings (_expm), then the
+    scan's or fold's stack and products. Nothing a pack returns points
+    into them: the step stack, operators and trajectory rows are fresh
+    arrays."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def __call__(self, name: str, shape, dtype=complex) -> np.ndarray:
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        flat = self._flat.get(name)
+        if flat is None or flat.shape[0] < size:
+            flat = self._flat[name] = np.empty(2 * size, dtype=np.uint8)
+        return flat[:size].view(dtype).reshape(shape)
 
 
 def _frame_runs(sched: PulseSchedule, t: np.ndarray):
@@ -523,7 +567,8 @@ def _frame_coupling(t: np.ndarray, pulses: Sequence[PulseParams], k: int) -> np.
     return u
 
 
-def _magnus6(u: np.ndarray, h, w, d: np.ndarray) -> np.ndarray:
+def _magnus6(u: np.ndarray, h, w, d: np.ndarray,
+             ws: Optional[_Workspace] = None) -> np.ndarray:
     """Omega_6 per step from the frame Hamiltonian at the three Gauss nodes.
 
     H = [[0, w, 0], [w, 0, u], [0, u*, d]] with u (3, n) at the nodes,
@@ -534,108 +579,162 @@ def _magnus6(u: np.ndarray, h, w, d: np.ndarray) -> np.ndarray:
     Omega_6 = alpha_1 + alpha_3/12 + [-20*alpha_1 - alpha_3 + C_1, alpha_2 + C_2]/240
     (Blanes, Casas, Oteo & Ros 2009, sec. 4). alpha_2 and alpha_3 hold only
     the (z, trion) entries, so C_1 and C_2 are written out entrywise.
+
+    Every array is written in ws (a fresh workspace without one): W and Z
+    in "m0" and "m1", the vectors Omega_6 needs at the end in "m4", the
+    others in "m2" and "m3" until the two commutator products overwrite
+    them, so Omega_6 is returned in "m2".
     """
+    ws = _Workspace() if ws is None else ws
+    n = u.shape[1]
+    t = ws("row", (3, n))[0]
+    a, b, c, e, p3, q3 = ws("m4", (6, n))
+    du, ddu, p2, q2, c02, c11, c12, c20, c21 = ws("m2", (9, n))
+    y12, y21 = ws("m3", (2, n))
+
+    def scaled(k, x, out):
+        # (k*h)*x, the k*h taken in out
+        return np.multiply(np.multiply(k, h, out=out), x, out=out)
+
+    def diff(x1, y1, x2, y2, out):
+        # x1*y1 - x2*y2
+        np.multiply(x1, y1, out=out)
+        return np.subtract(out, np.multiply(x2, y2, out=t), out=out)
+
     # alpha_1's entries: (zbar, z) = (z, zbar), (z, trion), (trion, z), (trion, trion)
-    a = -1j * h * w
-    b = -1j * h * u[1]
-    c = -1j * h * np.conj(u[1])
-    e = -1j * h * d
-    du = u[2] - u[0]
-    ddu = du - 2.0 * (u[1] - u[0])
-    k2 = (-1j * np.sqrt(15.0) / 3.0) * h
-    k3 = (-10j / 3.0) * h
-    p2, q2 = k2 * du, k2 * np.conj(du)          # alpha_2's (z, trion), (trion, z)
-    p3, q3 = k3 * ddu, k3 * np.conj(ddu)        # alpha_3's
+    scaled(-1j, w, a)
+    scaled(-1j, u[1], b)
+    scaled(-1j, np.conj(u[1], out=t), c)
+    scaled(-1j, d, e)
+    np.subtract(u[2], u[0], out=du)
+    np.subtract(du, np.multiply(2.0, np.subtract(u[1], u[0], out=ddu), out=ddu), out=ddu)
+    # alpha_2's (z, trion), (trion, z), then alpha_3's
+    scaled(-1j * np.sqrt(15.0) / 3.0, du, p2)
+    scaled(-1j * np.sqrt(15.0) / 3.0, np.conj(du, out=t), q2)
+    scaled(-10j / 3.0, ddu, p3)
+    scaled(-10j / 3.0, np.conj(ddu, out=t), q3)
     # C_1; its (trion, trion) entry is -c11
-    c02, c11, c12, c20, c21 = a * p2, b * q2 - c * p2, -e * p2, -a * q2, e * q2
+    np.multiply(a, p2, out=c02)
+    diff(b, q2, c, p2, c11)
+    np.multiply(np.negative(e, out=c12), p2, out=c12)
+    np.multiply(np.negative(a, out=c20), q2, out=c20)
+    np.multiply(e, q2, out=c21)
     # Y = 2*alpha_3 + C_1 differs from C_1 only in y12 and y21
-    y12, y21 = c12 + 2.0 * p3, c21 + 2.0 * q3
+    np.add(c12, np.multiply(2.0, p3, out=y12), out=y12)
+    np.add(c21, np.multiply(2.0, q3, out=y21), out=y21)
     # W = alpha_2 + C_2 = alpha_2 - [alpha_1, Y]/60
-    wm = np.empty((3, 3, u.shape[1]), dtype=complex)
+    wm = ws("m0", (3, 3, n))
     wm[0, 0] = 0.0
-    wm[0, 1] = a * c11 - c * c02
-    wm[0, 2] = a * y12 - e * c02
-    wm[1, 0] = b * c20 - a * c11
-    wm[1, 1] = b * y21 - c * y12
-    wm[1, 2] = a * c02 - 2.0 * b * c11 - e * y12
-    wm[2, 0] = e * c20 - a * y21
-    wm[2, 1] = 2.0 * c * c11 + e * y21 - a * c20
-    wm[2, 2] = c * y12 - b * y21
+    diff(a, c11, c, c02, wm[0, 1])
+    diff(a, y12, e, c02, wm[0, 2])
+    diff(b, c20, a, c11, wm[1, 0])
+    diff(b, y21, c, y12, wm[1, 1])
+    w12 = np.multiply(a, c02, out=wm[1, 2])
+    w12 -= np.multiply(np.multiply(2.0, b, out=t), c11, out=t)
+    w12 -= np.multiply(e, y12, out=t)
+    diff(e, c20, a, y21, wm[2, 0])
+    w21 = np.multiply(np.multiply(2.0, c, out=wm[2, 1]), c11, out=wm[2, 1])
+    w21 += np.multiply(e, y21, out=t)
+    w21 -= np.multiply(a, c20, out=t)
+    diff(c, y12, b, y21, wm[2, 2])
     wm *= -1.0 / 60.0
     wm[1, 2] += p2
     wm[2, 1] += q2
     # Z = -20*alpha_1 - alpha_3 + C_1
-    z = np.empty_like(wm)
+    z = ws("m1", (3, 3, n))
     z[0, 0] = 0.0
-    z[0, 1] = z[1, 0] = -20.0 * a
+    z[1, 0] = np.multiply(-20.0, a, out=z[0, 1])
     z[0, 2] = c02
     z[1, 1] = c11
-    z[1, 2] = c12 - 20.0 * b - p3
+    z12 = np.subtract(c12, np.multiply(20.0, b, out=t), out=z[1, 2])
+    z12 -= p3
     z[2, 0] = c20
-    z[2, 1] = c21 - 20.0 * c - q3
-    z[2, 2] = -20.0 * e - c11
-    omega = _mul(z, wm)
-    omega -= _mul(wm, z)
+    z21 = np.subtract(c21, np.multiply(20.0, c, out=t), out=z[2, 1])
+    z21 -= q3
+    np.subtract(np.multiply(-20.0, e, out=z[2, 2]), c11, out=z[2, 2])
+    rows = ws("row", (3, n))
+    omega = _mul(z, wm, ws("m2", (3, 3, n)), rows)
+    omega -= _mul(wm, z, ws("m3", (3, 3, n)), rows)
     omega *= 1.0 / 240.0
     omega[0, 1] += a
     omega[1, 0] += a
-    omega[1, 2] += b + p3 / 12.0
-    omega[2, 1] += c + q3 / 12.0
+    omega[1, 2] += np.add(b, np.divide(p3, 12.0, out=t), out=t)
+    omega[2, 1] += np.add(c, np.divide(q3, 12.0, out=t), out=t)
     omega[2, 2] += e
     return omega
 
 
-def _taylor(x: np.ndarray) -> np.ndarray:
-    """Degree-8 Taylor polynomial of exp, Paterson-Stockmeyer: 4 products."""
-    x2 = _mul(x, x)
-    x3 = _mul(x2, x)
+def _taylor(x: np.ndarray, ws: _Workspace, out: np.ndarray) -> np.ndarray:
+    """Degree-8 Taylor polynomial of exp, Paterson-Stockmeyer: 4 products,
+    written in out. x2 and x3 take "m0" and "m1" of ws, the b(k) terms
+    "m2" and the partial sum "m4", so x may sit in "m3"."""
+    shape = x.shape
+    rows = ws("row", shape[1:])
+    x2 = _mul(x, x, ws("m0", shape), rows)
+    x3 = _mul(x2, x, ws("m1", shape), rows)
     c = TAYLOR_COEFS
 
     def b(k):
-        # c[k] + c[k+1]*x + c[k+2]*x2, built just before use to keep the peak low
-        bk = c[k + 1] * x + c[k + 2] * x2
+        # c[k] + c[k+1]*x + c[k+2]*x2
+        bk = np.multiply(c[k + 1], x, out=ws("m2", shape))
         for i in range(3):
+            bk[i] += np.multiply(c[k + 2], x2[i], out=rows)
             bk[i, i] += c[k]
         return bk
 
     # b0 + x3 @ (b1 + x3 @ b2), accumulated in place
-    e = _mul(x3, b(6))
+    e = _mul(x3, b(6), ws("m4", shape), rows)
     e += b(3)
-    e = _mul(x3, e)
-    e += b(0)
+    b0 = b(0)
+    e = _mul(x3, e, out, rows)
+    e += b0
     return e
 
 
-def _expm(x: np.ndarray) -> np.ndarray:
+def _expm(x: np.ndarray, ws: Optional[_Workspace] = None) -> np.ndarray:
     """exp of each (3, 3) slice by scaling and squaring: every matrix is
     scaled by 2^-k to 1-norm <= TAYLOR_THETA with its own k, all go through
     one Taylor pass, and squaring level l touches only the slices with
-    k >= l. x is left unchanged; where the caller keeps no reference to
-    it (see _step_matrices), CPython 3.11 and later free the unscaled stack
-    before the Taylor pass."""
-    norm = np.abs(x).sum(axis=0).max(axis=0)
+    k >= l. x is left unchanged. The working arrays are taken from ws (a
+    fresh workspace without one), the scaled stack from its "m3", and x
+    may be its "m2" (see _magnus6); the result is a fresh array. Levels up
+    to the smallest k square every slice, alternating between the result
+    and "m0" so that the last of them lands in the result; every later
+    level squares a compressed copy of its slices in "m1" and "m2" and
+    scatters it back."""
+    ws = _Workspace() if ws is None else ws
+    shape = x.shape
+    norm = np.abs(x, out=ws("m0", shape, float)).sum(
+        axis=0, out=ws("m1", shape[1:], float)).max(axis=0)
     scale = np.maximum(np.frexp(norm / TAYLOR_THETA)[1], 0)
-    x = x * np.ldexp(1.0, -scale)
-    e = _taylor(x)
-    del x
-    for level in range(1, int(scale.max(initial=0)) + 1):
-        sel = scale >= level
-        if sel.all():
-            e = _mul(e, e)
+    levels = int(scale.max(initial=0))
+    full = int(scale.min(initial=levels))
+    x = np.multiply(x, np.ldexp(1.0, -scale), out=ws("m3", shape))
+    result = np.empty(shape, dtype=complex)
+    buffers = (result, ws("m0", shape))
+    e = _taylor(x, ws, buffers[full % 2])
+    rows = ws("row", shape[1:])
+    for level in range(1, levels + 1):
+        if level <= full:
+            e = _mul(e, e, buffers[(full - level) % 2], rows)
         else:
-            # a masked copy comes out step-major; products want entries contiguous
-            sq = np.ascontiguousarray(e[..., sel])
-            e[..., sel] = _mul(sq, sq)
+            sel = scale >= level
+            sq = np.compress(sel, e, axis=-1,
+                             out=ws("m1", shape[:2] + (int(np.count_nonzero(sel)),)))
+            e[..., sel] = _mul(sq, sq, ws("m2", sq.shape), ws("row", sq.shape[1:]))
     return e
 
 
 def _step_matrices(grids: Sequence[Tuple[np.ndarray, PulseSchedule]],
-                   s: SystemParams | Sequence[SystemParams]) -> np.ndarray:
+                   s: SystemParams | Sequence[SystemParams],
+                   ws: Optional[_Workspace] = None) -> np.ndarray:
     """Lab-frame Magnus-6 step matrices of grids laid end to end, as
     (3, 3, total steps). grids holds (times, schedule) pairs and s is one
     SystemParams for all of them or a sequence with one per grid; in each
     grid's segment, slice k maps psi(times[k]) to psi(times[k + 1]) under
-    its schedule and system. Every step is built as it would be alone."""
+    its schedule and system. Every step is built as it would be alone.
+    The working arrays of _magnus6 and _expm come from ws (see
+    _Workspace); the returned stack is a fresh array."""
     systems = [s] * len(grids) if isinstance(s, SystemParams) else s
     t = np.concatenate([times[:-1] for times, _ in grids])
     t_next = np.concatenate([times[1:] for times, _ in grids])
@@ -659,8 +758,8 @@ def _step_matrices(grids: Sequence[Tuple[np.ndarray, PulseSchedule]],
             u[:, run] = _frame_coupling(nodes[:, run], sched.pulses, k)
         start = stop
     del nodes, mid
-    # Omega_6 is passed without a name, so _expm frees it once scaled
-    m = _expm(_magnus6(u, dt, omega_b, delta - 1j * decay))
+    ws = _Workspace() if ws is None else ws
+    m = _expm(_magnus6(u, dt, omega_b, delta - 1j * decay, ws), ws)
     # to the lab frame, D(t + dt)^dagger exp(Omega_6) D(t), where D(t)
     # multiplies the trion amplitude by exp(-i*Delta_k*(t - c_k))
     m[:, 2] *= np.exp(-1j * delta * (t - center))
@@ -675,12 +774,15 @@ def _chunks(times: np.ndarray):
         yield a, times[a:min(a + CHUNK_STEPS, n) + 1]
 
 
-def _stack(m: np.ndarray, lengths: Sequence[int], width: int) -> np.ndarray:
+def _stack(m: np.ndarray, lengths: Sequence[int], width: int,
+           ws: Optional[_Workspace] = None) -> np.ndarray:
     """Segments of m, of the given lengths laid end to end, as the rows of a
     (3, 3, segments, width) stack, each padded with identities after its
     last step: an exact identity there changes no bits of the row's
-    products."""
-    stack = np.zeros((3, 3, len(lengths), width), dtype=complex)
+    products. The stack is "m2" of ws if given, a fresh array otherwise."""
+    shape = (3, 3, len(lengths), width)
+    stack = np.empty(shape, dtype=complex) if ws is None else ws("m2", shape)
+    stack[...] = 0.0
     for i in range(3):
         stack[i, i] = 1.0
     a = 0
@@ -690,7 +792,8 @@ def _stack(m: np.ndarray, lengths: Sequence[int], width: int) -> np.ndarray:
     return stack
 
 
-def _running_products(m: np.ndarray, lengths: Optional[Sequence[int]] = None) -> np.ndarray:
+def _running_products(m: np.ndarray, lengths: Optional[Sequence[int]] = None,
+                      ws: Optional[_Workspace] = None) -> np.ndarray:
     """m[..., a + k] @ ... @ m[..., a] for every step k of every segment:
     m holds segments of the given lengths end to end, and the products
     restart at each segment's first step a, returned as a (3, 3, segments,
@@ -707,21 +810,28 @@ def _running_products(m: np.ndarray, lengths: Optional[Sequence[int]] = None) ->
     (the same scan one level up), and one batched product applies them to
     every block after each row's first. So each segment gets the bits it
     gets as a pack of one wherever both double, as every row of a pack of
-    more than one does (see PACK_STEPS). m may be overwritten."""
+    more than one does (see PACK_STEPS). m may be overwritten. The stack
+    is "m2" of ws (a fresh workspace without one), and the batched
+    products are written in its "m0" before they are copied into it."""
     n = m.shape[-1]
     if lengths is None:
         if n <= SCAN_BLOCK:
             for k in range(1, n):
                 m[..., k] = m[..., k] @ m[..., k - 1]
             return m
-        return _running_products(m, [n])[:, :, 0, :n]
+        return _running_products(m, [n], ws)[:, :, 0, :n]
+    ws = _Workspace() if ws is None else ws
+
+    def product(a, b):
+        return _mul(a, b, ws("m0", a.shape), ws("row", a.shape[1:]))
+
     counts = [-(-k // SCAN_BLOCK) for k in lengths]
-    blocks = _stack(m, lengths, max(counts) * SCAN_BLOCK)
+    blocks = _stack(m, lengths, max(counts) * SCAN_BLOCK, ws)
     blocks = blocks.reshape(3, 3, len(lengths), -1, SCAN_BLOCK)
     if blocks.shape[3] <= SCAN_DOUBLING_BLOCKS:
         d = 1
         while d < SCAN_BLOCK:
-            blocks[..., d:] = _mul(blocks[..., d:], blocks[..., :-d])
+            blocks[..., d:] = product(blocks[..., d:], blocks[..., :-d])
             d *= 2
     else:
         for j in range(1, SCAN_BLOCK):
@@ -729,14 +839,13 @@ def _running_products(m: np.ndarray, lengths: Optional[Sequence[int]] = None) ->
     upto = [_running_products(np.ascontiguousarray(blocks[:, :, i, :nb - 1, -1]))
             for i, nb in enumerate(counts)]
     upto = _stack(np.concatenate(upto, axis=-1), [nb - 1 for nb in counts], blocks.shape[3] - 1)
-    blocks[:, :, :, 1:] = _mul(blocks[:, :, :, 1:], upto[..., None])
+    blocks[:, :, :, 1:] = product(blocks[:, :, :, 1:], upto[..., None])
     return blocks.reshape(3, 3, len(lengths), -1)
 
 
-def _inverse_transpose(a: np.ndarray) -> np.ndarray:
-    """(a^-1)^T of each slice of a (3, 3, ...) stack: its cofactor matrix
-    over its determinant."""
-    cof = np.empty(a.shape, dtype=complex)
+def _inverse_transpose(a: np.ndarray, cof: np.ndarray) -> np.ndarray:
+    """(a^-1)^T of each slice of a (3, 3, ...) stack, written in cof: its
+    cofactor matrix over its determinant."""
     for i in range(3):
         i1, i2 = (i + 1) % 3, (i + 2) % 3
         for j in range(3):
@@ -813,19 +922,21 @@ def _packs(entries):
 
 
 def _packed(pieces, reduce):
-    """The list reduce(steps, lengths, targets) returns for each pack of
+    """The list reduce(steps, lengths, targets, ws) returns for each pack of
     pieces, (steps it packs as, (times, schedule, system, target)) each
     (see _packs), in order: one _step_matrices pass builds the steps of the
     pack's grid pieces laid end to end, of the given lengths, and reduce
     scans or folds them. reduce returns a list, so its arrays are freed
-    before the next pack is built."""
+    before the next pack is built. Every pack's step build works in one
+    workspace (see _Workspace), freed with the generator."""
+    ws = _Workspace()
     for pack in _packs(pieces):
         times, scheds, systems, targets = zip(*pack)
-        yield reduce(_step_matrices(list(zip(times, scheds)), systems),
-                     [t.shape[0] - 1 for t in times], targets)
+        yield reduce(_step_matrices(list(zip(times, scheds)), systems, ws),
+                     [t.shape[0] - 1 for t in times], targets, ws)
 
 
-def _scan(m, lengths, targets):
+def _scan(m, lengths, targets, ws):
     """The _Rows whose last piece is in this pack, from the pack's steps m
     (see _packed) and its pieces' (rows, a, mirrored) targets, a the grid
     row a piece starts at.
@@ -853,7 +964,8 @@ def _scan(m, lengths, targets):
     alone.
     """
     lone_forward = len(targets) == 1 and not targets[0][2]
-    v = _running_products(m)[:, :, None] if lone_forward else _running_products(m, lengths)
+    v = (_running_products(m, ws=ws)[:, :, None] if lone_forward
+         else _running_products(m, lengths, ws))
     del m
     halves = np.array([mirrored for *_, mirrored in targets])
     start = np.array([rows.psi0 if mirrored else rows.psi for rows, _, mirrored in targets])
@@ -864,7 +976,8 @@ def _scan(m, lengths, targets):
     # einsum writes a fresh array in about a third of the time it takes to
     # write into a view of states
     after = np.einsum("ijkl,kj->kli", v, start)
-    before = np.einsum("ijkl,kj->kli", _inverse_transpose(v), start) if c else None
+    before = (np.einsum("ijkl,kj->kli", _inverse_transpose(v, ws("m1", v.shape)), start)
+              if c else None)
     del v
     states = np.empty((len(lengths), c + after.shape[1] + 1, 3), dtype=complex)
     states[:, c] = start
@@ -885,13 +998,13 @@ def _scan(m, lengths, targets):
     return done
 
 
-def _folds(m, lengths, targets):
+def _folds(m, lengths, targets, ws):
     """(product, target) of each piece of a pack, from the pack's steps m
-    (see _packed): one _fold over their identity-padded stack (see
+    (see _packed): one _fold over their identity-padded stack in ws (see
     _stack), with m freed before it."""
-    stack = _stack(m, lengths, max(lengths))
+    stack = _stack(m, lengths, max(lengths), ws)
     del m
-    return list(zip(np.ascontiguousarray(np.moveaxis(_fold(stack), -1, 0)), targets))
+    return list(zip(np.moveaxis(_fold(stack), -1, 0).copy(), targets))
 
 
 def propagate_many(psi0s: Sequence[StateVector], scheds: Sequence[PulseSchedule],

@@ -50,8 +50,12 @@ def parse_grid(spec: str) -> np.ndarray:
     domain for odd functions of the ratio.
     """
     if spec.startswith(("log:", "lin:")):
-        kind, lo_s, hi_s, n_s = spec.split(":")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+        try:
+            kind, lo_s, hi_s, n_s = spec.split(":")
+            lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+        except ValueError:
+            raise ValueError("grid %r is not %s:lo:hi:n with numbers lo, hi and "
+                             "an integer n" % (spec, spec[:3])) from None
         if n < 1:
             raise ValueError("grid needs at least one point")
         if kind == "lin":
@@ -77,14 +81,14 @@ def _float_list(spec: str):
     return [float(x) for x in spec.split(",")]
 
 
-def _values(flag: str, parse, spec: str):
-    """parse(spec), refused with the flag named if it fails or gives no
-    value."""
+def _values(flag: str, parse, spec: str, allow_empty: bool = False):
+    """parse(spec), refused with the flag named if it fails, or if it gives
+    no value unless allow_empty."""
     try:
         values = parse(spec)
     except ValueError as exc:
         raise ValueError("%s: %s" % (flag, exc)) from None
-    if len(values) == 0:
+    if len(values) == 0 and not allow_empty:
         raise ValueError("%s needs at least one value" % flag)
     return values
 
@@ -110,7 +114,7 @@ def _matrix_json(m: np.ndarray):
 
 
 def cmd_phases(args) -> int:
-    ratios = parse_grid(args.ratios)
+    ratios = _values("--ratios", parse_grid, args.ratios)
     s = model.SystemParams(omega_B=model.larmor_from_field(args.B, args.g))
     methods = ["analytic", "numeric"] if args.method == "both" else [args.method]
     rows = []
@@ -170,8 +174,9 @@ def cmd_fidelity(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    deltas = _float_list(args.delta)
-    centers = _float_list(args.centers)
+    # no detunings is a pulseless window, which needs --t0/--t1 (below)
+    deltas = _values("--delta", _float_list, args.delta, allow_empty=True)
+    centers = _values("--centers", _float_list, args.centers, allow_empty=True)
     if len(deltas) == 1 and not centers:
         centers = [0.0]
     if len(centers) != len(deltas):

@@ -9,6 +9,7 @@ throughout.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ ENVELOPE_TAIL_ARG = float(np.arccosh(1e8))
 def _require_finite(**values) -> None:
     """Reject NaN and +-inf where the types are built, naming the parameter."""
     for name, value in values.items():
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ValueError("%s must be finite, got %r" % (name, float(value)))
 
 

@@ -6,7 +6,11 @@ z = (tanh(eta*(t - t_c)) + 1)/2 with a = Omega/eta and
 c = (1 + i*Delta/eta)/2. For a 2*pi pulse a = 1 and both are elementary
 (NIST DLMF 15.8): 2F1(1, -1; c; z) = 1 - z/c terminates, and
 2F1(1 + c, c - 1; 1 + c; z) = (1 - z)^(1 - c). rz_state evaluates these
-forms with numpy alone.
+forms for one time point on Python floats (math and cmath), in half the
+time a call took on numpy scalars. A vectorized Y(t) over a time grid
+(ROADMAP item 10) should be a function of its own: routing scalar rz_state
+calls through numpy would give that factor 2 back on every closed-form
+trajectory.
 
 hyp2f1 sums 2F1(a, b; c; z) for complex parameters and z in [0, 1]. Its
 Gauss-sum and connection-formula branches take their gamma-function ratios
@@ -31,11 +35,6 @@ from .model import PulseParams, StateVector
 
 SERIES_RTOL = 1e-12
 SERIES_MAX_TERMS = 10 ** 6
-# rz_state returns the t -> inf limit (the "far future" of its limit tests)
-# once the trion amplitude left, about 2*sqrt(1 - z) for a 2*pi pulse, is
-# below RZ_TAIL_ATOL: 1 - z < RZ_TAIL_LIMIT, eta*(t - t_c) > 23.7
-RZ_TAIL_ATOL = 1e-10
-RZ_TAIL_LIMIT = (RZ_TAIL_ATOL / 2.0) ** 2
 LANCZOS_G = 7.0
 LANCZOS_COEFFS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028,
                   771.32342877765313, -176.61502916214059, 12.507343278686905,
@@ -172,32 +171,44 @@ def hyp2f1(h: HypParams) -> complex:
     return f1 + f2
 
 
+def _log1p_exp(y: float) -> float:
+    """log(1 + e^y), exact to rounding for every y and never overflowing."""
+    if y > 0.0:
+        return y + math.log1p(math.exp(-y))
+    return math.log1p(math.exp(y))
+
+
 def rz_state(t: float, p: PulseParams) -> StateVector:
     """Closed-form state at time t for a single 2*pi pulse, precession neglected.
 
-    Initial condition is |z> in the far past. The zbar amplitude is
-    identically zero in this approximation; do not extrapolate it to
-    omega_B > 0. The amplitudes are c_z = 1 - z/c and
-    c_tau = -(i/c) * z^c * (1 - z)^(1 - c), with log z and log(1 - z)
-    taken as -logaddexp(0, -+2x), x = eta*(t - t_c): neither z nor 1 - z is
-    formed as 1 minus the other, so the trion amplitude keeps its digits in
-    both tails. Pulses of another area are refused with ValueError.
+    t is one float (numpy float64 included); t = -inf and +inf are the far
+    past and future, NaN is refused with ValueError. Initial condition is
+    |z> in the far past. The zbar amplitude is identically zero in this
+    approximation; do not extrapolate it to omega_B > 0. The amplitudes are
+    c_z = 1 - z/c and c_tau = -(i/c) * z^c * (1 - z)^(1 - c), with log z and
+    log(1 - z) taken as -log(1 + e^(-+2x)), x = eta*(t - t_c): neither z nor
+    1 - z is formed as 1 minus the other, so the trion amplitude keeps its
+    digits in both tails, at every t. c_tau is exactly 0 only where
+    |z^c * (1 - z)^(1 - c)| underflows. Pulses of another area are refused
+    with ValueError.
     """
     if not p.is_two_pi:
         raise ValueError("rz_state needs a 2*pi pulse (rabi_peak == bandwidth), "
                          "got rabi_peak = %r, bandwidth = %r" % (p.rabi_peak, p.bandwidth))
+    t = float(t)
+    if math.isnan(t):
+        raise ValueError("t must be a number, got nan")
     x = p.bandwidth * (t - p.center)
-    log_z = -np.logaddexp(0.0, -2.0 * x)
-    log_z1 = -np.logaddexp(0.0, 2.0 * x)        # log(1 - z)
+    log_z = -_log1p_exp(-2.0 * x)
+    log_z1 = -_log1p_exp(2.0 * x)               # log(1 - z)
     c = 0.5 * (1.0 + 1j * p.detuning / p.bandwidth)
-    if np.exp(log_z1) < RZ_TAIL_LIMIT:
-        return StateVector(np.array([0.0, 1.0 - 1.0 / c, 0.0]))
-    z = np.exp(log_z)
-    if z == 0.0:
-        c_tau = 0.0                              # z^c -> 0 since Re c = 1/2 > 0
+    # Re c = Re(1 - c) = 1/2: the real part of the exponent. Where its exp
+    # underflows, c_tau is 0 in doubles, and the imaginary part may be inf
+    if math.exp(0.5 * (log_z + log_z1)) == 0.0:
+        c_tau = 0j
     else:
-        c_tau = -(1j / c) * np.exp(c * log_z + (1.0 - c) * log_z1)
-    return StateVector(np.array([0.0, 1.0 - z / c, c_tau]))
+        c_tau = -(1j / c) * cmath.exp(c * log_z + (1.0 - c) * log_z1)
+    return StateVector(np.array([0.0, 1.0 - math.exp(log_z) / c, c_tau]))
 
 
 def overall_phase(omega: float, delta: float) -> float:

@@ -61,6 +61,7 @@ def test_grid_specs():
     res = run("phases", "--ratios", "lin:1:3:3")
     assert [float(l.split(",")[0]) for l in res.stdout.strip().split("\n")[1:]] \
         == [1.0, 2.0, 3.0]
+    assert res.stdout == run("phases", "--ratios", "1,2,3").stdout
     res = run("phases", "--ratios", "log:0.1:10:3")
     vals = [float(l.split(",")[0]) for l in res.stdout.strip().split("\n")[1:]]
     assert vals == pytest.approx([0.1, 1.0, 10.0], rel=1e-12)
@@ -283,6 +284,23 @@ def test_empty_list_refused_by_flag(args, flag):
     assert res.stderr.startswith("error: %s" % flag)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["phases", "--ratios=abc"], "--ratios: could not convert"),
+    (["phases", "--ratios=log:1:2"], "--ratios: grid 'log:1:2' is not log:lo:hi:n"),
+    (["phases", "--ratios=lin:0:1:2.5"], "--ratios: grid 'lin:0:1:2.5' is not lin:lo:hi:n"),
+    (["fidelity", "--sweep", "--angles=lin:-3:x:25"], "--angles: grid 'lin:-3:x:25'"),
+    (["simulate", "--delta=abc"], "--delta: could not convert"),
+    (["simulate", "--delta=1", "--centers=x"], "--centers: could not convert"),
+])
+def test_malformed_values_refused_by_flag(argv, message, capsys):
+    # these used to fail in float() or in unpacking a grid spec, with
+    # "not enough values to unpack (expected 4, got 3)" and no flag named
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: " + message)
+
+
 def test_simulate_without_pulses_needs_window():
     assert run("simulate").returncode == 2
     # centers without detunings are an error, not an empty schedule
@@ -291,6 +309,9 @@ def test_simulate_without_pulses_needs_window():
     assert "--centers must list one center per detuning" in res.stderr
     res = run("simulate", "--t0", "0", "--t1", "100", "--B", "0.29", "--stride", "50")
     assert res.returncode == 0
+    # an explicitly empty list is the same pulseless window
+    assert run("simulate", "--delta=", "--centers=", "--t0", "0", "--t1", "100",
+               "--B", "0.29", "--stride", "50").stdout == res.stdout
 
 
 def test_simulate_coarse_dt_exit_1():

@@ -4,6 +4,8 @@ The high-precision oracle is mpmath (test-only dependency); production code
 never imports it.
 """
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -167,11 +169,26 @@ def test_rz_state_limits():
     assert np.angle(fut[1]) == pytest.approx(overall_phase(1.0, 0.7), abs=1e-8)
 
 
+def _rz_reference(t, r):
+    """(c_z, c_tau) of a 2*pi pulse at eta = 1 from the 2F1 forms in mpmath at
+    40 digits, where z = 1 - e^(-80) at eta*t = 40 still differs from 1;
+    t = -inf and +inf are the pulse's far past and far future."""
+    a = mp.mpf(1)
+    with mp.workdps(40):
+        c = mp.mpc(0.5, 0.0 if r == np.inf else 0.5 / r)
+        if np.isinf(t):
+            return (1.0 + 0j, 0j) if t < 0 else (complex(1 - 1 / c), 0j)
+        z = 1 / (1 + mp.exp(-2 * mp.mpf(t)))
+        c_z = mp.hyp2f1(a, -a, c, z)
+        c_tau = -(1j * a / c) * mp.exp(c * mp.log(z)) * mp.hyp2f1(a + c, c - a, 1 + c, z)
+        return complex(c_z), complex(c_tau)
+
+
 def test_rz_state_resonant_final_phase_pi():
     p = two_pi_pulse(1.0, 0.0)
     fut = rz_state(25.0, p).amplitudes
     assert fut[1] == pytest.approx(-1.0 + 0j, abs=1e-12)  # e^{i pi}, exactly -1 here
-    assert fut[2] == 0.0
+    assert abs(fut[2] - _rz_reference(25.0, np.inf)[1]) < 1e-14  # |c_tau| = 2.8e-11
 
 
 @pytest.mark.parametrize("r", [1.0, -1.0, 10.0, -10.0])
@@ -180,29 +197,25 @@ def test_rz_state_tail_against_mpmath(r):
     # trion amplitude keeps its digits where z rounds to 1 (eta*t >~ 18.5),
     # inside the default window of arccosh(1e8)/eta ~ 19.1/eta
     p = two_pi_pulse(1.0, 1.0 / r)
-    a, c = mp.mpf(1), mp.mpc(0.5, 0.5 / r)
     for t in (14.5, 17.0, 19.0):
-        z = 1 / (1 + mp.exp(-2 * mp.mpf(t)))
-        c_z = mp.hyp2f1(a, -a, c, z)
-        c_tau = -(1j * a / c) * mp.exp(c * mp.log(z)) * mp.hyp2f1(a + c, c - a, 1 + c, z)
+        c_z, c_tau = _rz_reference(t, r)
         got = rz_state(t, p).amplitudes
-        assert abs(got[1] - complex(c_z)) < 1e-10
-        assert abs(got[2] - complex(c_tau)) < 1e-10
+        assert abs(got[1] - c_z) < 1e-10
+        assert abs(got[2] - c_tau) < 1e-10
 
 
 @pytest.mark.parametrize("r", [s * m for m in (0.001, 0.005, 0.01, 1.0, 100.0, 1000.0)
                                for s in (1.0, -1.0)])
 def test_rz_state_against_mpmath_small_and_large_ratios(r):
-    # |Delta|/eta from 0.001 to 1000, so |Im c| from 5e-4 to 500
+    # |Delta|/eta from 0.001 to 1000, so |Im c| from 5e-4 to 500; times over
+    # the pulse, through both tails out to |eta*t| = 40, and t = +-inf
     p = two_pi_pulse(1.0, 1.0 / r)
-    a, c = mp.mpf(1), mp.mpc(0.5, 0.5 / r)
+    tails = np.array([13.0, 15.0, 18.5, 21.0, 23.6, 23.8, 25.0, 28.0, 32.0, 36.0, 40.0, np.inf])
     worst = 0.0
-    for t in np.linspace(-12.0, 12.0, 49):
-        z = 1 / (1 + mp.exp(-2 * mp.mpf(t)))
-        c_z = mp.hyp2f1(a, -a, c, z)
-        c_tau = -(1j * a / c) * mp.exp(c * mp.log(z)) * mp.hyp2f1(a + c, c - a, 1 + c, z)
-        got = rz_state(float(t), p).amplitudes
-        worst = max(worst, abs(got[1] - complex(c_z)), abs(got[2] - complex(c_tau)))
+    for t in np.concatenate([np.linspace(-12.0, 12.0, 49), tails, -tails]):
+        c_z, c_tau = _rz_reference(t, r)
+        got = rz_state(t, p).amplitudes
+        worst = max(worst, abs(got[1] - c_z), abs(got[2] - c_tau))
     assert worst < 1e-14
 
 
@@ -217,6 +230,23 @@ def test_rz_state_huge_argument_no_overflow():
     amps = rz_state(-1e6, p).amplitudes
     assert np.all(np.isfinite(amps.view(float)))
     assert abs(amps[1] - 1.0) < 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ratio in (0.0, 1.0, -1e3, 1e300):               # Delta/eta
+            p = two_pi_pulse(1.0, ratio)
+            for t in (30.0, 1e3, 1e6, 1e10, np.inf):
+                for signed in (t, -t):
+                    amps = rz_state(signed, p).amplitudes
+                    assert np.all(np.isfinite(amps.view(float))), (ratio, signed)
+            c = 0.5 * (1.0 + 1j * ratio)
+            assert np.array_equal(rz_state(np.inf, p).amplitudes, [0.0, 1.0 - 1.0 / c, 0.0])
+
+
+def test_rz_state_refuses_nan_time():
+    p = two_pi_pulse(1.0, 1.0)
+    for t in (float("nan"), np.float64("nan")):
+        with pytest.raises(ValueError, match="^t must"):
+            rz_state(t, p)
 
 
 def test_overall_phase_branch():

@@ -164,7 +164,11 @@ def larmor_from_field(B: float, g: float = G_FACTOR_DEFAULT) -> float:
     _require_finite(B=B, g=g)
     if B < 0:
         raise ValueError("B must be nonnegative")
-    return g * BOHR_MAGNETON * B / (2.0 * HBAR) * 1e-12
+    omega_b = g * BOHR_MAGNETON * B / (2.0 * HBAR) * 1e-12
+    if not math.isfinite(omega_b):
+        raise ValueError("B must be small enough that omega_B is finite, got %r at g = %r"
+                         % (float(B), float(g)))
+    return omega_b
 
 
 def bandwidth_from_duration(tau_d: float, convention: str = "time-constant") -> float:

@@ -85,27 +85,23 @@ of about 400, costs about as much in per-call overhead as in arithmetic.
 Both cut every grid into pieces, a mirrored half or else chunks of at
 most CHUNK_STEPS steps, and one rule packs the pieces (_packs):
 consecutive ones share a pack while their count times the most steps
-stays within PACK_STEPS = 2,048 steps, so a longer piece is a pack of
-one. A half counts as its whole grid: counted as its own steps, twice as
-many halves share a pack, which put the README phase sweep in 10 packs
-instead of 18 and raised its peak RSS by 0.7 MB. A piece of at most
-SCAN_BLOCK steps is a pack of one too: a forward piece that short scans
-in sequence alone, while a half doubles its prefixes alone or packed.
-One _step_matrices pass builds the pack's Magnus-6 steps, with omega_B
-and Gamma per step, so the fields and lifetimes of one angle share a
-pack (_packed). The steps go into one (3, 3, pieces, width) stack, each
-row padded with identities after its last step (_stack). _fold folds it
-into every piece's product, which multiplies its gate's operator,
-earliest chunk first (width the longest piece); _running_products scans
-it into every piece's running products (width the longest piece in
-whole SCAN_BLOCK blocks), which step a chunk's trajectory on from psi0
-or the previous chunk's last state, and give a half's trajectory both
-halves, the one before the center through their inverse transposes.
-_scan reads the states and norms of the whole pack out of them in one
-pass, a row a piece, and each trajectory keeps its sampled rows. An
-exact identity after a row's last step changes no bits, and each row
-keeps the product order it gets alone, so no trajectory row or operator
-depends on its pack; propagate and evolve_operator are one entry each.
+stays within PACK_STEPS = 2,048 steps, a half counting as its whole grid,
+so a longer piece is a pack of one. One _step_matrices pass builds the
+pack's Magnus-6 steps, with omega_B and Gamma per step, so the fields and
+lifetimes of one angle share a pack (_packed). The steps go into one
+(3, 3, pieces, width) stack, each row padded with identities after its
+last step (_stack). _fold folds it into every piece's product, which
+multiplies its gate's operator, earliest chunk first (width the longest
+piece); _running_products scans it into every piece's running products
+(width the longest piece in whole SCAN_BLOCK blocks), which step a
+chunk's trajectory on from psi0 or the previous chunk's last state, and
+give a half's trajectory both halves, the one before the center through
+their inverse transposes. _scan reads the states and norms of the whole
+pack out of them in one pass, a row a piece, and each trajectory keeps
+its sampled rows. An exact identity after a row's last step changes no
+bits, and each row keeps the product order it gets alone, so no
+trajectory row or operator depends on its pack; propagate and
+evolve_operator are one entry each.
 
 Grids come in batches ahead of the packs (_times): consecutive graded
 schedules that share a window, pulse centers and bandwidths, every
@@ -120,27 +116,48 @@ come when its grid does, as one schedule at a time.
 The pack's arrays set the peak memory. The working arrays of the step
 build and of the scan or fold after it come from one workspace a sweep
 (_Workspace), freed when the sweep ends: 48 vectors of the sweep's
-largest pack resident, 1.6 MB at 2,048 steps. Fresh arrays a pack were
-handed back to the system by the allocator after each pack and
-page-faulted in again by the next: about 7,000 minor faults a round of
-the benchmark's phase-scan, about 400 with the workspace. What a pack
-hands on (its step stack, operators and trajectory rows) is a fresh
-array, and each pack's read-out states are freed before the next pack
-is built. A grid batch holds its cumulative rates, at most PACK_STEPS
-samples or one schedule's, and each grid is built as its schedule is
-reached. A process running the README fidelity sweep with its B = 0
-slice 15 times peaks at 34.3 MB RSS (34.2 MB with fresh arrays a pack),
-against 33.8 MB with one gate at a time, 36.7 MB with a cap of 4,096
-steps and 40.9 MB at 8,192; one running the README phase sweep 15 times
-peaks at 32.6 MB (32.5 MB with fresh arrays; Python 3.11, numpy 2.4,
-glibc 2.36).
+largest pack, 1.6 MB at 2,048 steps. What a pack hands on (its step
+stack, operators and trajectory rows) is a fresh array, and each pack's
+read-out states are freed before the next pack is built. A grid batch
+holds its cumulative rates, at most PACK_STEPS samples or one
+schedule's, and each grid is built as its schedule is reached.
+
+Ledger, one entry a mechanism past one grid at a time: its code, its
+code lines, and its gain end to end (a benchmark workload's cfg/s,
+BENCH_<n>.json) or in-process (15 alternating rounds of a README command
+against a monkeypatched variant, the kept code faster in k/15; 2-core
+Xeon, Python 3.11, numpy 2.4). Reach counts: the benchmark's rounds.
+- Mirrored halves (_even_center, _inverse_transpose, the half in
+  _graded_grids, _trajectory_packs and _scan; about 35 lines): 1.68x on
+  the README phase sweep in-process (ROADMAP.md, code budget); none on
+  gates, which have no even schedules.
+- Packs (_packs, _packed, _stack, _folds, the rows of _running_products;
+  about 40): 1.57x cfg/s on gate-sweep (BENCH_22.json).
+- Workspace (_Workspace and every ws; about 35): 1.13x cfg/s on
+  phase-scan (BENCH_26.json).
+- Grid batches (the runs of _times and _graded_grids, the rows of _rate;
+  about 25): 1.05x on both README sweeps in-process (ROADMAP.md).
+- Alpha batches (the runs of phases.dynamic_phase_numeric; about 15):
+  1.07x on the README phase sweep in-process, 14/15 and 15/15; 36 of
+  phase-scan's 58 passes hold more than one trajectory.
+- Pack read-out (_scan's one pass a pack; about 15): 1.02x to 1.05x on
+  the README phase sweep in-process, 8/15 to 15/15; 36 of phase-scan's
+  58 scans hold more than one piece.
+- Sequential scan past SCAN_DOUBLING_BLOCKS (pieces past 2,048 steps; 4):
+  1.10x in-process on forward chunks (simulate --delta 1000, numeric
+  phases at r = 1e-3), 15/15. No benchmark workload reaches it.
+- Chunking (_chunks; about 10): 1.42x to 1.78x in-process, and a third
+  to a ninth of the traced peak memory, on forward grids of 26,000 and
+  77,000 steps (simulate --delta 1000 and -3000, decay on), 15/15. No
+  benchmark workload reaches it.
+- _expm's full levels (the levels up to the smallest scaling power
+  square every slice; 4): no gain measured. The common case: 43 of
+  phase-scan's 58 step builds and 12 of gate-sweep's 104.
 
 Step matrices are built vectorized over a pack, in a component-major
 (3, 3, n) layout so each entry is one contiguous vector, and exponentiated
-by batched scaling and squaring of a Taylor polynomial. Every trajectory
-reads its states off the running products of its pieces' step matrices;
-an operator comes from a pairwise fold. Grids depend only on the inputs,
-so runs are bit-reproducible.
+by batched scaling and squaring of a Taylor polynomial. Grids depend only
+on the inputs, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -514,11 +531,8 @@ class _Workspace:
 
     Named flat buffers are handed out as contiguous prefixes (a view into
     a wider stack would slow _mul down by about 30 %). A buffer too small
-    for a request is replaced by one of twice the request: the packs of a
-    sweep grow, and replacing a buffer at every larger pack left a hole in
-    the heap each time, which raised the peak RSS of the benchmark's
-    gate-sweep by 2 %. Pages past the largest pack are never touched, so
-    they add no resident memory.
+    for a request is replaced by one of twice the request, as the packs
+    of a sweep grow; pages past the largest pack are never touched.
 
     "m0" to "m4" hold about a (3, 3, steps) stack of the pack each and
     "row" a (3, steps) row. Each function names the ones it writes, and a
@@ -726,16 +740,15 @@ def _expm(x: np.ndarray, ws: Optional[_Workspace] = None) -> np.ndarray:
 
 
 def _step_matrices(grids: Sequence[Tuple[np.ndarray, PulseSchedule]],
-                   s: SystemParams | Sequence[SystemParams],
+                   systems: Sequence[SystemParams],
                    ws: Optional[_Workspace] = None) -> np.ndarray:
     """Lab-frame Magnus-6 step matrices of grids laid end to end, as
-    (3, 3, total steps). grids holds (times, schedule) pairs and s is one
-    SystemParams for all of them or a sequence with one per grid; in each
-    grid's segment, slice k maps psi(times[k]) to psi(times[k + 1]) under
-    its schedule and system. Every step is built as it would be alone.
-    The working arrays of _magnus6 and _expm come from ws (see
-    _Workspace); the returned stack is a fresh array."""
-    systems = [s] * len(grids) if isinstance(s, SystemParams) else s
+    (3, 3, total steps). grids holds (times, schedule) pairs and systems
+    one SystemParams per grid; in each grid's segment, slice k maps
+    psi(times[k]) to psi(times[k + 1]) under its schedule and system.
+    Every step is built as it would be alone. The working arrays of
+    _magnus6 and _expm come from ws (see _Workspace); the returned stack
+    is a fresh array."""
     t = np.concatenate([times[:-1] for times, _ in grids])
     t_next = np.concatenate([times[1:] for times, _ in grids])
     dt = t_next - t
@@ -906,13 +919,10 @@ class _Rows:
 def _packs(entries):
     """Packs, as lists of items, of consecutive (steps, item) entries: an
     entry joins the pack while the pack's count times its most steps stays
-    within PACK_STEPS, so an entry of more steps is a pack of one, and so
-    is one of at most SCAN_BLOCK steps: a forward piece that short scans in
-    sequence alone (see _scan)."""
+    within PACK_STEPS, so an entry of more steps is a pack of one."""
     pack, longest = [], 0
     for n, item in entries:
-        if pack and (min(n, longest) <= SCAN_BLOCK
-                     or (len(pack) + 1) * max(longest, n) > PACK_STEPS):
+        if pack and (len(pack) + 1) * max(longest, n) > PACK_STEPS:
             yield pack
             pack, longest = [], 0
         pack.append(item)
@@ -941,31 +951,24 @@ def _scan(m, lengths, targets, ws):
     (see _packed) and its pieces' (rows, a, mirrored) targets, a the grid
     row a piece starts at.
 
-    One _running_products call takes the pack's running products, one row
-    of its stack a piece, except that a lone forward piece scans as a lone
-    segment, in sequence up to SCAN_BLOCK steps as it always has; a half
-    doubles its prefixes wherever it runs, so it keeps its bits. A forward
-    piece's row steps on rows.psi, psi0 or the previous chunk's last
-    state (a chunk of CHUNK_STEPS > PACK_STEPS steps is a pack of one, so
-    the chunk before it is in an earlier pack). A mirrored half's row
-    holds V(s_k) for every k, its last V(T): applied to psi(c) =
-    V(T)^T psi0 they give the half after the center c, and their inverse
-    transposes, in reverse, the half before it (see the module
-    docstring). With decay off V is unitary, so (V^-1)^T = conj(V) and
-    the cofactor inverse is perfectly conditioned; conj(V) itself would
-    carry the steps' unitarity defect, rounding that grows with the
-    squarings of _expm, along the products.
+    One _running_products call takes the pack's running products, a row
+    a piece. A forward piece's row steps on rows.psi, psi0 or the previous
+    chunk's last state (a chunk of CHUNK_STEPS > PACK_STEPS steps is a
+    pack of one, so the chunk before it is in an earlier pack). A mirrored
+    half's row holds V(s_k) for every k, its last V(T): applied to psi(c)
+    = V(T)^T psi0 they give the half after the center c, and their
+    inverse transposes, in reverse, the half before it. With decay off
+    (V^-1)^T = conj(V), and the cofactor inverse is perfectly conditioned;
+    conj(V) itself would carry the steps' unitarity defect, rounding that
+    grows with the squarings of _expm, along the products.
 
-    The states and norms of the whole pack are read out in one pass, a
-    row a piece with its start state in column c: the half before the
-    center (c columns, reversed into grid order) when the pack holds a
-    half, then the start state, then one state per step. Each piece
-    stores its slice of its row, so every state has the bits it gets
-    alone.
+    The states and norms of the whole pack are read out in one pass, a row
+    a piece with its start state in column c: the half before the center
+    (c columns, reversed into grid order) when the pack holds a half, then
+    the start state, then one state per step. Each piece stores its slice
+    of its row, so every state has the bits it gets alone.
     """
-    lone_forward = len(targets) == 1 and not targets[0][2]
-    v = (_running_products(m, ws=ws)[:, :, None] if lone_forward
-         else _running_products(m, lengths, ws))
+    v = _running_products(m, lengths, ws)
     del m
     halves = np.array([mirrored for *_, mirrored in targets])
     start = np.array([rows.psi0 if mirrored else rows.psi for rows, _, mirrored in targets])
@@ -1012,15 +1015,11 @@ def propagate_many(psi0s: Sequence[StateVector], scheds: Sequence[PulseSchedule]
     """Trajectories for each (psi0, schedule) pair, in order, each the one
     propagate returns for its pair.
 
-    Every grid becomes pieces: the half after the center of a grid that
-    propagate would mirror (decay off, no explicit dt, an even schedule
-    with a half of at most CHUNK_STEPS steps), or else chunks of at most
-    CHUNK_STEPS steps, stepped forward from psi0. Consecutive pieces share
-    packs by the rule gates share (see _packs), a half counting as its
-    whole grid, and one pass each builds a pack's steps and takes their
-    running products (see _scan). Entries stay numerically independent:
-    each gets the bits it would get alone. A trajectory is yielded once
-    the pack of its last piece is done, so a caller that lets each go
+    Every grid becomes pieces, the half after the center of a grid that
+    propagate mirrors or else chunks stepped forward from psi0, packed
+    by _packs; one pass each builds a pack's steps and scans them (_scan),
+    and each entry gets the bits it gets alone. A trajectory is yielded
+    once the pack of its last piece is done, so a caller that lets each go
     before the next holds at most one pack's.
     """
     for trajs in _trajectory_packs(psi0s, scheds, s, opts):
@@ -1085,13 +1084,10 @@ def evolve_operators(scheds: Sequence[PulseSchedule], systems: Sequence[SystemPa
     """Evolution operators for each (schedule, system) pair, in order, each
     the one evolve_operator returns for its pair.
 
-    Every grid becomes chunks of at most CHUNK_STEPS steps, and
-    consecutive chunks share packs by the rule trajectories share (see
-    _packs). Grids are built one pack at a time, a pack's steps in one
-    _step_matrices pass (omega_B and Gamma are per-step arrays, so gates
-    of different fields and lifetimes mix) and its products in one fold
-    (see _folds). Each chunk's product multiplies its gate's operator,
-    earliest first.
+    Every grid becomes chunks of at most CHUNK_STEPS steps, packed by
+    _packs; a pack's steps take one _step_matrices pass, gates of any
+    field and lifetime mixed, and one fold (_folds). Each chunk's product
+    multiplies its gate's operator, earliest first.
     """
     opts = opts or IntegratorOpts()
     scheds, systems = list(scheds), list(systems)

@@ -10,6 +10,7 @@ it the Rabi peak, 2*pi pulses) is the fixed experimental knob.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,12 +58,22 @@ def cancel_pair(r1: float, omega: float,
     _require_finite(omega=omega)
     if not omega > 0:
         raise ValueError("omega must be positive")
-    spacing = default_spacing(omega) if spacing is None else float(spacing)
+    if spacing is None:
+        spacing = default_spacing(omega)
+        if not math.isfinite(spacing):
+            raise ValueError("omega must be large enough that the default spacing "
+                             "14/omega is finite, got %r" % float(omega))
+    else:
+        spacing = float(spacing)
     _require_finite(spacing=spacing)
     if spacing < 10.0 / omega:
         raise ValueError("spacing must be at least 10 pulse durations")
-    p1 = two_pi_pulse(bandwidth=omega, detuning=omega / r1, center=0.0)
-    p2 = two_pi_pulse(bandwidth=omega, detuning=-omega * r1, center=spacing)
+    delta1, delta2 = omega / r1, -omega * r1
+    if not (math.isfinite(delta1) and math.isfinite(delta2)):
+        raise ValueError("omega must be small enough that the detunings omega/r1 and "
+                         "-omega*r1 are finite, got %r at r1 = %r" % (float(omega), float(r1)))
+    p1 = two_pi_pulse(bandwidth=omega, detuning=delta1, center=0.0)
+    p2 = two_pi_pulse(bandwidth=omega, detuning=delta2, center=spacing)
     return CancelingPair(r1=float(r1), pulse1=p1, pulse2=p2, spacing=spacing)
 
 

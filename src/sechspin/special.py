@@ -189,8 +189,10 @@ def rz_state(t: float, p: PulseParams) -> StateVector:
     log(1 - z) taken as -log(1 + e^(-+2x)), x = eta*(t - t_c): neither z nor
     1 - z is formed as 1 minus the other, so the trion amplitude keeps its
     digits in both tails, at every t. c_tau is exactly 0 only where
-    |z^c * (1 - z)^(1 - c)| underflows. Pulses of another area are refused
-    with ValueError.
+    |z^c * (1 - z)^(1 - c)| underflows, or where its phase overflows and
+    |c_tau| underflows; where the phase overflows and |c_tau| does not
+    (|Delta/eta| near the largest double), ValueError names t and the
+    detuning. Pulses of another area are refused with ValueError.
     """
     if not p.is_two_pi:
         raise ValueError("rz_state needs a 2*pi pulse (rabi_peak == bandwidth), "
@@ -207,7 +209,15 @@ def rz_state(t: float, p: PulseParams) -> StateVector:
     if math.exp(0.5 * (log_z + log_z1)) == 0.0:
         c_tau = 0j
     else:
-        c_tau = -(1j / c) * cmath.exp(c * log_z + (1.0 - c) * log_z1)
+        try:
+            c_tau = -(1j / c) * cmath.exp(c * log_z + (1.0 - c) * log_z1)
+        except ValueError:
+            # the phase, about Delta*(t - t_c), overflowed (|Delta/eta| past
+            # about 1e305): c_tau is 0 where |c_tau| = e^Re/|c| underflows
+            if math.exp(0.5 * (log_z + log_z1)) / abs(c) != 0.0:
+                raise ValueError("the trion amplitude's phase overflows at t = %r, "
+                                 "detuning = %r" % (t, p.detuning)) from None
+            c_tau = 0j
     return StateVector(np.array([0.0, 1.0 - math.exp(log_z) / c, c_tau]))
 
 

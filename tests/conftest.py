@@ -10,9 +10,9 @@ def step_packs(monkeypatch) -> list:
     step_matrices = propagator._step_matrices
     packs = []
 
-    def counting(grids, s, *ws):
+    def counting(grids, systems, *ws):
         packs.append([times.shape[0] - 1 for times, _ in grids])
-        return step_matrices(grids, s, *ws)
+        return step_matrices(grids, systems, *ws)
 
     monkeypatch.setattr(propagator, "_step_matrices", counting)
     return packs

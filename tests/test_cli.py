@@ -410,6 +410,11 @@ def test_negative_exponent_values_match_attached_form(argv):
     (["simulate", "--delta", "1", "--eta", "-2e0"], "rabi_peak"),
     (["phases", "--ratios", "1", "--wind", "-1e3"], "window"),
     (["simulate", "--delta", "1", "--et", "-inf"], "rabi_peak"),
+    # a value derived from the flag overflows: the default spacing 14/omega,
+    # a detuning and omega_B, which used to be named instead
+    (["design", "--angle", "1", "--omega", "1e-320"], "omega"),
+    (["design", "--angle", "2.9", "--omega", "1e308"], "omega"),
+    (["fidelity", "--angle", "1", "--B", "1e300"], "B"),
 ])
 def test_out_of_range_values_refused_by_name(argv, name):
     res = run(*argv)

@@ -4,6 +4,7 @@ The high-precision oracle is mpmath (test-only dependency); production code
 never imports it.
 """
 
+import re
 import warnings
 
 import mpmath as mp
@@ -240,6 +241,18 @@ def test_rz_state_huge_argument_no_overflow():
                     assert np.all(np.isfinite(amps.view(float))), (ratio, signed)
             c = 0.5 * (1.0 + 1j * ratio)
             assert np.array_equal(rz_state(np.inf, p).amplitudes, [0.0, 1.0 - 1.0 / c, 0.0])
+        # the trion amplitude's phase overflows: where |c_tau| underflows it
+        # is 0, elsewhere the time and the detuning are named
+        for ratio in (1e306, -1e306, 1.7e308, -1.7e308):
+            p = two_pi_pulse(1.0, ratio)
+            for t in (700.0, -700.0):
+                amps = rz_state(t, p).amplitudes
+                assert np.all(np.isfinite(amps.view(float))) and amps[2] == 0.0, (ratio, t)
+        for ratio in (1.7e308, -1.7e308):
+            for t in (1.0, -1.0, 30.0, -30.0):
+                named = re.escape("t = %r, detuning = %r" % (t, ratio))
+                with pytest.raises(ValueError, match=named):
+                    rz_state(t, two_pi_pulse(1.0, ratio))
 
 
 def test_rz_state_refuses_nan_time():

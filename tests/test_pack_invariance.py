@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sechspin.cli import parse_grid
+from sechspin.fidelity import _sequence_for
 from sechspin.model import SystemParams, larmor_from_field, two_pi_pulse
 from sechspin.phases import DEFAULT_WINDOW, _numeric_start, dynamic_phase_numeric
 from sechspin.propagator import PACK_STEPS, IntegratorOpts, PulseSchedule, StepTooLarge
@@ -34,10 +35,7 @@ def ratios(rs, B):
 
 def gate(gamma, omega=2.0 / 3.0):
     """The schedule fidelity_sweep runs for gamma at its default omega."""
-    if abs(gamma) == math.pi:
-        return schedule_for_pulses([two_pi_pulse(omega, 0.0)])
-    pair = design_for_angle(gamma, omega)
-    return schedule_for_pulses([pair.pulse1, pair.pulse2])
+    return schedule_for_pulses(_sequence_for(gamma, omega, 14.0 / omega)[0])
 
 
 def gates(angles, fields):

@@ -144,8 +144,10 @@ def hyp2f1(h: HypParams) -> complex:
     2F1(a+c, c-a; 1+c; 0.5) at a = 0.3, c = 0.5 + 50i is 5.8e-6 (relative)
     from mpmath. z > 0.5 uses the z -> 1 - z connection formula, valid
     because c - a - b is never an integer for the parameter families used
-    here (Re(c-a-b) = 1/2); if it is nearly an integer the direct series is
-    used instead (it still converges for z < 1, just more slowly). The
+    here (Re(c-a-b) = 1/2). Within 1 - z of an integer n its two terms each
+    grow as 1/|c-a-b - n| and cancel, so the direct series is used instead:
+    it still converges for z < 1, and its own error, about
+    SERIES_RTOL/(1 - z) from the terms it drops, is then the smaller. The
     gamma-function branches inherit _loggamma's error, 1.8e-12 at
     |Im c| = 500.
     """
@@ -163,7 +165,7 @@ def hyp2f1(h: HypParams) -> complex:
         return (1.0 - z) ** s * _series(c - a, c - b, c, z)
     if z <= 0.5:
         return _series(a, b, c, z)
-    if abs(s - np.round(s.real)) < 1e-8:
+    if abs(s - np.round(s.real)) < 1.0 - z:
         return _series(a, b, c, z)
     z1 = 1.0 - z
     f1 = _gamma_ratio((c, s), (c - a, c - b)) * _series(a, b, 1.0 - s + 0j, z1)

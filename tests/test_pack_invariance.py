@@ -15,7 +15,7 @@ from sechspin.fidelity import _sequence_for
 from sechspin.model import SystemParams, larmor_from_field, two_pi_pulse
 from sechspin.phases import DEFAULT_WINDOW, _numeric_start, dynamic_phase_numeric
 from sechspin.propagator import PACK_STEPS, IntegratorOpts, PulseSchedule, StepTooLarge
-from sechspin.propagator import _times, evolve_operators, propagate_many, schedule_for_pulses
+from sechspin.propagator import evolve_operators, propagate_many, schedule_for_pulses
 from sechspin.pulsedesign import design_for_angle
 
 
@@ -89,42 +89,12 @@ def start(s):
     return _numeric_start(1.0, [], s, DEFAULT_WINDOW)[0]
 
 
-# each case of the hand-built tests and CI blocks this property replaces
-slow, fast, s29 = system(0.27, 900.0), system(2.7, 900.0), system(0.29)
-GRIDS = ([(even(d), slow) for d in (1.0, -0.5, 30.0)]
-         + [(gate(g), b) for g in (0.5, -2.0) for b in (slow, fast)]
-         + [(gate(math.pi), slow), (gate(1.0), fast), (PulseSchedule([], (-3.0, 5.0)), fast),
-            (gate(3.0), slow)])
-ONE = [even(d) for d in (0.01, 1.0, -3.0, 40.0)] + [even(0.3, 0.5, (-39.0, 41.0))]
-TWO = [PulseSchedule([two_pi_pulse(1.0, 0.667), two_pi_pulse(1.0, -0.667, 21.0)], (-20.0, 41.0)),
-       PulseSchedule([two_pi_pulse(0.7, 2.0), two_pi_pulse(1.3, -0.5, 30.0)], (-30.0, 50.0))]
-PAIR = schedule_for_pulses([two_pi_pulse(1.0, 0.667), two_pi_pulse(1.0, -0.667, 21.0)])
-SHORT, WIDE, SINGLE = window(10.0), window(300.0), even(1.0)
-OPS = [(gate(g, 1.0), system(b, tau)) for g in (-2.0, 0.5, 1.5)
-       for b in (0.0, 0.27, 2.7) for tau in (900.0, math.inf)]
-OPS[4:4] = [(gate(math.pi, 1.0), slow), (even(100.0), system(0.27))]
-OPS[12:12] = [(even(-1e3), system(0.0, 900.0))]
-SINGLES = [(schedule_for_pulses([two_pi_pulse(1.0, d)]), s) for d in (0.0, 0.5, -2.0)
-           for s in (system(0.0, 900.0), system(0.0), slow, system(0.27))]
-TAILS = [0.0015625, 0.5, -0.0015873015873015873, 2.0, 1.0, -0.3]
-SWEEP = [0.3, 1.0, -2.0, 1e-3, 3.7, 0.05, -0.7, 0.005, 20.0, 100.0, -0.01, 1.4, 8.0, -0.2]
+# the pulses of the designed pairs, and the inputs of the former CI blocks
+# that ran the README sweeps in reverse and joined orders; the hand-built
+# invariance tests in test_phases and test_propagator pin their own cases
 EXAMPLES = [
-    [(DEFAULT, GRIDS)], [(IntegratorOpts(dt=0.01), GRIDS)],
-    *([(DEFAULT, [(x, system(b)) for x in ONE + TWO]),
-       (IntegratorOpts(sample_stride=3), [(ONE[1], system(b))]),
-       (DEFAULT, [(x, system(b)) for x in (ONE + TWO)[::-1]])] for b in (0.0, 0.29)),
-    [(DEFAULT, [(x, s29) for x in (SHORT, WIDE, SHORT, WIDE, PAIR, SINGLE, SHORT, PAIR)]),
-     (STRIDE, [(x, system(0.29, 100.0)) for x in (PAIR, SINGLE, WIDE, PAIR, SINGLE)]),
-     (DT, [(x, s29) for x in (SINGLE, PAIR, SINGLE, PAIR)])],
-    *([(DEFAULT, ratios(rs, b)), (DEFAULT, ratios(rs[::-1], b))]
-      for rs in (TAILS, SWEEP) for b in (0.0, 0.29)),
-    [(DEFAULT, OPS), (IntegratorOpts(dt=0.05), SINGLES)],
-    # pack rows of 8 to 1,000 steps; 272 and 273 steps have 16 and 17
-    # block totals, which take the sequential and the doubling upper level
-    [(DT, [(window(0.08 * n - 0.04), fast) for n in (8, 16, 17, 272, 273, 1000)])],
     [(DEFAULT, [(even(p.detuning), system(b)) for p in (pair.pulse1, pair.pulse2)])
      for pair, b in zip(DESIGNED, (0.29, 0.0, 2.7))],
-    # the CI's reordered README commands
     [(DEFAULT, gates(parse_grid("lin:3.0:-3.0:25"), (0.27, 1.35, 2.7)))],
     [(DEFAULT, ratios(parse_grid(spec), 0.29))
      for spec in ("lin:0.03125:6.03125:25", "lin:6.03125:0.03125:25")],
@@ -169,15 +139,3 @@ def test_no_result_depends_on_its_pack(step_packs, calls):
         assert dynamic_phase_numeric(trajs, scheds, s) == alphas
     assert all(len(p) * max(p) <= PACK_STEPS for p in step_packs if len(p) > 1)
 
-
-def test_refused_schedule_in_a_grid_batch_raises_as_alone():
-    # a schedule past MAX_STEPS in the middle of a grid batch raises what it
-    # raises alone, after the grids before it
-    pairs = GRIDS[:2] + [(even(1e5), slow)] + GRIDS[2:]
-    with pytest.raises(StepTooLarge) as lone:
-        next(_times(pairs[2:3], DEFAULT))
-    grids = _times(pairs, DEFAULT)
-    assert all(np.array_equal(next(grids), next(_times([pair], DEFAULT))) for pair in pairs[:2])
-    with pytest.raises(StepTooLarge) as batched:
-        next(grids)
-    assert str(batched.value) == str(lone.value)

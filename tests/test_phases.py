@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sechspin import phases
+from sechspin import phases, propagator
 from sechspin.model import (
     StateVector,
     SystemParams,
@@ -279,6 +279,29 @@ def test_decay_rejected():
         dynamic_phase_numeric([traj], [sched], s)
 
 
+def test_batched_alpha_matches_one_trajectory_at_a_time():
+    # one call integrates consecutive trajectories in one pass; each alpha
+    # has the bits of its trajectory integrated alone, whatever its length,
+    # stride, bandwidth or neighbours (the two-pulse schedules run in a
+    # pass of their own)
+    one = [PulseSchedule([two_pi_pulse(1.0, d)], (-20.0, 20.0)) for d in (0.01, 1.0, -3.0, 40.0)]
+    one.append(PulseSchedule([two_pi_pulse(0.5, 0.3, 1.0)], (-39.0, 41.0)))
+    two = [PulseSchedule([two_pi_pulse(1.0, 0.667), two_pi_pulse(1.0, -0.667, 21.0)], (-20.0, 41.0)),
+           PulseSchedule([two_pi_pulse(0.7, 2.0), two_pi_pulse(1.3, -0.5, 30.0)], (-30.0, 50.0))]
+    for field in (0.0, 0.29):
+        s = SystemParams(omega_B=larmor_from_field(field))
+        cases = ([(sched, None) for sched in one + two]
+                 + [(one[1], IntegratorOpts(sample_stride=3))])
+        trajs = [propagate(StateVector.ket_z(), sched, s, opts) for sched, opts in cases]
+        scheds = [sched for sched, _ in cases]
+        assert len({traj.times.shape[0] for traj in trajs}) == len(trajs)
+        alone = [dynamic_phase_numeric([traj], [sched], s)[0] for traj, sched in zip(trajs, scheds)]
+        assert dynamic_phase_numeric(trajs, scheds, s) == alone
+        assert dynamic_phase_numeric(trajs[::-1], scheds[::-1], s) == alone[::-1]
+    with pytest.raises(DecayForbidden):
+        dynamic_phase_numeric(trajs, scheds, SystemParams(trion_lifetime=900.0))
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         dynamic_phase_analytic(0.0, 1.0)
@@ -337,6 +360,46 @@ def test_analytic_sweep_rows_equal_decompose():
     for omega, window in ((1.0, phases.DEFAULT_WINDOW), (2.0, 30.0)):
         rows = sweep_ratio(rs, "analytic", omega=omega, window=window)
         assert rows == [decompose(omega, omega / r, "analytic", window=window) for r in rs]
+
+
+@pytest.mark.parametrize("field", [0.0, 0.29])
+def test_numeric_sweep_packs_match_lone_decompositions(step_packs, field):
+    # consecutive ratios share packs while their count times the longest
+    # grid (twice the half) stays within PACK_STEPS; r = 0.005 and -0.01
+    # (2,603 and 1,302 half steps) run alone and r = 1e-3 (13,012, past
+    # CHUNK_STEPS) steps forward, in three chunks and a tail of 1,448 steps,
+    # each a pack of one. In either order every row has the bits of its
+    # ratio decomposed alone
+    rs = [0.3, 1.0, -2.0, 1e-3, 3.7, 0.05, -0.7, 0.005, 20.0, 100.0, -0.01, 1.4, 8.0, -0.2]
+    s = SystemParams(omega_B=larmor_from_field(field))
+    alone = {r: decompose(1.0, 1.0 / r, "numeric", s) for r in rs}
+    packs = step_packs
+    chunk = propagator.CHUNK_STEPS
+    for order in (rs, rs[::-1]):
+        packs.clear()
+        assert sweep_ratio(order, "numeric", s) == [alone[r] for r in order]
+        assert [p for p in packs if len(p) > 1] and max(map(len, packs)) >= 3
+        assert all(len(p) * 2 * max(p) <= propagator.PACK_STEPS for p in packs if len(p) > 1)
+        assert [2603] in packs and [1302] in packs
+        assert packs.count([chunk]) == 3 and [2 * 13012 - 3 * chunk] in packs
+        assert sum(map(len, packs)) == len(rs) - 1 + 4
+
+
+@pytest.mark.parametrize("field", [0.0, 0.29])
+def test_forward_tails_share_packs_with_lone_bits(step_packs, field):
+    # r = 0.0015625 and -0.0015873... have halves past CHUNK_STEPS, so their
+    # grids step forward in chunks; the tail of 272 steps shares a pack with
+    # r = 0.5's half of 142 when it comes first, and the tail of 12 steps
+    # shares a pack with the halves after it. In either order every row
+    # has the bits of its ratio decomposed alone
+    rs = [0.0015625, 0.5, -0.0015873015873015873, 2.0, 1.0, -0.3]
+    s = SystemParams(omega_B=larmor_from_field(field))
+    alone = {r: decompose(1.0, 1.0 / r, "numeric", s) for r in rs}
+    packs = step_packs
+    for order, tails in ((rs, ([272, 142], [12, 105, 114, 174])), (rs[::-1], ([272], [12, 142]))):
+        packs.clear()
+        assert sweep_ratio(order, "numeric", s) == [alone[r] for r in order]
+        assert all(tail in packs for tail in tails)
 
 
 def test_sweep_ratio():

@@ -266,6 +266,54 @@ def test_graded_grid_refuses_huge_window():
         evolve_operator(sched, SystemParams())
 
 
+@pytest.mark.filterwarnings("ignore:omega_B/eta")   # 2.7 T gives omega_B/eta = 0.102
+def test_batched_grids_match_one_schedule_grids(monkeypatch):
+    # consecutive schedules that share a window, centers and bandwidths get
+    # their grids from one pass; each grid has the bits it gets alone. At
+    # 2.7 T the omega_B floor binds in the gates' tails; the pi gate has a
+    # window of its own, so it splits the pair gates' batch
+    def pair(gamma):
+        p = design_for_angle(gamma, 2.0 / 3.0)
+        return schedule_for_pulses([p.pulse1, p.pulse2])
+
+    slow, fast = (SystemParams(omega_B=larmor_from_field(b), trion_lifetime=900.0)
+                  for b in (0.27, 2.7))
+    even = [PulseSchedule([two_pi_pulse(1.0, d)], (-20.0, 20.0)) for d in (1.0, -0.5, 30.0)]
+    pi_gate = schedule_for_pulses([two_pi_pulse(2.0 / 3.0, 0.0)])
+    pairs = ([(sched, slow) for sched in even] + [(pair(0.5), slow), (pair(0.5), fast),
+             (pair(-2.0), slow), (pair(-2.0), fast), (pi_gate, slow), (pair(1.0), fast),
+             (PulseSchedule([], (-3.0, 5.0)), fast), (pair(3.0), slow)])
+    batches, rate = [], propagator._rate
+
+    def counting(batch, k, t):
+        # one call a frame of a batch; the first frame counts the batch
+        if k == 0:
+            batches.append(len(batch))
+        return rate(batch, k, t)
+
+    monkeypatch.setattr(propagator, "_rate", counting)
+    for opts in (IntegratorOpts(), IntegratorOpts(dt=0.01)):
+        alone = [_grid(sched, s, opts) for sched, s in pairs]
+        batches.clear()
+        got = list(_times(pairs, opts))
+        assert len(got) == len(pairs)
+        assert all(np.array_equal(a, b) for a, b in zip(got, alone))
+        # the even schedules shared a pass, and so did three of the four
+        # pair gates in a row (PACK_STEPS over 524 rate samples each); an
+        # explicit dt gives every schedule its uniform grid
+        assert batches == ([3, 3, 1, 1, 1, 1] if opts.dt is None else [])
+    # a schedule past MAX_STEPS in the middle of a batch raises what it
+    # raises alone, after the grids before it
+    huge = (PulseSchedule([two_pi_pulse(1.0, 1e5)], (-20.0, 20.0)), slow)
+    with pytest.raises(StepTooLarge) as alone:
+        _grid(*huge)
+    grids = _times(pairs[:2] + [huge] + pairs[2:], IntegratorOpts())
+    assert all(np.array_equal(next(grids), _grid(sched, s)) for sched, s in pairs[:2])
+    with pytest.raises(StepTooLarge) as batched:
+        next(grids)
+    assert str(batched.value) == str(alone.value)
+
+
 def test_single_pulse_propagate_grid():
     # without dt, propagate steps on the graded grid evolve_operator uses;
     # an explicit dt gives the uniform grid of ceil(span/dt) steps
@@ -426,6 +474,41 @@ def test_long_even_schedule_steps_forward_over_chunks():
     _assert_sampled_rows_match(traj, sched, s, psi0)
 
 
+def test_forward_pieces_share_packs_with_lone_bits(monkeypatch, step_packs):
+    # forward pieces pack like mirrored halves: pulseless windows of 16 and
+    # 32 steps and two-pulse grids share packs with halves, with each other
+    # under decay and on uniform grids. A mirrored half of at most
+    # SCAN_BLOCK steps doubles its prefixes alone as in a pack; a pulse's
+    # half has at least 56 steps, so the last case coarsens the grid to 13.
+    # Every trajectory has the bits propagate gives it alone
+    s = SystemParams(omega_B=larmor_from_field(0.29))
+    short, wide = PulseSchedule([], (0.0, 10.0)), PulseSchedule([], (0.0, 300.0))
+    pair = schedule_for_pulses([two_pi_pulse(1.0, 0.667, 0.0), two_pi_pulse(1.0, -0.667, 21.0)])
+    single = PulseSchedule([two_pi_pulse(1.0, 1.0)], (-20.0, 20.0))
+    decay = SystemParams(omega_B=s.omega_B, trion_lifetime=100.0)
+    cases = [
+        ([short, wide, short, wide, pair, single, short, pair], s, IntegratorOpts(),
+         [[16, 32, 16, 32, 390], [114, 16, 390]]),
+        ([pair, single, wide, pair, single], decay, IntegratorOpts(sample_stride=7),
+         [[390, 228, 32, 390, 228]]),
+        ([single, pair, single, pair], s, IntegratorOpts(dt=0.08), [[500, 741], [500, 741]]),
+        ([PulseSchedule([two_pi_pulse(5.0, 0.0)], (-1.0, 1.0)), single], s, IntegratorOpts(),
+         [[13, 27]]),
+    ]
+    psi0 = StateVector(np.array([0.6, 0.48j, 0.64]))
+    for k, (scheds, system, opts, expected) in enumerate(cases):
+        if k == len(cases) - 1:
+            monkeypatch.setattr(propagator, "RESOLUTION_TARGET", 0.3)
+        step_packs.clear()
+        got = list(propagate_many([psi0] * len(scheds), scheds, system, opts))
+        assert step_packs == expected
+        for traj, sched in zip(got, scheds):
+            alone = propagate(psi0, sched, system, opts)
+            assert np.array_equal(traj.times, alone.times)
+            assert np.array_equal(traj.states, alone.states)
+            assert np.array_equal(traj.norms, alone.norms)
+
+
 def _random_generators(n, rng, scales):
     """-i*H - Gamma*|trion><trion| stacked (3, 3, n): the physical family."""
     a = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
@@ -454,6 +537,52 @@ def test_batched_exponential_leaves_its_input():
     assert np.array_equal(x, before)
 
 
+@pytest.mark.filterwarnings("ignore:omega_B/eta")
+def test_evolve_operators_match_one_gate_at_a_time(step_packs):
+    # a mixed list: pairs at B = 0, 0.27 and 2.7 T with decay on and off,
+    # the single resonant pulse at |gamma| = pi, one grid longer than the
+    # pack cap and one longer than a chunk; every operator is the one
+    # evolve_operator returns alone, and the one-chunk fold of its steps
+    def pair(gamma):
+        p = design_for_angle(gamma, 1.0)
+        return schedule_for_pulses([p.pulse1, p.pulse2])
+
+    lone = schedule_for_pulses([two_pi_pulse(1.0, 0.0)])
+    past_cap = PulseSchedule([two_pi_pulse(1.0, 100.0)], (-20.0, 20.0))
+    past_chunk = PulseSchedule([two_pi_pulse(1.0, -1e3)], (-20.0, 20.0))
+    cases = [(pair(g), SystemParams(omega_B=larmor_from_field(b), trion_lifetime=tau))
+             for g in (-2.0, 0.5, 1.5) for b in (0.0, 0.27, 2.7) for tau in (900.0, np.inf)]
+    cases[4:4] = [(lone, SystemParams(omega_B=larmor_from_field(0.27), trion_lifetime=900.0)),
+                  (past_cap, SystemParams(omega_B=larmor_from_field(0.27)))]
+    cases[12:12] = [(past_chunk, SystemParams(trion_lifetime=900.0))]
+    scheds, systems = zip(*cases)
+    packs = step_packs
+    got = evolve_operators(scheds, systems)
+    steps = [len(_grid(sched, s)) - 1 for sched, s in cases]
+    cap, chunk = propagator.PACK_STEPS, propagator.CHUNK_STEPS
+    assert steps[12] > chunk and chunk >= steps[5] > cap
+    # gates shared packs of at most cap steps times gates; the two long
+    # grids ran alone, the longer one chunk by chunk
+    assert any(len(p) > 1 for p in packs)
+    assert all(len(p) * max(p) <= cap for p in packs if len(p) > 1)
+    assert [steps[5]] in packs and [chunk] in packs
+    assert sum(len(p) for p in packs) == len(cases) - 1 + -(-steps[12] // chunk)
+    for u, (sched, s), n in zip(got, cases, steps):
+        assert np.array_equal(u, evolve_operator(sched, s))
+        if n <= propagator.CHUNK_STEPS:
+            times = _grid(sched, s)
+            assert np.array_equal(u, _fold(_step_matrices([(times, sched)], [s])) @ np.eye(3))
+    # an explicit dt: uniform grids of 765 steps, two gates a pack
+    opts = IntegratorOpts(dt=0.05)
+    singles = [schedule_for_pulses([two_pi_pulse(1.0, d)]) for d in (0.0, 0.5, -2.0)]
+    cases = [(sched, s) for sched in singles for s in systems[:4]]
+    packs.clear()
+    got = evolve_operators([sched for sched, _ in cases], [s for _, s in cases], opts)
+    assert packs == [[765, 765]] * 6
+    for u, (sched, s) in zip(got, cases):
+        assert np.array_equal(u, evolve_operator(sched, s, opts))
+
+
 def test_evolve_operators_needs_one_system_per_schedule():
     sched = schedule_for_pulses([two_pi_pulse(1.0, 0.0)])
     with pytest.raises(ValueError, match="one SystemParams per schedule"):
@@ -473,6 +602,25 @@ def test_running_products_and_fold_match_step_by_step_products():
             products[..., k] = u
         assert np.max(np.abs(_fold(m) - u)) < 1e-13
         assert np.max(np.abs(_running_products(m.copy()) - products)) < 1e-13
+
+
+def test_running_products_pack_rows_match_packs_of_one():
+    # one identity-padded stack of 63 blocks a row: the rows of 8 and 16
+    # steps are padded by 1000 steps, 17 and 273 cross a block edge, and
+    # the block totals of 272 and 273 steps (16 and 17 of them) take the
+    # sequential and the doubling upper level. Every row has the bits of
+    # its segment scanned as a pack of one
+    lengths = [8, 16, 17, 272, 273, 1000]
+    n = sum(lengths)
+    m = _expm(_random_generators(n, np.random.default_rng(6), np.full(n, 0.05)))
+    packed = _running_products(m.copy(), lengths)
+    assert packed.shape == (3, 3, len(lengths), 1008)
+    a = 0
+    for k, length in enumerate(lengths):
+        alone = _running_products(m[..., a:a + length].copy(), [length])
+        assert alone.shape[2] == 1
+        assert np.array_equal(packed[:, :, k, :length], alone[:, :, 0, :length])
+        a += length
 
 
 def test_step_build_results_are_not_workspace_views():

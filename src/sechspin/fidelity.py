@@ -12,6 +12,7 @@ precession as error; both conventions are exposed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,7 +27,7 @@ from .model import (
     two_pi_pulse,
 )
 from .propagator import IntegratorOpts, evolve_operators, schedule_for_pulses, truncate_qubit
-from .pulsedesign import design_for_angle
+from .pulsedesign import NotFinite, design_for_angle
 from .special import overall_phase
 
 
@@ -117,14 +118,26 @@ def fidelity_sweep(gamma_grid: Sequence[float], B_list: Sequence[float],
     trion lifetime 900 ps, centers 14*tau_d apart. tau_t = inf turns decay
     off, as does decay=False (kept because benchmarks/test_checks.py
     passes it). Every gate is designed first, all operators come from one
-    evolve_operators call, and each gate is scored from its own.
+    evolve_operators call, and each gate is scored from its own. A default
+    spacing or a detuning that overflows is refused by the name of tau_d,
+    from which it follows.
     """
     omega = bandwidth_from_duration(tau_d, duration_convention)
-    spacing = 14.0 * tau_d if spacing is None else float(spacing)
+    if spacing is None:
+        spacing = 14.0 * tau_d
+        if not math.isfinite(spacing):
+            raise ValueError("tau_d must be small enough that the default spacing "
+                             "14*tau_d is finite, got %r" % float(tau_d))
+    spacing = float(spacing)
     lifetime = tau_t if decay else np.inf
     scheds, systems, scoring = [], [], []
     for gamma in gamma_grid:
-        pulses, phis = _sequence_for(gamma, omega, spacing)
+        try:
+            pulses, phis = _sequence_for(gamma, omega, spacing)
+        except NotFinite:
+            raise ValueError("tau_d must be large enough that the pulse detunings are "
+                             "finite, got %r at gamma = %r"
+                             % (float(tau_d), float(gamma))) from None
         sched = schedule_for_pulses(pulses)
         centers = [p.center for p in pulses]
         for B in B_list:

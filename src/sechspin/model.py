@@ -164,6 +164,8 @@ def larmor_from_field(B: float, g: float = G_FACTOR_DEFAULT) -> float:
     _require_finite(B=B, g=g)
     if B < 0:
         raise ValueError("B must be nonnegative")
+    if g < 0 and B > 0:
+        raise ValueError("g must be nonnegative where B > 0, got %r" % float(g))
     omega_b = g * BOHR_MAGNETON * B / (2.0 * HBAR) * 1e-12
     if not math.isfinite(omega_b):
         raise ValueError("B must be small enough that omega_B is finite, got %r at g = %r"
@@ -183,7 +185,12 @@ def bandwidth_from_duration(tau_d: float, convention: str = "time-constant") -> 
     if not tau_d > 0:
         raise ValueError("tau_d must be positive")
     if convention == "time-constant":
-        return 1.0 / tau_d
-    if convention == "fwhm":
-        return 2.0 * float(np.arccosh(2.0)) / tau_d
-    raise ValueError("unknown duration convention %r" % (convention,))
+        eta = 1.0 / tau_d
+    elif convention == "fwhm":
+        eta = 2.0 * float(np.arccosh(2.0)) / tau_d
+    else:
+        raise ValueError("unknown duration convention %r" % (convention,))
+    if not math.isfinite(eta):
+        raise ValueError("tau_d must be large enough that the bandwidth is finite, got %r"
+                         % float(tau_d))
+    return eta

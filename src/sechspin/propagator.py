@@ -85,23 +85,26 @@ of about 400, costs about as much in per-call overhead as in arithmetic.
 Both cut every grid into pieces, a mirrored half or else chunks of at
 most CHUNK_STEPS steps, and one rule packs the pieces (_packs):
 consecutive ones share a pack while their count times the most steps
-stays within PACK_STEPS = 2,048 steps, a half counting as its whole grid,
-so a longer piece is a pack of one. One _step_matrices pass builds the
-pack's Magnus-6 steps, with omega_B and Gamma per step, so the fields and
-lifetimes of one angle share a pack (_packed). The steps go into one
-(3, 3, pieces, width) stack, each row padded with identities after its
-last step (_stack). _fold folds it into every piece's product, which
-multiplies its gate's operator, earliest chunk first (width the longest
-piece); _running_products scans it into every piece's running products
-(width the longest piece in whole SCAN_BLOCK blocks), which step a
-chunk's trajectory on from psi0 or the previous chunk's last state, and
-give a half's trajectory both halves, the one before the center through
-their inverse transposes. _scan reads the states and norms of the whole
-pack out of them in one pass, a row a piece, and each trajectory keeps
-its sampled rows. An exact identity after a row's last step changes no
-bits, and each row keeps the product order it gets alone, so no
-trajectory row or operator depends on its pack; propagate and
-evolve_operator are one entry each.
+stays within PACK_STEPS = 2,048 steps, a half counting as its whole
+grid, so a longer piece is a pack of one. One _step_matrices pass builds
+the pack's Magnus-6 steps, with omega_B and Gamma per step, so the
+fields and lifetimes of one angle share a pack (_packed). The steps go
+into one (3, 3, pieces, width) stack, each row padded with identities
+after its last step (_stack). _fold folds it into every piece's product,
+which multiplies its gate's operator, earliest chunk first (width the
+longest piece); _running_products scans it into every piece's running
+products (width the longest piece in whole SCAN_BLOCK blocks), which
+step a chunk's trajectory on from psi0 or the previous chunk's last
+state, and give a half's trajectory both halves, the one before the
+center through their inverse transposes. The scan is one block scan: the
+prefixes inside every block of every row at once, then the block totals
+of every row at once through the same scan one level up, until a level
+has one block a row. _scan reads the states and norms of the whole pack
+out of them in one pass, a row a piece, and each trajectory keeps its
+sampled rows. An exact identity after a row's last step changes no bits,
+and each row keeps the product order it gets alone, so no trajectory row
+or operator depends on its pack; propagate and evolve_operator are one
+entry each.
 
 Grids come in batches ahead of the packs (_times): consecutive graded
 schedules that share a window, pulse centers and bandwidths, every
@@ -116,17 +119,20 @@ come when its grid does, as one schedule at a time.
 The pack's arrays set the peak memory. The working arrays of the step
 build and of the scan or fold after it come from one workspace a sweep
 (_Workspace), freed when the sweep ends: 48 vectors of the sweep's
-largest pack, 1.6 MB at 2,048 steps. What a pack hands on (its step
-stack, operators and trajectory rows) is a fresh array, and each pack's
-read-out states are freed before the next pack is built. A grid batch
-holds its cumulative rates, at most PACK_STEPS samples or one
-schedule's, and each grid is built as its schedule is reached.
+largest pack, 1.6 MB at 2,048 steps, and a workspace of its own for each
+upper level of the scan, a sixteenth of the level below. What a pack
+hands on (its step stack, operators and trajectory rows) is a fresh
+array, and each pack's read-out states are freed before the next pack is
+built. A grid batch holds its cumulative rates, at most PACK_STEPS
+samples or one schedule's, and each grid is built as its schedule is
+reached.
 
 Ledger, one entry a mechanism past one grid at a time: its code, its
 code lines, and its gain end to end (a benchmark workload's cfg/s,
-BENCH_<n>.json) or in-process (15 alternating rounds of a README command
-against a monkeypatched variant, the kept code faster in k/15; 2-core
-Xeon, Python 3.11, numpy 2.4). Reach counts: the benchmark's rounds.
+BENCH_<n>.json) or in-process (n alternating rounds of a README command
+against a monkeypatched variant, the kept code faster in k/n; 2-core
+Xeon, Python 3.11, numpy 2.4). Reach counts: the benchmark's rounds, or
+the README sweep's where named.
 - Mirrored halves (_even_center, _inverse_transpose, the half in
   _graded_grids, _trajectory_packs and _scan; about 35 lines): 1.68x on
   the README phase sweep in-process (ROADMAP.md, code budget); none on
@@ -136,7 +142,8 @@ Xeon, Python 3.11, numpy 2.4). Reach counts: the benchmark's rounds.
 - Workspace (_Workspace and every ws; about 35): 1.13x cfg/s on
   phase-scan (BENCH_26.json).
 - Grid batches (the runs of _times and _graded_grids, the rows of _rate;
-  about 25): 1.05x on both README sweeps in-process (ROADMAP.md).
+  about 25): in-process 1.06x on the README phase sweep (19/21, 21/21)
+  and 1.075x to 1.10x on the README gate sweep (19/21, 20/21).
 - Alpha batches (the runs of phases.dynamic_phase_numeric; about 15):
   1.07x on the README phase sweep in-process, 14/15 and 15/15; 36 of
   phase-scan's 58 passes hold more than one trajectory.
@@ -151,8 +158,18 @@ Xeon, Python 3.11, numpy 2.4). Reach counts: the benchmark's rounds.
   77,000 steps (simulate --delta 1000 and -3000, decay on), 15/15. No
   benchmark workload reaches it.
 - _expm's full levels (the levels up to the smallest scaling power
-  square every slice; 4): no gain measured. The common case: 43 of
-  phase-scan's 58 step builds and 12 of gate-sweep's 104.
+  square every slice; 4): against squaring a compressed copy at every
+  level, output bits unchanged, 1.05x to 1.06x on the README phase sweep
+  in-process (20/21, 19/21), where 14 of its 18 step builds square every
+  slice at least once; neutral on the README gate sweep (15/21, 10/21),
+  where 3 of 25 do. The common case: 43 of phase-scan's 58 step builds
+  and 12 of gate-sweep's 104.
+- Scan levels (the block totals' recursion in _running_products and
+  _Workspace.up; 7): one path for the block totals of every row, where a
+  per-row loop scanned up to SCAN_BLOCK totals with @ in sequence and more
+  by the block scan; neutral against that in-process (README phase sweep
+  1.00x to 1.03x, 12/21 and 9/15). Every scan of the README phase sweep
+  reaches a second level, 11 of its 18 a third.
 
 Step matrices are built vectorized over a pack, in a component-major
 (3, 3, n) layout so each entry is one contiguous vector, and exponentiated
@@ -162,6 +179,7 @@ on the inputs, so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -224,8 +242,9 @@ SCAN_DOUBLING_BLOCKS = 128
 # pieces times most steps in one pack of trajectory or operator pieces (see
 # _packs); the peak memory grows with it (module docstring). A pack of more
 # than one has pieces of at most PACK_STEPS/2 steps, so its rows scan at most
-# 32 blocks each (a mirrored half is half its grid) and double their in-block
-# prefixes, as each would alone
+# 64 blocks each (two forward pieces of 1,024 steps; a mirrored half counts
+# as its whole grid, so at most 32) and double their prefixes at every level,
+# as each would alone
 PACK_STEPS = 2048
 
 
@@ -545,6 +564,12 @@ class _Workspace:
     def __init__(self):
         self._flat = {}
 
+    @functools.cached_property
+    def up(self) -> "_Workspace":
+        """Workspace of the block totals' scan one level up (see
+        _running_products)."""
+        return _Workspace()
+
     def __call__(self, name: str, shape, dtype=complex) -> np.ndarray:
         size = math.prod(shape) * np.dtype(dtype).itemsize
         flat = self._flat.get(name)
@@ -581,8 +606,7 @@ def _frame_coupling(t: np.ndarray, pulses: Sequence[PulseParams], k: int) -> np.
     return u
 
 
-def _magnus6(u: np.ndarray, h, w, d: np.ndarray,
-             ws: Optional[_Workspace] = None) -> np.ndarray:
+def _magnus6(u: np.ndarray, h, w, d: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Omega_6 per step from the frame Hamiltonian at the three Gauss nodes.
 
     H = [[0, w, 0], [w, 0, u], [0, u*, d]] with u (3, n) at the nodes,
@@ -594,12 +618,10 @@ def _magnus6(u: np.ndarray, h, w, d: np.ndarray,
     (Blanes, Casas, Oteo & Ros 2009, sec. 4). alpha_2 and alpha_3 hold only
     the (z, trion) entries, so C_1 and C_2 are written out entrywise.
 
-    Every array is written in ws (a fresh workspace without one): W and Z
-    in "m0" and "m1", the vectors Omega_6 needs at the end in "m4", the
-    others in "m2" and "m3" until the two commutator products overwrite
-    them, so Omega_6 is returned in "m2".
+    Every array is written in ws: W and Z in "m0" and "m1", the vectors
+    Omega_6 needs at the end in "m4", the others in "m2" and "m3" until the
+    two commutator products overwrite them, so Omega_6 is returned in "m2".
     """
-    ws = _Workspace() if ws is None else ws
     n = u.shape[1]
     t = ws("row", (3, n))[0]
     a, b, c, e, p3, q3 = ws("m4", (6, n))
@@ -705,18 +727,16 @@ def _taylor(x: np.ndarray, ws: _Workspace, out: np.ndarray) -> np.ndarray:
     return e
 
 
-def _expm(x: np.ndarray, ws: Optional[_Workspace] = None) -> np.ndarray:
+def _expm(x: np.ndarray, ws: _Workspace) -> np.ndarray:
     """exp of each (3, 3) slice by scaling and squaring: every matrix is
     scaled by 2^-k to 1-norm <= TAYLOR_THETA with its own k, all go through
     one Taylor pass, and squaring level l touches only the slices with
-    k >= l. x is left unchanged. The working arrays are taken from ws (a
-    fresh workspace without one), the scaled stack from its "m3", and x
-    may be its "m2" (see _magnus6); the result is a fresh array. Levels up
-    to the smallest k square every slice, alternating between the result
-    and "m0" so that the last of them lands in the result; every later
-    level squares a compressed copy of its slices in "m1" and "m2" and
-    scatters it back."""
-    ws = _Workspace() if ws is None else ws
+    k >= l. x is left unchanged. The working arrays are taken from ws, the
+    scaled stack from its "m3", and x may be its "m2" (see _magnus6); the
+    result is a fresh array. Levels up to the smallest k square every
+    slice, alternating between the result and "m0" so that the last of
+    them lands in the result; every later level squares a compressed copy
+    of its slices in "m1" and "m2" and scatters it back."""
     shape = x.shape
     norm = np.abs(x, out=ws("m0", shape, float)).sum(
         axis=0, out=ws("m1", shape[1:], float)).max(axis=0)
@@ -740,8 +760,7 @@ def _expm(x: np.ndarray, ws: Optional[_Workspace] = None) -> np.ndarray:
 
 
 def _step_matrices(grids: Sequence[Tuple[np.ndarray, PulseSchedule]],
-                   systems: Sequence[SystemParams],
-                   ws: Optional[_Workspace] = None) -> np.ndarray:
+                   systems: Sequence[SystemParams], ws: _Workspace) -> np.ndarray:
     """Lab-frame Magnus-6 step matrices of grids laid end to end, as
     (3, 3, total steps). grids holds (times, schedule) pairs and systems
     one SystemParams per grid; in each grid's segment, slice k maps
@@ -771,7 +790,6 @@ def _step_matrices(grids: Sequence[Tuple[np.ndarray, PulseSchedule]],
             u[:, run] = _frame_coupling(nodes[:, run], sched.pulses, k)
         start = stop
     del nodes, mid
-    ws = _Workspace() if ws is None else ws
     m = _expm(_magnus6(u, dt, omega_b, delta - 1j * decay, ws), ws)
     # to the lab frame, D(t + dt)^dagger exp(Omega_6) D(t), where D(t)
     # multiplies the trion amplitude by exp(-i*Delta_k*(t - c_k))
@@ -787,14 +805,12 @@ def _chunks(times: np.ndarray):
         yield a, times[a:min(a + CHUNK_STEPS, n) + 1]
 
 
-def _stack(m: np.ndarray, lengths: Sequence[int], width: int,
-           ws: Optional[_Workspace] = None) -> np.ndarray:
+def _stack(m: np.ndarray, lengths: Sequence[int], width: int, ws: _Workspace) -> np.ndarray:
     """Segments of m, of the given lengths laid end to end, as the rows of a
-    (3, 3, segments, width) stack, each padded with identities after its
-    last step: an exact identity there changes no bits of the row's
-    products. The stack is "m2" of ws if given, a fresh array otherwise."""
-    shape = (3, 3, len(lengths), width)
-    stack = np.empty(shape, dtype=complex) if ws is None else ws("m2", shape)
+    (3, 3, segments, width) stack in "m2" of ws, each padded with
+    identities after its last step: an exact identity there changes no bits
+    of the row's products."""
+    stack = ws("m2", (3, 3, len(lengths), width))
     stack[...] = 0.0
     for i in range(3):
         stack[i, i] = 1.0
@@ -805,36 +821,30 @@ def _stack(m: np.ndarray, lengths: Sequence[int], width: int,
     return stack
 
 
-def _running_products(m: np.ndarray, lengths: Optional[Sequence[int]] = None,
-                      ws: Optional[_Workspace] = None) -> np.ndarray:
+def _running_products(m: np.ndarray, lengths: Sequence[int], ws: _Workspace) -> np.ndarray:
     """m[..., a + k] @ ... @ m[..., a] for every step k of every segment:
     m holds segments of the given lengths end to end, and the products
     restart at each segment's first step a, returned as a (3, 3, segments,
-    width) stack whose row i starts with segment i's products. Without
-    lengths m is one segment, returned as (3, 3, n), and up to SCAN_BLOCK
-    matrices of it run in sequence. Otherwise the segments become the rows
-    of a stack of whole SCAN_BLOCK blocks (see _stack), and the prefixes
-    inside every block of every row are taken at once. While the stack has
-    at most SCAN_DOUBLING_BLOCKS blocks a row the prefixes double: after
-    the pass with offset d, slot j holds the product of steps j - 2d + 1..j,
-    so log2(SCAN_BLOCK) batched products replace SCAN_BLOCK - 1 sequential
-    ones at about 3x the arithmetic. Past that the products run in
-    sequence. Each row's block totals get their running products alone
-    (the same scan one level up), and one batched product applies them to
-    every block after each row's first. So each segment gets the bits it
-    gets as a pack of one wherever both double, as every row of a pack of
-    more than one does (see PACK_STEPS). m may be overwritten. The stack
-    is "m2" of ws (a fresh workspace without one), and the batched
-    products are written in its "m0" before they are copied into it."""
-    n = m.shape[-1]
-    if lengths is None:
-        if n <= SCAN_BLOCK:
-            for k in range(1, n):
-                m[..., k] = m[..., k] @ m[..., k - 1]
-            return m
-        return _running_products(m, [n], ws)[:, :, 0, :n]
-    ws = _Workspace() if ws is None else ws
+    width) stack whose row i starts with segment i's products.
 
+    One block scan: the segments become the rows of a stack of whole
+    SCAN_BLOCK blocks (see _stack), and the prefixes inside every block of
+    every row are taken at once. While the stack has at most
+    SCAN_DOUBLING_BLOCKS blocks a row the prefixes double: after the pass
+    with offset d, slot j holds the product of steps j - 2d + 1..j, so
+    log2(SCAN_BLOCK) batched products replace SCAN_BLOCK - 1 sequential
+    ones at about 3x the arithmetic. Past that the products run in
+    sequence. The totals of every block but the last, of all rows at
+    once, then get their running products from this same scan one level
+    up, in the workspace ws.up (a padding block's total is an identity);
+    the levels end at one block a row. One batched product applies them
+    to every block after each row's first. A slot's product depends only
+    on the steps up to it, so wherever both double, the first L products
+    of a segment are those of its first L steps and each row has the bits
+    its segment gets as a pack of one, as every row of a pack of more than
+    one does (see PACK_STEPS). m may be overwritten. The stack is "m2" of
+    ws, and the batched products are written in its "m0" before they are
+    copied into it."""
     def product(a, b):
         return _mul(a, b, ws("m0", a.shape), ws("row", a.shape[1:]))
 
@@ -849,10 +859,10 @@ def _running_products(m: np.ndarray, lengths: Optional[Sequence[int]] = None,
     else:
         for j in range(1, SCAN_BLOCK):
             blocks[..., j] = _mul(blocks[..., j], blocks[..., j - 1])
-    upto = [_running_products(np.ascontiguousarray(blocks[:, :, i, :nb - 1, -1]))
-            for i, nb in enumerate(counts)]
-    upto = _stack(np.concatenate(upto, axis=-1), [nb - 1 for nb in counts], blocks.shape[3] - 1)
-    blocks[:, :, :, 1:] = product(blocks[:, :, :, 1:], upto[..., None])
+    n = blocks.shape[3] - 1
+    if n:
+        upto = _running_products(blocks[..., :-1, -1].reshape(3, 3, -1), [n] * len(lengths), ws.up)
+        blocks[:, :, :, 1:] = product(blocks[:, :, :, 1:], upto[..., :n, None])
     return blocks.reshape(3, 3, len(lengths), -1)
 
 

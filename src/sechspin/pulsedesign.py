@@ -28,6 +28,10 @@ class OutOfRange(ValueError):
     """Target angle outside (-pi, pi); use a single resonant pulse for pi."""
 
 
+class NotFinite(ValueError):
+    """A spacing or detuning derived from omega overflows."""
+
+
 @dataclass(frozen=True)
 class CancelingPair:
     r1: float
@@ -61,7 +65,7 @@ def cancel_pair(r1: float, omega: float,
     if spacing is None:
         spacing = default_spacing(omega)
         if not math.isfinite(spacing):
-            raise ValueError("omega must be large enough that the default spacing "
+            raise NotFinite("omega must be large enough that the default spacing "
                              "14/omega is finite, got %r" % float(omega))
     else:
         spacing = float(spacing)
@@ -70,7 +74,7 @@ def cancel_pair(r1: float, omega: float,
         raise ValueError("spacing must be at least 10 pulse durations")
     delta1, delta2 = omega / r1, -omega * r1
     if not (math.isfinite(delta1) and math.isfinite(delta2)):
-        raise ValueError("omega must be small enough that the detunings omega/r1 and "
+        raise NotFinite("omega must be small enough that the detunings omega/r1 and "
                          "-omega*r1 are finite, got %r at r1 = %r" % (float(omega), float(r1)))
     p1 = two_pi_pulse(bandwidth=omega, detuning=delta1, center=0.0)
     p2 = two_pi_pulse(bandwidth=omega, detuning=delta2, center=spacing)

@@ -415,6 +415,13 @@ def test_negative_exponent_values_match_attached_form(argv):
     (["design", "--angle", "1", "--omega", "1e-320"], "omega"),
     (["design", "--angle", "2.9", "--omega", "1e308"], "omega"),
     (["fidelity", "--angle", "1", "--B", "1e300"], "B"),
+    # the default spacing 14*tau_d, a detuning from 1/tau_d and omega_B
+    # from a negative g
+    (["fidelity", "--angle", "1", "--tau-d", "1e308", "--B", "0.29"], "tau_d"),
+    (["fidelity", "--angle", "2.9", "--tau-d", "1e-308", "--B", "0.29"], "tau_d"),
+    (["fidelity", "--g", "-0.57"], "g"),
+    (["phases", "--ratios", "1", "--method", "numeric", "--B", "0.29", "--g", "-0.57"], "g"),
+    (["simulate", "--delta", "1", "--B", "0.29", "--g", "-0.57"], "g"),
 ])
 def test_out_of_range_values_refused_by_name(argv, name):
     res = run(*argv)

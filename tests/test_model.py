@@ -139,3 +139,8 @@ def test_duration_conventions():
         bandwidth_from_duration(0.0)
     with pytest.raises(ValueError):
         bandwidth_from_duration(1.0, "area")
+    # a duration so short that the bandwidth overflows is refused by its name
+    with pytest.raises(ValueError, match="tau_d must be large enough"):
+        bandwidth_from_duration(5e-324)
+    with pytest.raises(ValueError, match="tau_d must be large enough"):
+        bandwidth_from_duration(1e-308, "fwhm")

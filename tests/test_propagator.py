@@ -172,7 +172,7 @@ def test_magnus6_matches_commutator_formula():
     c1 = comm(alpha1, alpha2)
     c2 = -comm(alpha1, 2.0 * alpha3 + c1) / 60.0
     omega = alpha1 + alpha3 / 12.0 + comm(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0
-    got = _magnus6(u, h, w, d).transpose(2, 0, 1)
+    got = _magnus6(u, h, w, d, _Workspace()).transpose(2, 0, 1)
     assert np.max(np.abs(got - omega)) < 1e-15
 
 
@@ -440,7 +440,7 @@ def test_mirrored_propagate_matches_forward_scan(field, ratio):
     times = _grid(sched, s)
     assert np.array_equal(traj.times, times)
     assert np.array_equal(times, -times[::-1])
-    ref = _step_by_step(_step_matrices([(times, sched)], [s]), psi0)
+    ref = _step_by_step(_step_matrices([(times, sched)], [s], _Workspace()), psi0)
     assert np.array_equal(traj.states[0], psi0)
     assert np.max(np.abs(traj.states[1:] - ref)) <= 1e-13
 
@@ -468,7 +468,7 @@ def test_long_even_schedule_steps_forward_over_chunks():
     traj = propagate(StateVector(psi0), sched, s)
     times = traj.times
     assert (len(times) - 1) // 2 > propagator.CHUNK_STEPS
-    ref = _step_by_step(_step_matrices([(times, sched)], [s]), psi0)
+    ref = _step_by_step(_step_matrices([(times, sched)], [s], _Workspace()), psi0)
     assert np.max(np.abs(traj.states[1:] - ref)) <= 1e-13
     # sampled rows on both sides of the center are the full run's rows
     _assert_sampled_rows_match(traj, sched, s, psi0)
@@ -521,7 +521,7 @@ def test_batched_exponential_matches_mpmath():
     # norms from 1e-4 to 1e4 hit every scaling group, including the
     # squaring depth a detuning of 1e6 rad/ps needs at dt = 0.01
     x = _random_generators(48, np.random.default_rng(3), np.geomspace(1e-4, 1e4, 48))
-    got = _expm(x)
+    got = _expm(x, _Workspace())
     for k in range(x.shape[-1]):
         norm = np.abs(x[..., k]).sum(axis=0).max()
         with mp.workdps(30):
@@ -533,7 +533,7 @@ def test_batched_exponential_matches_mpmath():
 def test_batched_exponential_leaves_its_input():
     x = _random_generators(40, np.random.default_rng(4), np.geomspace(1e-3, 1e3, 40))
     before = x.copy()
-    _expm(x)
+    _expm(x, _Workspace())
     assert np.array_equal(x, before)
 
 
@@ -571,7 +571,8 @@ def test_evolve_operators_match_one_gate_at_a_time(step_packs):
         assert np.array_equal(u, evolve_operator(sched, s))
         if n <= propagator.CHUNK_STEPS:
             times = _grid(sched, s)
-            assert np.array_equal(u, _fold(_step_matrices([(times, sched)], [s])) @ np.eye(3))
+            m = _step_matrices([(times, sched)], [s], _Workspace())
+            assert np.array_equal(u, _fold(m) @ np.eye(3))
     # an explicit dt: uniform grids of 765 steps, two gates a pack
     opts = IntegratorOpts(dt=0.05)
     singles = [schedule_for_pulses([two_pi_pulse(1.0, d)]) for d in (0.0, 0.5, -2.0)]
@@ -594,34 +595,48 @@ def test_running_products_and_fold_match_step_by_step_products():
     # totals, doubling their in-block prefixes; 2100 steps (132 blocks) run
     # the top level's products in sequence
     for n in (1000, 2100):
-        m = _expm(_random_generators(n, np.random.default_rng(5), np.full(n, 0.05)))
+        m = _expm(_random_generators(n, np.random.default_rng(5), np.full(n, 0.05)), _Workspace())
         u = np.eye(3, dtype=complex)
         products = np.empty_like(m)
         for k in range(m.shape[-1]):
             u = m[..., k] @ u
             products[..., k] = u
         assert np.max(np.abs(_fold(m) - u)) < 1e-13
-        assert np.max(np.abs(_running_products(m.copy()) - products)) < 1e-13
+        scanned = _running_products(m.copy(), [n], _Workspace())[:, :, 0, :n]
+        assert np.max(np.abs(scanned - products)) < 1e-13
 
 
 def test_running_products_pack_rows_match_packs_of_one():
     # one identity-padded stack of 63 blocks a row: the rows of 8 and 16
     # steps are padded by 1000 steps, 17 and 273 cross a block edge, and
-    # the block totals of 272 and 273 steps (16 and 17 of them) take the
-    # sequential and the doubling upper level. Every row has the bits of
+    # the block totals of 272 and 273 steps (16 and 17 of them) fill one
+    # block one level up and cross into a second. Every row has the bits of
     # its segment scanned as a pack of one
     lengths = [8, 16, 17, 272, 273, 1000]
     n = sum(lengths)
-    m = _expm(_random_generators(n, np.random.default_rng(6), np.full(n, 0.05)))
-    packed = _running_products(m.copy(), lengths)
+    m = _expm(_random_generators(n, np.random.default_rng(6), np.full(n, 0.05)), _Workspace())
+    packed = _running_products(m.copy(), lengths, _Workspace())
     assert packed.shape == (3, 3, len(lengths), 1008)
     a = 0
     for k, length in enumerate(lengths):
-        alone = _running_products(m[..., a:a + length].copy(), [length])
+        alone = _running_products(m[..., a:a + length].copy(), [length], _Workspace())
         assert alone.shape[2] == 1
         assert np.array_equal(packed[:, :, k, :length], alone[:, :, 0, :length])
         a += length
 
+
+
+def test_running_products_are_prefix_stable():
+    # the first L running products of a 2,048-step segment (128 blocks, 127
+    # totals, 8 blocks one level up) are those of its first L steps, bit for
+    # bit: L within one block, on a block edge and across one, with 16 and
+    # 17 block totals (one block one level up and two), and near the end
+    n = 2048
+    m = _expm(_random_generators(n, np.random.default_rng(7), np.full(n, 0.05)), _Workspace())
+    whole = _running_products(m.copy(), [n], _Workspace())[:, :, 0]
+    for length in (1, 16, 17, 272, 273, 1000, 2047):
+        prefix = _running_products(m[..., :length].copy(), [length], _Workspace())[:, :, 0]
+        assert np.array_equal(whole[..., :length], prefix[..., :length]), length
 
 def test_step_build_results_are_not_workspace_views():
     # stacks built into one workspace, as a sweep's packs are, stay as they
@@ -647,8 +662,9 @@ def test_step_build_results_are_not_workspace_views():
     for m, copy in zip(kept, copies):
         assert np.array_equal(m, copy)
     for m, x in zip(kept, stacks):
-        assert np.array_equal(m, _expm(x))
-    assert np.array_equal(kept[-1], _step_matrices([(times, sched)], [SystemParams()]))
+        assert np.array_equal(m, _expm(x, _Workspace()))
+    alone = _step_matrices([(times, sched)], [SystemParams()], _Workspace())
+    assert np.array_equal(kept[-1], alone)
 
 
 @pytest.mark.filterwarnings("ignore:omega_B/eta")

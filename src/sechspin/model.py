@@ -116,6 +116,14 @@ class StateVector:
             raise ValueError("StateVector needs exactly 3 amplitudes")
         object.__setattr__(self, "amplitudes", amps)
 
+    @classmethod
+    def _of(cls, amps: np.ndarray) -> "StateVector":
+        """Wrap amps as they are, with no conversion or shape check: only
+        for a complex (3,) array the caller has just built."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
+
     @property
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))

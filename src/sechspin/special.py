@@ -220,7 +220,7 @@ def rz_state(t: float, p: PulseParams) -> StateVector:
                 raise ValueError("the trion amplitude's phase overflows at t = %r, "
                                  "detuning = %r" % (t, p.detuning)) from None
             c_tau = 0j
-    return StateVector(np.array([0.0, 1.0 - math.exp(log_z) / c, c_tau]))
+    return StateVector._of(np.array([0j, 1.0 - math.exp(log_z) / c, c_tau]))
 
 
 def overall_phase(omega: float, delta: float) -> float:

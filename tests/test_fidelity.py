@@ -15,8 +15,13 @@ from sechspin.fidelity import (
     gate_report,
     ideal_rotation,
 )
-from sechspin.model import SystemParams, bandwidth_from_duration, larmor_from_field
-from sechspin.propagator import IntegratorOpts, _frequency_scale, schedule_for_pulses
+from sechspin.model import SystemParams, bandwidth_from_duration, larmor_from_field, two_pi_pulse
+from sechspin.propagator import (
+    IntegratorOpts,
+    _frequency_scale,
+    evolve_operators,
+    schedule_for_pulses,
+)
 from sechspin.pulsedesign import design_for_angle
 
 ANGLES = [np.pi / 4, np.pi / 2, 3 * np.pi / 4]
@@ -105,8 +110,9 @@ def test_sign_symmetry(gamma):
 @settings(max_examples=30, deadline=None)
 @given(gamma=st.floats(-3.0, 3.0), field=st.floats(0.0, 1.35))
 def test_sign_symmetry_on_random_gates(gamma, field):
-    # the -gamma pair is the detuning-negated, order-swapped sequence;
-    # 150 random gates with decay on differ by at most 9.0e-15
+    # the -gamma gate is scored from D*U^dagger*D of the +gamma gate
+    # (test_time_reversal_against_direct_propagation), so only the scoring's
+    # rounding parts the two
     f_pos = gate_report(gamma, field).fidelity
     f_neg = gate_report(-gamma, field).fidelity
     assert abs(f_pos - f_neg) <= 1e-12
@@ -192,13 +198,13 @@ def test_sweep_shapes():
 @pytest.mark.filterwarnings("ignore:omega_B/eta")
 def test_sweep_equals_one_report_per_gate():
     # the sweep's gates share packs of operators, each report is a pack of
-    # one: every field agrees to the bit, decay on and off, at B = 0 and at
-    # the single resonant pulse |gamma| = pi
-    angles, fields = [-np.pi, -2.0, 0.25, 1.0, 3.0], [0.0, 0.27, 2.7]
+    # one: every field agrees to the bit, decay on and off, at B = 0, for
+    # +-gamma pairs and at the single resonant pulse |gamma| = pi
+    angles, fields = [-np.pi, -3.0, -2.0, 0.0, 0.25, 1.0, 2.0, 3.0], [0.0, 0.27, 2.7]
     for kw in ({}, {"tau_t": float("inf")}):
         sweep = fidelity_sweep(angles, fields, **kw)
         alone = [gate_report(g, b, **kw) for g in angles for b in fields]
-        assert len(sweep) == len(alone) == 15
+        assert len(sweep) == len(alone) == 24
         for got, ref in zip(sweep, alone):
             assert np.array_equal(got.u_actual, ref.u_actual)
             assert np.array_equal(got.u_ideal, ref.u_ideal)
@@ -212,3 +218,47 @@ def test_sweep_warning_names_fidelity_module():
     with pytest.warns(UserWarning, match="omega_B/eta") as record:
         fidelity_sweep([0.5, 1.0], [2.7])
     assert record and all(w.filename == fidelity.__file__ for w in record)
+
+
+@pytest.mark.filterwarnings("ignore:omega_B/eta")   # 8 T is past the slow-precession edge
+@pytest.mark.parametrize("dt", [False, True])
+def test_time_reversal_against_direct_propagation(dt):
+    # D*U^dagger*D, D = diag(1, -1, 1), is the operator of the pair run
+    # backwards: order reversed, detunings negated, centers 0 and spacing
+    # swapped, each built here by hand. gamma = 0 is its own reversal. The
+    # integrator keeps the identity to rounding (graded grids mirror, the
+    # Gauss nodes are symmetric): measured 1.5e-13 on the full operator
+    # graded and 1.7e-13 with dt, 4.0e-15 on the qubit block
+    eta, spacing = bandwidth_from_duration(1.5), 21.0
+    flip = np.diag([1.0, -1.0, 1.0])
+    for gamma in (0.0, 0.25, 2.0, 3.0):
+        pair = design_for_angle(gamma, eta, spacing)
+        forward = schedule_for_pulses([pair.pulse1, pair.pulse2])
+        backward = schedule_for_pulses([two_pi_pulse(eta, -pair.pulse2.detuning, 0.0),
+                                        two_pi_pulse(eta, -pair.pulse1.detuning, spacing)])
+        for field in (0.0, 0.29, 2.7, 8.0):
+            for lifetime in (900.0, float("inf")):
+                s = SystemParams(omega_B=larmor_from_field(field), trion_lifetime=lifetime)
+                opts = IntegratorOpts(dt=0.035 / _frequency_scale(forward, s)) if dt else None
+                u, v = evolve_operators([forward, backward], [s, s], opts)
+                assert np.max(np.abs(flip @ u.conj().T @ flip - v)) <= 5e-13
+
+
+@pytest.mark.filterwarnings("ignore:omega_B/eta")   # 2.7 T gives omega_B/eta = 0.102
+def test_sweep_integrates_each_gamma_pair_once(step_packs):
+    # the README angles at 2.7 T integrate only the 13 gates with gamma >= 0;
+    # each -gamma row is the time reversal of its +gamma gate, exactly
+    angles = np.linspace(-3.0, 3.0, 25)
+    reports = fidelity_sweep(angles, [2.7])
+    steps = sorted(n for pack in step_packs for n in pack)
+    step_packs.clear()
+    fidelity_sweep(angles[angles >= 0], [2.7])
+    assert len(steps) == 13 and steps == sorted(n for pack in step_packs for n in pack)
+    flip = np.diag([1.0, -1.0])
+    for neg, pos in zip(reports[:12], reports[:12:-1]):
+        assert np.array_equal(neg.u_actual, flip @ pos.u_actual.conj().T @ flip)
+    # +-pi share their one resonant pulse
+    step_packs.clear()
+    minus, plus = fidelity_sweep([-np.pi, np.pi], [0.29])
+    assert sum(len(pack) for pack in step_packs) == 1
+    assert np.array_equal(minus.u_actual, plus.u_actual)

@@ -34,12 +34,14 @@ def ratios(rs, B):
 
 
 def gate(gamma, omega=2.0 / 3.0):
-    """The schedule fidelity_sweep runs for gamma at its default omega."""
+    """The schedule of _sequence_for's pulses for gamma at fidelity_sweep's
+    default omega (for a pair with gamma < 0, the time reversal the sweep
+    scores, not the +|gamma| pair it integrates)."""
     return schedule_for_pulses(_sequence_for(gamma, omega, 14.0 / omega)[0])
 
 
 def gates(angles, fields):
-    """The entries of fidelity_sweep(angles, fields)."""
+    """The gates of fidelity_sweep(angles, fields), each by its own pulses."""
     return [(gate(a), system(b, 900.0)) for a in angles for b in fields]
 
 

@@ -172,6 +172,17 @@ def test_rz_state_limits():
     assert np.angle(fut[1]) == pytest.approx(overall_phase(1.0, 0.7), abs=1e-8)
 
 
+def test_rz_state_amplitudes_are_a_complex_triple():
+    # rz_state wraps its own array unchecked; it is complex (3,) with a
+    # zero zbar amplitude everywhere, c_tau = 0 in the far tails included
+    for delta in (0.7, 0.0, -1e3):
+        p = two_pi_pulse(1.0, delta)
+        for t in (-np.inf, -400.0, -3.0, 0.0, 2.5, 400.0, np.inf):
+            amps = rz_state(t, p).amplitudes
+            assert type(amps) is np.ndarray and amps.dtype == complex and amps.shape == (3,)
+            assert amps[0] == 0.0
+
+
 def _rz_reference(t, r):
     """(c_z, c_tau) of a 2*pi pulse at eta = 1 from the 2F1 forms in mpmath at
     40 digits, where z = 1 - e^(-80) at eta*t = 40 still differs from 1;

@@ -27,6 +27,11 @@ off) the full operator differs by at most 1.5e-13 and the qubit block by
 detunings are design_for_angle(-gamma)'s to 1.8e-15 (relative) at those
 angles; the two part where tan((pi - |gamma|)/4) loses digits (9e-11 at
 |gamma| = 3.14159). So F(gamma) = F(-gamma) holds by construction.
+fidelity_sweep reverses a gate in one place, from the pulse list it
+integrates: ideal phases reversed and negated (overall_phase is odd),
+centers reflected as c -> c_first + c_last - c. That maps the window of
+schedule_for_pulses onto itself only when the end pulses share a
+bandwidth, as every gate here does.
 """
 
 from __future__ import annotations
@@ -93,9 +98,9 @@ def average_fidelity(u: np.ndarray, u_ideal: np.ndarray) -> float:
 
 
 def _sequence_for(gamma_target, omega, spacing):
-    """Pulse list and per-pulse ideal phases for the target angle. A pair
-    with gamma_target < 0 is the |gamma_target| pair run backwards in its
-    window (_time_reversed); a rotation by +-pi is one resonant pulse."""
+    """The pulse list integrated for the target angle, with each pulse's
+    ideal phase: the |gamma_target| pair (fidelity_sweep runs it backwards
+    for gamma_target < 0), or one resonant pulse at +-pi."""
     _require_finite(gamma_target=gamma_target)
     if abs(gamma_target) > np.pi:
         raise ValueError("|gamma_target| must be <= pi")
@@ -104,18 +109,7 @@ def _sequence_for(gamma_target, omega, spacing):
         return [two_pi_pulse(omega, 0.0, 0.0)], [gamma_target]
     pair = design_for_angle(abs(gamma_target), omega, spacing)
     pulses = [pair.pulse1, pair.pulse2]
-    if gamma_target < 0:
-        pulses = _time_reversed(pulses, spacing)
-    phis = [overall_phase(omega, p.detuning) for p in pulses]
-    return pulses, phis
-
-
-def _time_reversed(pulses, spacing):
-    """The pair whose Hamiltonian is H(t0 + t1 - t): order reversed,
-    detunings negated, centers 0 and spacing swapped. Its own reversal
-    gives back the pulses bit for bit."""
-    return [two_pi_pulse(p.bandwidth, -p.detuning, spacing - p.center)
-            for p in reversed(pulses)]
+    return pulses, [overall_phase(p.bandwidth, p.detuning) for p in pulses]
 
 
 def _reversed_operator(u3):
@@ -157,10 +151,11 @@ def fidelity_sweep(gamma_grid: Sequence[float], B_list: Sequence[float],
     off, as does decay=False (kept because benchmarks/test_checks.py
     passes it). Every gate is designed first, all operators come from one
     evolve_operators call, and each gate is scored from its own. One
-    operator is integrated per distinct pulse pair and system: a gate
-    with -pi < gamma < 0 is scored from D*U^dagger*D of its |gamma| pair
-    (module docstring), and +-pi share their single pulse, so a sweep
-    over +-gamma integrates each pair once. A lone gate_report takes the
+    operator is integrated per distinct pulse list and system: a gate
+    with -pi < gamma < 0 is scored from D*U^dagger*D of its |gamma| pair,
+    reversed here alone (module docstring; its end pulses must share a
+    bandwidth), and +-pi share their single pulse, so a sweep over
+    +-gamma integrates each pair once. A lone gate_report takes the
     same path, so no report depends on the rest of its sweep. A default
     spacing or a detuning that overflows is refused by the name of
     tau_d, from which it follows.
@@ -181,14 +176,16 @@ def fidelity_sweep(gamma_grid: Sequence[float], B_list: Sequence[float],
             raise ValueError("tau_d must be large enough that the pulse detunings are "
                              "finite, got %r at gamma = %r"
                              % (float(tau_d), float(gamma))) from None
-        reverse = gamma < 0 and len(pulses) == 2
-        forward = _time_reversed(pulses, spacing) if reverse else pulses
-        sched = schedule_for_pulses(forward)
+        sched = schedule_for_pulses(pulses)
         centers = [p.center for p in pulses]
+        reverse = -np.pi < gamma < 0
+        if reverse:
+            centers = [centers[0] + centers[-1] - c for c in reversed(centers)]
+            phis = [-phi for phi in reversed(phis)]
         for B in B_list:
             omega_B = larmor_from_field(B, g)
             system = SystemParams(omega_B=omega_B, trion_lifetime=lifetime)
-            k = index.setdefault((tuple(forward), system), len(scheds))
+            k = index.setdefault((tuple(pulses), system), len(scheds))
             if k == len(scheds):
                 scheds.append(sched)
                 systems.append(system)

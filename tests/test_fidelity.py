@@ -23,6 +23,7 @@ from sechspin.propagator import (
     schedule_for_pulses,
 )
 from sechspin.pulsedesign import design_for_angle
+from sechspin.special import overall_phase
 
 ANGLES = [np.pi / 4, np.pi / 2, 3 * np.pi / 4]
 
@@ -242,6 +243,27 @@ def test_time_reversal_against_direct_propagation(dt):
                 opts = IntegratorOpts(dt=0.035 / _frequency_scale(forward, s)) if dt else None
                 u, v = evolve_operators([forward, backward], [s, s], opts)
                 assert np.max(np.abs(flip @ u.conj().T @ flip - v)) <= 5e-13
+
+
+@pytest.mark.filterwarnings("ignore:omega_B/eta")   # 2.7 T is past the slow-precession edge
+@pytest.mark.parametrize("ideal", ["interleaved", "bare"])
+def test_reversed_gate_targets_the_reversed_pair(ideal):
+    # a -gamma gate is scored against the ideal operator of the |gamma|
+    # pair run backwards, built here by hand as in
+    # test_time_reversal_against_direct_propagation: bit for bit
+    for tau_d in (1.5, 1.0):
+        eta, spacing = bandwidth_from_duration(tau_d), 14.0 * tau_d
+        for gamma in np.linspace(-3.0, -0.25, 12):
+            pair = design_for_angle(-gamma, eta, spacing)
+            backward = [two_pi_pulse(eta, -pair.pulse2.detuning, 0.0),
+                        two_pi_pulse(eta, -pair.pulse1.detuning, spacing)]
+            phis = [overall_phase(eta, p.detuning) for p in backward]
+            window = schedule_for_pulses(backward).window
+            for field in (0.0, 0.29, 2.7):
+                u_id = fidelity._ideal_operator(ideal, phis, [0.0, spacing], window,
+                                                larmor_from_field(field))
+                got = gate_report(gamma, field, tau_d=tau_d, ideal=ideal)
+                assert np.array_equal(got.u_ideal, u_id)
 
 
 @pytest.mark.filterwarnings("ignore:omega_B/eta")   # 2.7 T gives omega_B/eta = 0.102

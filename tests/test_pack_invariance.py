@@ -34,10 +34,15 @@ def ratios(rs, B):
 
 
 def gate(gamma, omega=2.0 / 3.0):
-    """The schedule of _sequence_for's pulses for gamma at fidelity_sweep's
-    default omega (for a pair with gamma < 0, the time reversal the sweep
-    scores, not the +|gamma| pair it integrates)."""
-    return schedule_for_pulses(_sequence_for(gamma, omega, 14.0 / omega)[0])
+    """The schedule of the pulses fidelity_sweep scores for gamma at its
+    default omega: for a pair with gamma < 0, the time reversal of the
+    |gamma| pair that _sequence_for gives and the sweep integrates, built
+    here by hand."""
+    spacing = 14.0 / omega
+    pulses = _sequence_for(gamma, omega, spacing)[0]
+    if -math.pi < gamma < 0:
+        pulses = [two_pi_pulse(omega, -p.detuning, spacing - p.center) for p in reversed(pulses)]
+    return schedule_for_pulses(pulses)
 
 
 def gates(angles, fields):

@@ -27,11 +27,21 @@ off) the full operator differs by at most 1.5e-13 and the qubit block by
 detunings are design_for_angle(-gamma)'s to 1.8e-15 (relative) at those
 angles; the two part where tan((pi - |gamma|)/4) loses digits (9e-11 at
 |gamma| = 3.14159). So F(gamma) = F(-gamma) holds by construction.
-fidelity_sweep reverses a gate in one place, from the pulse list it
-integrates: ideal phases reversed and negated (overall_phase is odd),
-centers reflected as c -> c_first + c_last - c. That maps the window of
-schedule_for_pulses onto itself only when the end pulses share a
-bandwidth, as every gate here does.
+fidelity_sweep reverses a gate in one place (_time_reversed), from the
+pulse list it integrates: ideal phases reversed and negated
+(overall_phase is odd), centers reflected as c -> c_first + c_last - c.
+That maps the window of schedule_for_pulses onto itself only when the
+end pulses share a bandwidth, as every gate here does.
+
+A sweep is scored in one pass over stacked arrays, whatever its size:
+the reversal D*U^dagger*D of every -gamma gate, the population loss,
+the contraction check and the average fidelity each take one array
+operation for all gates, and the ideal operators one pass a pulse count
+over all angles and fields. ideal_rotation, free_precession,
+_ideal_operator and average_fidelity work over leading axes, each block
+with the bits it gets alone, so gate_report, the sweep and the tests
+share one path. The contraction check takes the largest singular value
+of each 2x2 block in closed form, not by an SVD a gate.
 """
 
 from __future__ import annotations
@@ -69,32 +79,64 @@ class GateReport:
     gamma_tot: float           # rad
 
 
-def ideal_rotation(gamma: float) -> np.ndarray:
+def ideal_rotation(gamma) -> np.ndarray:
     """z-rotation diag(1, e^{i*gamma}) in basis (zbar, z), global phase fixed
-    by leaving the zbar amplitude untouched."""
-    return np.diag([1.0, np.exp(1j * gamma)]).astype(complex)
+    by leaving the zbar amplitude untouched: (2, 2), or (..., 2, 2) over
+    the leading axes of gamma."""
+    gamma = np.asarray(gamma, dtype=float)
+    u = np.zeros(gamma.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = 1.0
+    u[..., 1, 1] = np.exp(1j * gamma)
+    return u
 
 
-def average_fidelity(u: np.ndarray, u_ideal: np.ndarray) -> float:
+def _largest_singular_value(u: np.ndarray) -> np.ndarray:
+    """Largest singular value of each 2x2 block of u (..., 2, 2), in closed
+    form: the square root of the larger eigenvalue of u^dagger u =
+    [[p, q], [q*, r]], (p + r)/2 + hypot((p - r)/2, |q|). Only p - r can
+    cancel, and it enters next to (p + r)/2, so the result keeps full
+    relative precision."""
+    a, b, c, d = u[..., 0, 0], u[..., 0, 1], u[..., 1, 0], u[..., 1, 1]
+    p = a.real ** 2 + a.imag ** 2 + c.real ** 2 + c.imag ** 2
+    r = b.real ** 2 + b.imag ** 2 + d.real ** 2 + d.imag ** 2
+    q = np.abs(np.conj(a) * b + np.conj(c) * d)
+    return np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), q))
+
+
+def average_fidelity(u, u_ideal):
     """Input-state-averaged fidelity of u against the unitary u_ideal.
 
     Evaluates the state-averaged two-level sum over I = U^dagger U_id,
     (1/3) sum_i |I_ii|^2 + (1/6) sum_{i != j} (|I_ij|^2 + I_ii conj(I_jj)),
     with the off-diagonal sum over both ordered pairs. Valid for nonunitary
-    contractions u; raises if u is not a contraction.
+    contractions u; raises if any u is not a contraction. u and u_ideal
+    are (2, 2), which gives a float, or (..., 2, 2) stacks, which give an
+    array over their broadcast leading axes, each entry with the bits its
+    pair gets alone.
     """
     u = np.asarray(u, dtype=complex)
     u_ideal = np.asarray(u_ideal, dtype=complex)
-    smax = np.linalg.svd(u, compute_uv=False).max()
-    if smax > 1.0 + 1e-6:
-        raise NonContraction("largest singular value %.9f exceeds 1" % smax)
-    overlap = u.conj().T @ u_ideal
-    d0, d1 = overlap[0, 0], overlap[1, 1]
-    f = (abs(d0) ** 2 + abs(d1) ** 2) / 3.0
-    f += (abs(overlap[0, 1]) ** 2 + abs(overlap[1, 0]) ** 2
-          + d0 * np.conj(d1) + d1 * np.conj(d0)) / 6.0
-    assert abs(f.imag) < 1e-12
-    return float(f.real)
+    smax = _largest_singular_value(u)
+    bad = np.flatnonzero(smax > 1.0 + 1e-6)
+    if bad.size:
+        raise NonContraction("largest singular value %.9f exceeds 1"
+                             % np.ravel(smax)[bad[0]])
+    overlap = np.conj(u).swapaxes(-1, -2) @ u_ideal
+    d0, d1 = overlap[..., 0, 0], overlap[..., 1, 1]
+
+    def sq_abs(z):
+        # by hypot, as abs takes it of one complex number (numpy's abs of
+        # a complex array can differ in the last bit)
+        return np.hypot(z.real, z.imag) ** 2
+
+    # the off-diagonal sum is real, and is rounded as numpy's complex
+    # arithmetic rounds it: I_00 conj(I_11) and I_11 conj(I_00) share their
+    # real part, their imaginary parts cancel exactly, and a complex number
+    # is divided by 6 as a product with 1/6
+    cross = d0.real * d1.real - d0.imag * -d1.imag
+    off = sq_abs(overlap[..., 0, 1]) + sq_abs(overlap[..., 1, 0]) + cross + cross
+    f = (sq_abs(d0) + sq_abs(d1)) / 3.0 + off * (1.0 / 6.0)
+    return float(f) if f.ndim == 0 else f
 
 
 def _sequence_for(gamma_target, omega, spacing):
@@ -112,24 +154,40 @@ def _sequence_for(gamma_target, omega, spacing):
     return pulses, [overall_phase(p.bandwidth, p.detuning) for p in pulses]
 
 
+def _time_reversed(centers, phis):
+    """Centers and ideal phases of a pulse list run backwards: the pulses
+    in reverse order, each center reflected as c -> c_first + c_last - c
+    and each phase negated (overall_phase is odd in the detuning)."""
+    return ([centers[0] + centers[-1] - c for c in reversed(centers)],
+            [-phi for phi in reversed(phis)])
+
+
 def _reversed_operator(u3):
-    """D*u3^dagger*D with D = diag(1, -1, 1): the operator of the
-    time-reversed schedule, from the operator u3 of the forward one."""
+    """D*u3^dagger*D with D = diag(1, -1, 1) for each (3, 3) block of u3:
+    the operator of the time-reversed schedule, from the operator u3 of
+    the forward one."""
     d = np.array([1.0, -1.0, 1.0])
-    return d[:, None] * u3.conj().T * d
+    return d[:, None] * np.conj(u3).swapaxes(-1, -2) * d
 
 
 def _ideal_operator(convention, phis, centers, window, omega_B):
+    """Ideal operator of K pulses over the window (t0, t1): phis and
+    centers (..., K), window (..., 2) and omega_B (...) broadcast over
+    their leading axes to (..., 2, 2), each block with the bits it gets
+    alone. "bare" is the rotation by the summed phases; "interleaved"
+    rotates by each phase at its pulse's center, with exact free
+    precession from t0 to the first center, between centers and on to t1."""
+    phis = np.asarray(phis, dtype=float)
     if convention == "bare":
-        return ideal_rotation(sum(phis))
+        return ideal_rotation(phis.sum(axis=-1))
     if convention != "interleaved":
         raise ValueError("ideal convention must be 'interleaved' or 'bare'")
-    t0, t1 = window
-    u = free_precession(omega_B, centers[0] - t0)
-    for k, phi in enumerate(phis):
-        u = ideal_rotation(phi) @ u
-        t_next = centers[k + 1] if k + 1 < len(centers) else t1
-        u = free_precession(omega_B, t_next - centers[k]) @ u
+    centers, window = np.asarray(centers, dtype=float), np.asarray(window, dtype=float)
+    u = free_precession(omega_B, centers[..., 0] - window[..., 0])
+    for k in range(phis.shape[-1]):
+        u = ideal_rotation(phis[..., k]) @ u
+        t_next = centers[..., k + 1] if k + 1 < phis.shape[-1] else window[..., 1]
+        u = free_precession(omega_B, t_next - centers[..., k]) @ u
     return u
 
 
@@ -150,15 +208,16 @@ def fidelity_sweep(gamma_grid: Sequence[float], B_list: Sequence[float],
     trion lifetime 900 ps, centers 14*tau_d apart. tau_t = inf turns decay
     off, as does decay=False (kept because benchmarks/test_checks.py
     passes it). Every gate is designed first, all operators come from one
-    evolve_operators call, and each gate is scored from its own. One
-    operator is integrated per distinct pulse list and system: a gate
-    with -pi < gamma < 0 is scored from D*U^dagger*D of its |gamma| pair,
-    reversed here alone (module docstring; its end pulses must share a
-    bandwidth), and +-pi share their single pulse, so a sweep over
-    +-gamma integrates each pair once. A lone gate_report takes the
-    same path, so no report depends on the rest of its sweep. A default
-    spacing or a detuning that overflows is refused by the name of
-    tau_d, from which it follows.
+    evolve_operators call, and every gate is scored in one pass over
+    stacked arrays. One operator is integrated per distinct pulse list and
+    system: a gate with -pi < gamma < 0 is scored from D*U^dagger*D of its
+    |gamma| pair, reversed here alone (module docstring; its end pulses
+    must share a bandwidth), and +-pi share their single pulse, so a sweep
+    over +-gamma integrates each pair once. Each field's SystemParams is
+    built when its first gate is reached, so the refusals come in gate
+    order. A lone gate_report takes the same path, so no report depends
+    on the rest of its sweep. A default spacing or a detuning that
+    overflows is refused by the name of tau_d, from which it follows.
     """
     omega = bandwidth_from_duration(tau_d, duration_convention)
     if spacing is None:
@@ -168,7 +227,9 @@ def fidelity_sweep(gamma_grid: Sequence[float], B_list: Sequence[float],
                              "14*tau_d is finite, got %r" % float(tau_d))
     spacing = float(spacing)
     lifetime = tau_t if decay else np.inf
-    scheds, systems, index, scoring = [], [], {}, []
+    fields = [None] * len(B_list)
+    scheds, systems, index, designs = [], [], {}, []
+    ops, reverse, labels = [], [], []
     for gamma in gamma_grid:
         try:
             pulses, phis = _sequence_for(gamma, omega, spacing)
@@ -178,27 +239,46 @@ def fidelity_sweep(gamma_grid: Sequence[float], B_list: Sequence[float],
                              % (float(tau_d), float(gamma))) from None
         sched = schedule_for_pulses(pulses)
         centers = [p.center for p in pulses]
-        reverse = -np.pi < gamma < 0
-        if reverse:
-            centers = [centers[0] + centers[-1] - c for c in reversed(centers)]
-            phis = [-phi for phi in reversed(phis)]
-        for B in B_list:
-            omega_B = larmor_from_field(B, g)
-            system = SystemParams(omega_B=omega_B, trion_lifetime=lifetime)
-            k = index.setdefault((tuple(pulses), system), len(scheds))
+        backwards = -np.pi < gamma < 0
+        if backwards:
+            centers, phis = _time_reversed(centers, phis)
+        designs.append((phis, centers, sched.window))
+        gamma_tot = float(sum(phis))
+        for j, B in enumerate(B_list):
+            if fields[j] is None:
+                fields[j] = SystemParams(omega_B=larmor_from_field(B, g), trion_lifetime=lifetime)
+            k = index.setdefault((tuple(pulses), fields[j]), len(scheds))
             if k == len(scheds):
                 scheds.append(sched)
-                systems.append(system)
-            u_id = _ideal_operator(ideal, phis, centers, sched.window, omega_B)
-            scoring.append((k, reverse, u_id, float(B), float(sum(phis))))
-    u3s = evolve_operators(scheds, systems, opts)
-    return [_report(_reversed_operator(u3s[k]) if reverse else u3s[k], *args)
-            for k, reverse, *args in scoring]
-
-
-def _report(u3, u_id, B, gamma_tot) -> GateReport:
-    """Score one gate from its three-level operator u3."""
+                systems.append(fields[j])
+            ops.append(k)
+            reverse.append(backwards)
+            labels.append((float(B), gamma_tot))
+    if not labels:
+        return []
+    u_ideal = _ideal_operators(ideal, designs, [s.omega_B for s in fields])
+    # a row per gate, fresh, so that reversing a row changes no other
+    u3 = np.array(evolve_operators(scheds, systems, opts)).reshape(-1, 3, 3)[ops]
+    reverse = np.array(reverse, dtype=bool)
+    u3[reverse] = _reversed_operator(u3[reverse])
     u = truncate_qubit(u3)
-    loss = float(1.0 - np.sum(np.abs(u3[:, 1]) ** 2))
-    return GateReport(u_actual=u, u_ideal=u_id, fidelity=average_fidelity(u, u_id),
-                      residual_population=loss, B=B, gamma_tot=gamma_tot)
+    fidelity = average_fidelity(u, u_ideal)
+    loss = 1.0 - np.sum(np.abs(u3[..., 1]) ** 2, axis=-1)
+    return [GateReport(u_actual=u[i], u_ideal=u_ideal[i], fidelity=float(fidelity[i]),
+                       residual_population=float(loss[i]), B=B, gamma_tot=gamma_tot)
+            for i, (B, gamma_tot) in enumerate(labels)]
+
+
+def _ideal_operators(convention, designs, omega_B) -> np.ndarray:
+    """Ideal operator of every (design, omega_B) pair, design-major, as a
+    (designs * fields, 2, 2) stack: designs holds (phis, centers, window)
+    per target angle, and the designs of each pulse count take one
+    _ideal_operator pass over all fields."""
+    out = np.empty((len(designs), len(omega_B), 2, 2), dtype=complex)
+    counts = [len(phis) for phis, *_ in designs]
+    for n in set(counts):
+        rows = [i for i, count in enumerate(counts) if count == n]
+        phis, centers, window = (np.array([designs[i][j] for i in rows])[:, None]
+                                 for j in range(3))
+        out[rows] = _ideal_operator(convention, phis, centers, window, np.array(omega_B))
+    return out.reshape(-1, 2, 2)

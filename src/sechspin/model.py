@@ -155,10 +155,16 @@ def coupling(t, pulses) -> np.ndarray:
     return v
 
 
-def free_precession(omega_B: float, dt: float) -> np.ndarray:
-    """Exact two-level precession block for time dt, basis (zbar, z)."""
-    c, s = np.cos(omega_B * dt), np.sin(omega_B * dt)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+def free_precession(omega_B, dt) -> np.ndarray:
+    """Exact two-level precession block for time dt, basis (zbar, z):
+    (2, 2), or (..., 2, 2) over the broadcast leading axes of omega_B and
+    dt, each block with the bits it gets alone."""
+    angle = np.multiply(omega_B, dt)
+    c, s = np.cos(angle), np.sin(angle)
+    u = np.empty(np.shape(angle) + (2, 2), dtype=complex)
+    u[..., 0, 0] = u[..., 1, 1] = c
+    u[..., 0, 1] = u[..., 1, 0] = -1j * s
+    return u
 
 
 def larmor_from_field(B: float, g: float = G_FACTOR_DEFAULT) -> float:

@@ -87,8 +87,11 @@ most CHUNK_STEPS steps, and one rule packs the pieces (_packs):
 consecutive ones share a pack while their count times the most steps
 stays within PACK_STEPS = 2,048 steps, a half counting as its whole
 grid, so a longer piece is a pack of one. One _step_matrices pass builds
-the pack's Magnus-6 steps, with omega_B and Gamma per step, so the
-fields and lifetimes of one angle share a pack (_packed). The steps go
+the pack's Magnus-6 steps with no loop over its grids: omega_B, Gamma,
+each step's frame detuning and center and each pulse's parameters are
+per-step arrays over the pack (one value where every grid shares it),
+and the frame coupling takes one pass a pulse index. So the fields and
+lifetimes of one angle share a pack (_packed). The steps go
 into one (3, 3, pieces, width) stack, each row padded with identities
 after its last step (_stack). _fold folds it into every piece's product,
 which multiplies its gate's operator, earliest chunk first (width the
@@ -109,10 +112,11 @@ entry each.
 Grids come in batches ahead of the packs (_times): consecutive graded
 schedules that share a window, pulse centers and bandwidths, every
 schedule of a phase sweep and every pair gate of a fidelity sweep, take
-one pass for up to PACK_STEPS rate samples in all, about 10 pulses of a
-phase sweep or 3 gates. The pass takes the envelope powers once, each
-schedule's scalar rate terms, one trapezoid cumsum a frame over a row a
-schedule, and one np.interp a schedule (_graded_grids); each grid has
+one pass for up to GRID_BATCH_SAMPLES = 4*PACK_STEPS rate samples in
+all, about 40 pulses of a phase sweep or 15 gates. The pass takes the
+envelope powers once, each schedule's scalar rate terms, one trapezoid
+cumsum a frame over a row a schedule, and one np.interp a schedule
+(_graded_grids); each grid has
 the bits it gets alone, and the warnings and errors of each schedule
 come when its grid does, as one schedule at a time.
 
@@ -123,9 +127,9 @@ largest pack, 1.6 MB at 2,048 steps, and a workspace of its own for each
 upper level of the scan, a sixteenth of the level below. What a pack
 hands on (its step stack, operators and trajectory rows) is a fresh
 array, and each pack's read-out states are freed before the next pack is
-built. A grid batch holds its cumulative rates, at most PACK_STEPS
-samples or one schedule's, and each grid is built as its schedule is
-reached.
+built. A grid batch holds its cumulative rates, at most
+GRID_BATCH_SAMPLES samples or one schedule's, and each grid is built as
+its schedule is reached.
 
 Ledger, one entry a mechanism past one grid at a time: its code, its
 code lines, and its gain end to end (a benchmark workload's cfg/s,
@@ -170,6 +174,25 @@ the README sweep's where named.
   by the block scan; neutral against that in-process (README phase sweep
   1.00x to 1.03x, 12/21 and 9/15). Every scan of the README phase sweep
   reaches a second level, 11 of its 18 a third.
+- _expm's dense partial levels (a level past the smallest scaling power
+  that touches at least half the slices squares the whole stack and
+  copies its slices back; 4): against a compressed copy at every such
+  level, output bits unchanged, 1.09x on the README gate sweep in-process
+  (48/51) and 1.01x on the README phase sweep (34/51). Every step build
+  of the README gate sweep reaches one (40 dense levels against 59
+  sparse), 16 of the README phase sweep's 19.
+- Per-pack parameters (the parameter table and the pulse-index pass of
+  _step_matrices; about 30): against a loop over the pack's grids that
+  takes each frame run's coupling alone, output bits unchanged, the step
+  builds of the README sweeps alone 1.05x (kept faster in 515 of 720
+  gate-pack builds and 502 of 720 phase-pack builds), and 1.06x on the
+  README gate sweep in-process (30/51), 1.01x on the phase sweep (30/51).
+- Grid-batch bound (GRID_BATCH_SAMPLES = 4*PACK_STEPS against
+  PACK_STEPS; 1): the README gate sweep's 39 grids in 1.7 ms against
+  2.8 ms, the same bits, and 1.04x on the README gate sweep in-process
+  (45/51), whose 39 grids take 3 passes instead of 13; neutral on the
+  phase sweep (0.99x, 21/51), 2 passes instead of 7. Peak RSS of 15 runs
+  of both gate sweeps: 33.4 MB either way.
 
 Step matrices are built vectorized over a pack, in a component-major
 (3, 3, n) layout so each entry is one contiguous vector, and exponentiated
@@ -246,6 +269,11 @@ SCAN_DOUBLING_BLOCKS = 128
 # as its whole grid, so at most 32) and double their prefixes at every level,
 # as each would alone
 PACK_STEPS = 2048
+# most rate samples of one grid batch (see _graded_grids): the README gate
+# sweep's 39 integrated grids take 1.7 ms at 4*PACK_STEPS against 2.8 ms
+# at PACK_STEPS, with the same bits; 32,768 took 1.4 ms but holds more
+# while the packs build
+GRID_BATCH_SAMPLES = 4 * PACK_STEPS
 
 
 class StepTooLarge(ValueError):
@@ -435,11 +463,11 @@ def _graded_grids(run) -> Iterator[np.ndarray]:
     schedule (see _even_center) this builds the half [c, t_end] and
     mirrors it about c, so both halves have the same steps.
 
-    The schedules go in batches of at most PACK_STEPS rate samples in all,
-    or of one, so the memory does not grow with the run. A batch shares
-    the auxiliary grid and the envelope powers (see _rate) and takes one
-    cumsum a frame, a row a schedule, so each grid has the bits it gets in
-    a batch of one. The rate samples are checked when the first grid is
+    The schedules go in batches of at most GRID_BATCH_SAMPLES rate samples
+    in all, or of one, so the memory does not grow with the run. A batch
+    shares the auxiliary grid and the envelope powers (see _rate) and takes
+    one cumsum a frame, a row a schedule, so each grid has the bits it gets
+    in a batch of one. The rate samples are checked when the first grid is
     asked for, each grid's steps just before it is built.
     """
     sched = run[0][0]
@@ -453,7 +481,7 @@ def _graded_grids(run) -> Iterator[np.ndarray]:
     spans = [(k, a, b, np.ceil((b - a) * per_ps)) for k, a, b in spans]
     samples = sum(m for *_, m in spans)
     _check_steps(samples, "rate samples")
-    size = max(int(PACK_STEPS // samples), 1)
+    size = max(int(GRID_BATCH_SAMPLES // samples), 1)
     for first in range(0, len(run), size):
         batch = run[first:first + size]
         aux, cum, total = [], [], 0.0
@@ -576,34 +604,6 @@ class _Workspace:
         if flat is None or flat.shape[0] < size:
             flat = self._flat[name] = np.empty(2 * size, dtype=np.uint8)
         return flat[:size].view(dtype).reshape(shape)
-
-
-def _frame_runs(sched: PulseSchedule, t: np.ndarray):
-    """(k, a, b) per run of times t[a:b] in pulse k's frame: the nearest
-    pulse, switching at midpoints between centers. The times are monotone,
-    so each frame is one run. No pulses: no runs (the lab frame)."""
-    if not sched.pulses:
-        return
-    centers = np.array([p.center for p in sched.pulses])
-    k = np.searchsorted(0.5 * (centers[1:] + centers[:-1]), t)
-    bounds = [0, *(np.flatnonzero(np.diff(k)) + 1).tolist(), k.shape[0]]
-    for a, b in zip(bounds, bounds[1:]):
-        yield int(k[a]), a, b
-
-
-def _frame_coupling(t: np.ndarray, pulses: Sequence[PulseParams], k: int) -> np.ndarray:
-    """(z, trion) entry of the frame Hamiltonian in pulse k's frame,
-    V(t)*exp(i*Delta_k*(t - c_k)): pulse k's own term is its real envelope,
-    and every other pulse j turns at Delta_k - Delta_j."""
-    pk = pulses[k]
-    u = np.zeros(t.shape, dtype=complex)
-    for j, p in enumerate(pulses):
-        env = p.rabi_peak * sech(p.bandwidth * (t - p.center))
-        if j == k:
-            u += env
-        else:
-            u += env * np.exp(1j * (pk.detuning * (t - pk.center) - p.detuning * (t - p.center)))
-    return u
 
 
 def _magnus6(u: np.ndarray, h, w, d: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -735,8 +735,11 @@ def _expm(x: np.ndarray, ws: _Workspace) -> np.ndarray:
     scaled stack from its "m3", and x may be its "m2" (see _magnus6); the
     result is a fresh array. Levels up to the smallest k square every
     slice, alternating between the result and "m0" so that the last of
-    them lands in the result; every later level squares a compressed copy
-    of its slices in "m1" and "m2" and scatters it back."""
+    them lands in the result. A later level that touches at least half
+    the slices squares the whole stack into "m2" and copies its slices
+    back; a sparser one squares a compressed copy of its slices in "m1"
+    and "m2" and scatters it back. Each squared slice has the same bits
+    either way."""
     shape = x.shape
     norm = np.abs(x, out=ws("m0", shape, float)).sum(
         axis=0, out=ws("m1", shape[1:], float)).max(axis=0)
@@ -753,9 +756,12 @@ def _expm(x: np.ndarray, ws: _Workspace) -> np.ndarray:
             e = _mul(e, e, buffers[(full - level) % 2], rows)
         else:
             sel = scale >= level
-            sq = np.compress(sel, e, axis=-1,
-                             out=ws("m1", shape[:2] + (int(np.count_nonzero(sel)),)))
-            e[..., sel] = _mul(sq, sq, ws("m2", sq.shape), ws("row", sq.shape[1:]))
+            count = int(np.count_nonzero(sel))
+            if 2 * count >= sel.shape[0]:
+                np.copyto(e, _mul(e, e, ws("m2", shape), rows), where=sel)
+            else:
+                sq = np.compress(sel, e, axis=-1, out=ws("m1", shape[:2] + (count,)))
+                e[..., sel] = _mul(sq, sq, ws("m2", sq.shape), ws("row", sq.shape[1:]))
     return e
 
 
@@ -765,36 +771,72 @@ def _step_matrices(grids: Sequence[Tuple[np.ndarray, PulseSchedule]],
     (3, 3, total steps). grids holds (times, schedule) pairs and systems
     one SystemParams per grid; in each grid's segment, slice k maps
     psi(times[k]) to psi(times[k + 1]) under its schedule and system.
-    Every step is built as it would be alone. The working arrays of
-    _magnus6 and _expm come from ws (see _Workspace); the returned stack
-    is a fresh array."""
+
+    omega_B, Gamma and pulse j's parameters are per-step arrays over the
+    pack, pulse j of each grid repeated over its grid's steps, so one pass
+    a pulse index builds the (z, trion) entry of every frame Hamiltonian,
+    V(t)*exp(i*Delta_k*(t - c_k)) in the frame k of the nearest pulse
+    (switching at midpoints between centers): pulse k's own term is its
+    real envelope, and every other pulse j turns at Delta_k - Delta_j. A
+    grid without pulse j takes no term from it, and one without pulses
+    stays in the lab frame. Every step is built with the arithmetic it
+    gets alone. The working arrays of _magnus6 and _expm come from ws
+    (see _Workspace); the returned stack is a fresh array."""
     t = np.concatenate([times[:-1] for times, _ in grids])
     t_next = np.concatenate([times[1:] for times, _ in grids])
     dt = t_next - t
     nodes = t + GAUSS_NODES[:, None] * dt
     mid = t + 0.5 * dt
+    steps = [times.shape[0] - 1 for times, _ in grids]
+    # one slot at least: a grid without pulses reads its frame detuning
+    # and center, both 0, from an empty slot
+    most = max(1, *(len(sched.pulses) for _, sched in grids))
+    # a row per grid: omega_B, Gamma, then per pulse slot its rabi_peak,
+    # detuning, bandwidth and center (zeros where the grid has no such
+    # pulse; a pulse's rabi_peak is positive) and the midpoint to the next
+    # center (inf past the last)
+    table = []
+    for (_, sched), system in zip(grids, systems):
+        row = [system.omega_B, system.decay_rate]
+        pulses = sched.pulses
+        for j in range(most):
+            p = pulses[j] if j < len(pulses) else None
+            row += [p.rabi_peak, p.detuning, p.bandwidth, p.center] if p else [0.0] * 4
+            row.append(0.5 * (p.center + pulses[j + 1].center) if j + 1 < len(pulses) else np.inf)
+        table.append(row)
+    table = np.array(table)
+    # a column the grids share bit for bit stays one value, which keeps
+    # the arithmetic of a scalar; the others are repeated over the steps
+    bits = table.view(np.int64)
+    shared = (bits == bits[0]).all(axis=0)
+    repeated = iter(np.repeat(table[:, ~shared].T, steps, axis=1))
+    omega_b, decay, *slots = (table[0, i] if shared[i] else next(repeated)
+                              for i in range(table.shape[1]))
+    rabi, detuning, bandwidth, center, midpoint = (slots[i::5] for i in range(5))
+    # frame k: the count of midpoints before the step's middle
+    frame = sum((m < mid for m in midpoint[:-1]), np.zeros(mid.shape, dtype=int))
+    here = [frame == j for j in range(most)]
+    delta, c_frame = detuning[0], center[0]
+    for j in range(1, most):
+        delta = np.where(here[j], detuning[j], delta)
+        c_frame = np.where(here[j], center[j], c_frame)
     u = np.zeros(nodes.shape, dtype=complex)
-    delta = np.zeros(t.shape)
-    center = np.zeros(t.shape)
-    omega_b = np.empty(t.shape)
-    decay = np.empty(t.shape)
-    start = 0
-    for (times, sched), system in zip(grids, systems):
-        stop = start + times.shape[0] - 1
-        omega_b[start:stop] = system.omega_B
-        decay[start:stop] = system.decay_rate
-        for k, a, b in _frame_runs(sched, mid[start:stop]):
-            run = slice(start + a, start + b)
-            delta[run] = sched.pulses[k].detuning
-            center[run] = sched.pulses[k].center
-            u[:, run] = _frame_coupling(nodes[:, run], sched.pulses, k)
-        start = stop
-    del nodes, mid
+    turn = np.empty(nodes.shape, dtype=complex)
+    for j in range(most):
+        present = rabi[j] > 0.0
+        own, other = here[j] & present, ~here[j] & present
+        env = rabi[j] * sech(bandwidth[j] * (nodes - center[j]))
+        np.add(u, env, out=u, where=own)
+        if other.any():
+            phase = delta * (nodes - c_frame) - detuning[j] * (nodes - center[j])
+            np.exp(np.multiply(1j, phase, out=turn, where=other), out=turn, where=other)
+            np.add(u, np.multiply(env, turn, out=turn, where=other), out=u, where=other)
+    del nodes, mid, turn
     m = _expm(_magnus6(u, dt, omega_b, delta - 1j * decay, ws), ws)
     # to the lab frame, D(t + dt)^dagger exp(Omega_6) D(t), where D(t)
     # multiplies the trion amplitude by exp(-i*Delta_k*(t - c_k))
-    m[:, 2] *= np.exp(-1j * delta * (t - center))
-    m[2] *= np.exp(1j * delta * (t_next - center))
+    m[:, 2] *= np.exp(-1j * delta * (t - c_frame))
+    m[2] *= np.exp(1j * delta * (t_next - c_frame))
     return m
 
 
@@ -1133,7 +1175,8 @@ def evolve_operator(sched: PulseSchedule, s: SystemParams,
 
 
 def truncate_qubit(u3: np.ndarray) -> np.ndarray:
-    """Upper-left 2x2 block, basis (zbar, z). No renormalization: the lost
-    weight is physical population left in the trion level or decayed away."""
+    """Upper-left 2x2 block, basis (zbar, z), of a (3, 3) operator or of
+    each in a (..., 3, 3) stack. No renormalization: the lost weight is
+    physical population left in the trion level or decayed away."""
     u3 = np.asarray(u3)
-    return u3[:2, :2].copy()
+    return u3[..., :2, :2].copy()

@@ -460,6 +460,19 @@ def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
     assert capsys.readouterr().out == run(*sequence[1]).stdout
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the angle is refused before the field of its first gate
+    (["fidelity", "--sweep", "--angles", "5", "--B", "nan"], "error: |gamma_target| must be <= pi"),
+    # every field of the first angle is refused before the second angle
+    (["fidelity", "--sweep", "--angles", "0.5,5", "--B", "0.29,-1"], "error: B must be nonnegative"),
+])
+def test_sweep_refusals_come_in_gate_order(argv, message):
+    res = run(*argv)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.strip() == message
+
+
 @pytest.mark.parametrize("argv", [["simulate", "--delta", "1", "--tau-t", "0"],
                                   ["fidelity", "--tau-t", "-5"]])
 def test_nonpositive_lifetime_exit_2(argv):

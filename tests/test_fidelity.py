@@ -75,6 +75,53 @@ def test_noncontraction_rejected():
         average_fidelity(1.1 * np.eye(2), np.eye(2))
 
 
+def random_contractions(rng, n):
+    """n random 2x2 complex matrices, each scaled to a largest singular
+    value between 0 and 1."""
+    g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    smax = np.linalg.svd(g, compute_uv=False)[:, 0]
+    return g * (rng.uniform(0.0, 1.0, n) / smax)[:, None, None]
+
+
+def test_stack_scores_each_slice_alone():
+    # the stacked pass gives each slice the bits it gets alone, and keeps
+    # to 1e-15 the per-entry sum it replaced, which squared each |I_ij|
+    # with pow where the stack multiplies
+    rng = np.random.default_rng(14)
+    u = random_contractions(rng, 200)
+    u_id = np.array([random_unitary(rng) for _ in range(200)])
+    stacked = average_fidelity(u, u_id)
+    assert stacked.shape == (200,)
+    alone = np.array([average_fidelity(a, b) for a, b in zip(u, u_id)])
+    assert np.array_equal(stacked, alone)
+    for f, a, b in zip(stacked, u, u_id):
+        overlap = a.conj().T @ b
+        d0, d1 = overlap[0, 0], overlap[1, 1]
+        ref = (abs(d0) ** 2 + abs(d1) ** 2) / 3.0 + (
+            abs(overlap[0, 1]) ** 2 + abs(overlap[1, 0]) ** 2
+            + d0 * np.conj(d1) + d1 * np.conj(d0)) / 6.0
+        assert abs(f - ref.real) <= 1e-15
+
+
+def test_one_noncontraction_in_a_stack_is_rejected():
+    rng = np.random.default_rng(15)
+    u = random_contractions(rng, 10)
+    u[6] = 1.1 * random_unitary(rng)
+    with pytest.raises(NonContraction, match="1.100000000"):
+        average_fidelity(u, np.eye(2))
+
+
+def test_largest_singular_value_matches_svd():
+    rng = np.random.default_rng(16)
+    u = random_contractions(rng, 1000)
+    # and unitaries scaled to either side of the 1 + 1e-6 rejection edge
+    edge = np.array([random_unitary(rng) for _ in range(200)])
+    edge *= (1.0 + 1e-6 + rng.uniform(-1e-12, 1e-12, 200))[:, None, None]
+    for stack in (u, edge):
+        ref = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        assert np.max(np.abs(fidelity._largest_singular_value(stack) - ref)) <= 1e-15
+
+
 def test_ideal_rotation_and_precession():
     r = ideal_rotation(0.9)
     assert r[0, 0] == 1.0 and abs(r[1, 1] - np.exp(0.9j)) < 1e-15
@@ -194,6 +241,7 @@ def test_sweep_shapes():
     assert len(reports) == 6
     assert [r.B for r in reports[:3]] == [0.29, 1.35, 2.7]     # gamma-major
     assert reports[0].gamma_tot == pytest.approx(0.5)
+    assert fidelity_sweep([], [0.29]) == fidelity_sweep([0.5], []) == []
 
 
 @pytest.mark.filterwarnings("ignore:omega_B/eta")
@@ -243,6 +291,34 @@ def test_time_reversal_against_direct_propagation(dt):
                 opts = IntegratorOpts(dt=0.035 / _frequency_scale(forward, s)) if dt else None
                 u, v = evolve_operators([forward, backward], [s, s], opts)
                 assert np.max(np.abs(flip @ u.conj().T @ flip - v)) <= 5e-13
+
+
+def test_time_reversal_reflects_unequal_gaps():
+    # reversed order, centers reflected in the first and last, phases
+    # negated: the gaps 5 and 7 come back as 7 and 5
+    centers, phis = fidelity._time_reversed([0.0, 5.0, 12.0], [0.25, -1.5, 2.0])
+    assert centers == [0.0, 7.0, 12.0]
+    assert phis == [-2.0, 1.5, -0.25]
+
+
+@pytest.mark.filterwarnings("ignore:omega_B/eta")   # 2.7 T is past the slow-precession edge
+def test_three_pulse_time_reversal_against_direct_propagation():
+    # D*U^dagger*D of three pulses at unequal gaps against the schedule
+    # run backwards, built from _time_reversed's centers: detunings
+    # negated in reverse order on the same window
+    eta = bandwidth_from_duration(1.5)
+    flip = np.diag([1.0, -1.0, 1.0])
+    pulses = [two_pi_pulse(eta, 0.8, 0.0), two_pi_pulse(eta, -0.3, 16.0),
+              two_pi_pulse(eta, 1.7, 37.0)]
+    centers, _ = fidelity._time_reversed([p.center for p in pulses], [0.0] * 3)
+    backward = [two_pi_pulse(eta, -p.detuning, c) for p, c in zip(reversed(pulses), centers)]
+    forward, backward = schedule_for_pulses(pulses), schedule_for_pulses(backward)
+    assert backward.window == forward.window
+    for field in (0.0, 0.29, 2.7):
+        for lifetime in (900.0, float("inf")):
+            s = SystemParams(omega_B=larmor_from_field(field), trion_lifetime=lifetime)
+            u, v = evolve_operators([forward, backward], [s, s])
+            assert np.max(np.abs(flip @ u.conj().T @ flip - v)) <= 5e-13
 
 
 @pytest.mark.filterwarnings("ignore:omega_B/eta")   # 2.7 T is past the slow-precession edge

@@ -292,16 +292,20 @@ def test_batched_grids_match_one_schedule_grids(monkeypatch):
         return rate(batch, k, t)
 
     monkeypatch.setattr(propagator, "_rate", counting)
-    for opts in (IntegratorOpts(), IntegratorOpts(dt=0.01)):
-        alone = [_grid(sched, s, opts) for sched, s in pairs]
-        batches.clear()
-        got = list(_times(pairs, opts))
-        assert len(got) == len(pairs)
-        assert all(np.array_equal(a, b) for a, b in zip(got, alone))
-        # the even schedules shared a pass, and so did three of the four
-        # pair gates in a row (PACK_STEPS over 524 rate samples each); an
-        # explicit dt gives every schedule its uniform grid
-        assert batches == ([3, 3, 1, 1, 1, 1] if opts.dt is None else [])
+    # the even schedules share a pass, and so do the four pair gates in a
+    # row (GRID_BATCH_SAMPLES = 8,192 over 524 rate samples each), or
+    # three of them under a bound of 2,048; an explicit dt gives every
+    # schedule its uniform grid
+    for bound, sizes in ((propagator.GRID_BATCH_SAMPLES, [3, 4, 1, 1, 1]),
+                         (2048, [3, 3, 1, 1, 1, 1])):
+        monkeypatch.setattr(propagator, "GRID_BATCH_SAMPLES", bound)
+        for opts in (IntegratorOpts(), IntegratorOpts(dt=0.01)):
+            alone = [_grid(sched, s, opts) for sched, s in pairs]
+            batches.clear()
+            got = list(_times(pairs, opts))
+            assert len(got) == len(pairs)
+            assert all(np.array_equal(a, b) for a, b in zip(got, alone))
+            assert batches == (sizes if opts.dt is None else [])
     # a schedule past MAX_STEPS in the middle of a batch raises what it
     # raises alone, after the grids before it
     huge = (PulseSchedule([two_pi_pulse(1.0, 1e5)], (-20.0, 20.0)), slow)
